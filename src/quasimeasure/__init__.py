@@ -38,7 +38,6 @@ from .sets import (
     GroundSet,
     Refinement,
     SubsetMask,
-    complement,
     generate_algebra,
     refine,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "check_axioms",
     "check_coat_monotonicity",
     "check_outer_properties",
-    "complement",
     "exp_eval",
     "extend",
     "generate_algebra",

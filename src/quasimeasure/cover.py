@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .quasi import ONE, ZERO, QuasiMeasure, cover_bound_violations
+from .quasi import ONE, ZERO, QuasiMeasure, cover_bound_violations, subcollection_table
 from .report import AxiomReport, ReportBuilder, Witness
 from .sets import SubsetMask
 
@@ -151,18 +151,11 @@ MAX_EXHAUSTIVE_COAT = 20
 
 
 @lru_cache(maxsize=8)
-def _subcollection_tables(
+def _cached_subcollection_table(
     member_bits: tuple[int, ...], values: tuple[Fraction, ...]
 ) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-    """Union and cost of every coat subcollection, indexed by index-set bits."""
-    k = len(member_bits)
-    unions = [0] * (1 << k)
-    costs: list[Fraction] = [ZERO] * (1 << k)
-    for s in range(1, 1 << k):
-        low = (s & -s).bit_length() - 1
-        rest = s & (s - 1)
-        unions[s] = unions[rest] | member_bits[low]
-        costs[s] = costs[rest] + values[low]
+    """``subcollection_table``, frozen so that cached callers share it safely."""
+    unions, costs = subcollection_table(member_bits, values)
     return tuple(unions), tuple(costs)
 
 
@@ -176,7 +169,7 @@ def outer_exhaustive(qm: QuasiMeasure, a: SubsetMask) -> tuple[Fraction, CoverSo
         raise ValueError(f"coat too large for enumeration ({k} > {MAX_EXHAUSTIVE_COAT})")
     member_bits = qm.coat.member_bits()
     values = tuple(qm.value(m) for m in qm.coat.members)
-    unions, costs = _subcollection_tables(member_bits, values)
+    unions, costs = _cached_subcollection_table(member_bits, values)
     best: tuple[Fraction, int, tuple[int, ...]] | None = None
     target = a.bits
     for s in range(1 << k):

@@ -238,6 +238,8 @@ def parse_instance(document: str) -> InstanceSpec:
         elif keyword == "seed":
             if len(keyword_tokens) != 1 or not re.match(r"^-?\d+$", rest):
                 raise ParseError("malformed seed directive", lineno)
+            if seed is not None:
+                raise ParseError("duplicate seed directive", lineno)
             seed = int(rest)
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno, 1)

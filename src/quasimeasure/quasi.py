@@ -81,26 +81,24 @@ class QuasiMeasure:
         return QuasiMeasure(self.coat, self.refinement, updated)
 
 
-def _cover_table(qm: QuasiMeasure) -> tuple[list[int], list[Fraction], list[int]]:
-    """Union, cost, and member-size-sum for every subcollection of the coat.
+def subcollection_table(
+    member_bits: tuple[int, ...], values: tuple[Fraction, ...]
+) -> tuple[list[int], list[Fraction]]:
+    """Union and value sum of every subcollection of the coat.
 
     Entry s describes the subcollection containing coat member i iff bit i
     of s is set.  Built by peeling the lowest set bit, so the whole table is
     linear in 2**|coat|.
     """
-    bits = qm.coat.member_bits()
-    k = len(bits)
+    k = len(member_bits)
     unions = [0] * (1 << k)
     costs: list[Fraction] = [ZERO] * (1 << k)
-    sizes = [0] * (1 << k)
-    values = [qm.value_bits(b) for b in bits]
     for s in range(1, 1 << k):
         low = (s & -s).bit_length() - 1
         rest = s & (s - 1)
-        unions[s] = unions[rest] | bits[low]
+        unions[s] = unions[rest] | member_bits[low]
         costs[s] = costs[rest] + values[low]
-        sizes[s] = sizes[rest] + bits[low].bit_count()
-    return unions, costs, sizes
+    return unions, costs
 
 
 COVER_ENUMERATION_LIMIT = 1 << 20
@@ -126,11 +124,14 @@ def cover_bound_violations(
         max_cover_size = k
     if max_cover_size > k:
         raise ValueError("max_cover_size exceeds the coat size")
+    bits = qm.coat.member_bits()
+    values = tuple(qm.value_bits(b) for b in bits)
     targets = [(x, qm.value(x)) for x in members]
     violations: list[Witness] = []
 
-    def check_cover(index_tuple: tuple[int, ...], union: int, cost: Fraction, disjoint: bool) -> None:
-        if cover_mode == "disjoint-only" and not disjoint:
+    def check_cover(index_tuple: tuple[int, ...], union: int, cost: Fraction) -> None:
+        if (cover_mode == "disjoint-only"
+                and sum(bits[i].bit_count() for i in index_tuple) != union.bit_count()):
             return
         for x, vx in targets:
             if x.bits & ~union == 0 and vx > cost:
@@ -144,13 +145,12 @@ def cover_bound_violations(
                 ))
 
     if (1 << k) <= COVER_ENUMERATION_LIMIT:
-        unions, costs, sizes = _cover_table(qm)
+        unions, costs = subcollection_table(bits, values)
         for s in range(1, 1 << k):
             if s.bit_count() > max_cover_size:
                 continue
             index_tuple = tuple(i for i in range(k) if s >> i & 1)
-            check_cover(index_tuple, unions[s], costs[s],
-                        sizes[s] == unions[s].bit_count())
+            check_cover(index_tuple, unions[s], costs[s])
         return violations
 
     total = sum(math.comb(k, size) for size in range(1, max_cover_size + 1))
@@ -158,19 +158,56 @@ def cover_bound_violations(
         raise BudgetExceeded(
             f"{total} subcollections exceed the enumeration limit; lower max_cover_size"
         )
-    bits = qm.coat.member_bits()
-    values = [qm.value_bits(b) for b in bits]
     for size in range(1, max_cover_size + 1):
         for combo in itertools.combinations(range(k), size):
             union = 0
             cost = ZERO
-            popcount_sum = 0
             for i in combo:
                 union |= bits[i]
                 cost += values[i]
-                popcount_sum += bits[i].bit_count()
-            check_cover(combo, union, cost, popcount_sum == union.bit_count())
+            check_cover(combo, union, cost)
     return violations
+
+
+def _checked_pairs(
+    rb: ReportBuilder, qm: QuasiMeasure
+) -> list[tuple[SubsetMask, SubsetMask, SubsetMask, SubsetMask, Fraction, Fraction]]:
+    """Check the endpoints and the splitting of every coat pair.
+
+    Returns ``(x, y, meet, diff, value of meet, value of diff)`` for every
+    ordered coat pair, for the pair checks that follow.
+    """
+    ground = qm.ground
+    if qm.value(ground.empty()) != ZERO:
+        rb.fail("endpoints", Witness((("set", ground.empty()),), qm.value(ground.empty()), ZERO, "eq"))
+    if qm.value(ground.full()) != ONE:
+        rb.fail("endpoints", Witness((("set", ground.full()),), qm.value(ground.full()), ONE, "eq"))
+
+    pairs = []
+    for x in qm.coat.members:
+        vx = qm.value(x)
+        for y in qm.coat.members:
+            meet = x & y
+            diff = x.difference(y)
+            vmeet = qm.value(meet)
+            vdiff = qm.value(diff)
+            if vx != vmeet + vdiff:
+                rb.fail("splitting", Witness(
+                    (("X", x), ("Y", y)), vx, vmeet + vdiff, "eq",
+                    note=f"meet {meet} has value {vmeet}, difference {diff} has value {vdiff}",
+                ))
+            pairs.append((x, y, meet, diff, vmeet, vdiff))
+    return pairs
+
+
+def _check_monotone(rb: ReportBuilder, qm: QuasiMeasure, outer_role: str) -> None:
+    """Fail "monotone" for every coat member inside another of smaller value."""
+    members = qm.coat.members
+    for x in members:
+        vx = qm.value(x)
+        for y in members:
+            if x.bits & ~y.bits == 0 and vx > qm.value(y):
+                rb.fail("monotone", Witness((("X", x), (outer_role, y)), vx, qm.value(y), "le"))
 
 
 def _envelope_fail(kind: str, x: SubsetMask, y: SubsetMask, target: SubsetMask,
@@ -206,12 +243,6 @@ def check_axioms(
     rb.note(f"variant={variant}")
     rb.note(f"cover_mode={cover_mode}")
 
-    ground = qm.ground
-    if qm.value(ground.empty()) != ZERO:
-        rb.fail("endpoints", Witness((("set", ground.empty()),), qm.value(ground.empty()), ZERO, "eq"))
-    if qm.value(ground.full()) != ONE:
-        rb.fail("endpoints", Witness((("set", ground.full()),), qm.value(ground.full()), ONE, "eq"))
-
     pool = qm.coat.members if variant == "restricted" else qm.refinement.members
     pool_name = "coat" if variant == "restricted" else "refinement"
     pool_by_value: dict[Fraction, list[SubsetMask]] = {}
@@ -221,22 +252,11 @@ def check_axioms(
     def has_envelope(target: SubsetMask, value: Fraction) -> bool:
         return any(target.issubset(w) for w in pool_by_value.get(value, ()))
 
-    for x in qm.coat.members:
-        vx = qm.value(x)
-        for y in qm.coat.members:
-            meet = x & y
-            diff = x.difference(y)
-            vmeet = qm.value(meet)
-            vdiff = qm.value(diff)
-            if vx != vmeet + vdiff:
-                rb.fail("splitting", Witness(
-                    (("X", x), ("Y", y)), vx, vmeet + vdiff, "eq",
-                    note=f"meet {meet} has value {vmeet}, difference {diff} has value {vdiff}",
-                ))
-            if not has_envelope(meet, vmeet):
-                rb.fail("meet-envelope", _envelope_fail("meet", x, y, meet, vmeet, pool_name))
-            if not has_envelope(diff, vdiff):
-                rb.fail("diff-envelope", _envelope_fail("difference", x, y, diff, vdiff, pool_name))
+    for x, y, meet, diff, vmeet, vdiff in _checked_pairs(rb, qm):
+        if not has_envelope(meet, vmeet):
+            rb.fail("meet-envelope", _envelope_fail("meet", x, y, meet, vmeet, pool_name))
+        if not has_envelope(diff, vdiff):
+            rb.fail("diff-envelope", _envelope_fail("difference", x, y, diff, vdiff, pool_name))
 
     for witness in cover_bound_violations(qm, cover_mode, max_cover_size):
         rb.fail("cover-bound", witness)
@@ -255,37 +275,18 @@ def check_alt_conditions(qm: QuasiMeasure) -> AxiomReport:
     rb = ReportBuilder("alt-conditions")
     rb.declare(*ALT_CHECKS)
 
-    ground = qm.ground
-    if qm.value(ground.empty()) != ZERO:
-        rb.fail("endpoints", Witness((("set", ground.empty()),), qm.value(ground.empty()), ZERO, "eq"))
-    if qm.value(ground.full()) != ONE:
-        rb.fail("endpoints", Witness((("set", ground.full()),), qm.value(ground.full()), ONE, "eq"))
-
+    _check_monotone(rb, qm, "Y")
     members = qm.coat.members
-    for x in members:
-        vx = qm.value(x)
-        for y in members:
-            vy = qm.value(y)
-            if x.issubset(y) and vx > vy:
-                rb.fail("monotone", Witness((("X", x), ("Y", y)), vx, vy, "le"))
-            meet = x & y
-            diff = x.difference(y)
-            vmeet = qm.value(meet)
-            vdiff = qm.value(diff)
-            if vx != vmeet + vdiff:
-                rb.fail("splitting", Witness(
-                    (("X", x), ("Y", y)), vx, vmeet + vdiff, "eq",
-                    note=f"meet {meet} has value {vmeet}, difference {diff} has value {vdiff}",
-                ))
-            inner_ok = any(k.issubset(meet) and qm.value(k) == vmeet for k in members)
-            outer_ok = any(meet.issubset(w) and qm.value(w) == vmeet for w in members)
-            if not (inner_ok and outer_ok):
-                rb.fail("meet-squeeze", Witness(
-                    (("X", x), ("Y", y), ("meet", meet)), vmeet, None, "exists",
-                    note="no coat pair squeezing the meet with equal values",
-                ))
-            if not any(diff.issubset(z) and qm.value(z) == vdiff for z in members):
-                rb.fail("diff-envelope", _envelope_fail("difference", x, y, diff, vdiff, "coat"))
+    for x, y, meet, diff, vmeet, vdiff in _checked_pairs(rb, qm):
+        inner_ok = any(k.issubset(meet) and qm.value(k) == vmeet for k in members)
+        outer_ok = any(meet.issubset(w) and qm.value(w) == vmeet for w in members)
+        if not (inner_ok and outer_ok):
+            rb.fail("meet-squeeze", Witness(
+                (("X", x), ("Y", y), ("meet", meet)), vmeet, None, "exists",
+                note="no coat pair squeezing the meet with equal values",
+            ))
+        if not any(diff.issubset(z) and qm.value(z) == vdiff for z in members):
+            rb.fail("diff-envelope", _envelope_fail("difference", x, y, diff, vdiff, "coat"))
     return rb.build()
 
 
@@ -298,9 +299,5 @@ def check_coat_monotonicity(qm: QuasiMeasure) -> AxiomReport:
     """
     rb = ReportBuilder("coat-monotonicity")
     rb.declare("monotone")
-    for x in qm.coat.members:
-        vx = qm.value(x)
-        for s in qm.coat.members:
-            if x.issubset(s) and vx > qm.value(s):
-                rb.fail("monotone", Witness((("X", x), ("S", s)), vx, qm.value(s), "le"))
+    _check_monotone(rb, qm, "S")
     return rb.build()

@@ -9,7 +9,7 @@ across threads without coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_GROUND_SIZE = 24
 
@@ -129,11 +129,6 @@ class SubsetMask:
         return f"SubsetMask({self})"
 
 
-def complement(a: SubsetMask) -> SubsetMask:
-    """The set difference between the full ground set and ``a``."""
-    return a.complement()
-
-
 @dataclass(frozen=True)
 class Coat:
     """An indexed family of subsets that contains both the empty and full set."""
@@ -235,6 +230,19 @@ def refine(c: Coat) -> Refinement:
     return Refinement(c, members, provenance)
 
 
+def _atom_bits(n: int, masks: Sequence[int]) -> list[int]:
+    """The classes of elements that belong to the same members, in mask order.
+
+    Elements are grouped by their membership signature across ``masks``;
+    these classes are the atoms of the algebra the masks generate.
+    """
+    blocks: dict[tuple[int, ...], int] = {}
+    for i in range(n):
+        signature = tuple(m >> i & 1 for m in masks)
+        blocks[signature] = blocks.get(signature, 0) | (1 << i)
+    return sorted(blocks.values())
+
+
 @dataclass(frozen=True)
 class AlgebraFamily:
     """A family of subsets closed under complement and pairwise union."""
@@ -250,13 +258,14 @@ class AlgebraFamily:
         full = self.ground.full_bits
         if 0 not in present or full not in present:
             raise ValueError("algebra must contain empty and omega")
-        for a in bits:
-            if a ^ full not in present:
-                raise ValueError(f"algebra not closed under complement at {a:#x}")
-        for a in bits:
-            for b in bits:
-                if a | b not in present:
-                    raise ValueError("algebra not closed under union")
+        # A family lies inside the algebra it generates, which has one member
+        # per union of atoms, so the family is closed iff it has that size.
+        atoms = len(_atom_bits(self.ground.n, bits))
+        if len(bits) != 1 << atoms:
+            raise ValueError(
+                f"algebra not closed under complement and union: {len(bits)} members"
+                f" generate {1 << atoms}"
+            )
 
     def __len__(self) -> int:
         return len(self.members)
@@ -269,42 +278,24 @@ class AlgebraFamily:
 
 
 def generate_algebra(c: Coat) -> AlgebraFamily:
-    """Close the coat under complement and pairwise union, iterated to fixpoint."""
-    full = c.ground.full_bits
-    family = set(c.member_bits())
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(family)
-        for a in snapshot:
-            comp = a ^ full
-            if comp not in family:
-                family.add(comp)
-                changed = True
-        snapshot = list(family)
-        for i, a in enumerate(snapshot):
-            for b in snapshot[i + 1 :]:
-                u = a | b
-                if u not in family:
-                    family.add(u)
-                    changed = True
-    assert len(family) <= 1 << c.ground.n
-    members = tuple(SubsetMask(c.ground, b) for b in sorted(family))
-    return AlgebraFamily(c.ground, members)
+    """The algebra generated by the coat: every union of its atoms.
+
+    On a finite ground set the generated algebra is exactly the 2**m unions
+    of its m atoms (Halmos, *Measure Theory*, 1950, sections 4-5).  Atoms are
+    disjoint and ascend in mask order, so each atom's top bit lies above
+    every bit of the atoms before it, and the unions come out in mask order
+    when indexed by the bits of their atom set.
+    """
+    atoms = _atom_bits(c.ground.n, c.member_bits())
+    unions = [0] * (1 << len(atoms))
+    for s in range(1, len(unions)):
+        unions[s] = unions[s & (s - 1)] | atoms[(s & -s).bit_length() - 1]
+    return AlgebraFamily(c.ground, tuple(SubsetMask(c.ground, b) for b in unions))
 
 
 def algebra_atoms(c: Coat) -> tuple[SubsetMask, ...]:
-    """Minimal nonempty members of the generated algebra.
+    """Minimal nonempty members of the generated algebra, in mask order.
 
-    Elements are grouped by their membership signature across coat members;
-    each signature class is one atom, and the generated algebra is exactly
-    the family of unions of atoms.  Used as an independent oracle for
-    ``generate_algebra``.
+    Each atom is one class of elements that belong to the same coat members.
     """
-    ground = c.ground
-    masks = c.member_bits()
-    blocks: dict[tuple[bool, ...], int] = {}
-    for i in range(ground.n):
-        signature = tuple(bool(m >> i & 1) for m in masks)
-        blocks[signature] = blocks.get(signature, 0) | (1 << i)
-    return tuple(SubsetMask(ground, b) for b in sorted(blocks.values()))
+    return tuple(SubsetMask(c.ground, b) for b in _atom_bits(c.ground.n, c.member_bits()))

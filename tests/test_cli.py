@@ -132,6 +132,12 @@ class TestParsing:
         with pytest.raises(ParseError, match="duplicate ground"):
             parse_instance("ground: 1\nground: 2\n")
 
+    def test_duplicate_seed(self):
+        doc = UNIFORM_DOC + "seed: 1\nseed: 2\n"
+        with pytest.raises(ParseError, match="duplicate seed directive") as info:
+            parse_instance(doc)
+        assert info.value.line == len(doc.splitlines())
+
     def test_malformed_rational(self):
         doc = UNIFORM_DOC.replace("value A: 1/2", "value A: 0.5")
         with pytest.raises(ParseError, match="malformed rational"):

@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quasimeasure import Coat, GroundSet, complement, generate_algebra, refine
-from quasimeasure.sets import algebra_atoms
+from quasimeasure import AlgebraFamily, Coat, GroundSet, generate_algebra, refine
+from quasimeasure.sets import _atom_bits, algebra_atoms
 
 
 def masks_of(ground, *label_groups):
@@ -13,16 +15,16 @@ def masks_of(ground, *label_groups):
 
 class TestComplement:
     def test_of_empty(self, ground4):
-        assert complement(ground4.empty()) == ground4.full()
+        assert ground4.empty().complement() == ground4.full()
 
     def test_forced_by_definition(self, ground4):
-        assert complement(ground4.subset(["1", "2"])) == ground4.subset(["3", "4"])
-        assert complement(ground4.subset(["2", "3"])) == ground4.subset(["1", "4"])
+        assert ground4.subset(["1", "2"]).complement() == ground4.subset(["3", "4"])
+        assert ground4.subset(["2", "3"]).complement() == ground4.subset(["1", "4"])
 
     def test_involution(self, ground4):
         for bits in range(1 << 4):
             mask = ground4.mask(bits)
-            assert complement(complement(mask)) == mask
+            assert mask.complement().complement() == mask
 
 
 class TestGroundSet:
@@ -148,6 +150,32 @@ class TestRefine:
         assert set(refine(coat).members) == meets
 
 
+def fixpoint_closure(ground, bits):
+    """Oracle: close a family under complement and pairwise union until stable."""
+    full = ground.full_bits
+    family = set(bits)
+    changed = True
+    while changed:
+        changed = False
+        for a in list(family):
+            if a ^ full not in family:
+                family.add(a ^ full)
+                changed = True
+        snapshot = list(family)
+        for i, a in enumerate(snapshot):
+            for b in snapshot[i + 1 :]:
+                if a | b not in family:
+                    family.add(a | b)
+                    changed = True
+    return family
+
+
+def is_pairwise_closed(ground, bits):
+    family = set(bits)
+    return (all(a ^ ground.full_bits in family for a in family)
+            and all(a | b in family for a in family for b in family))
+
+
 def smallest_algebra_by_intersection(coat):
     """Oracle: intersect every algebra on the power set that contains the coat.
 
@@ -248,7 +276,7 @@ class TestGenerateAlgebra:
 
     def test_intersections_exceed_unions_of_literals(self, ground4):
         # {2} = {1,2} & {2,3} lies in the algebra but is not a union of
-        # coat members and their complements, so closure must iterate.
+        # coat members and their complements: atoms are intersections.
         coat = Coat(ground4, (
             ground4.empty(), ground4.full(),
             ground4.subset(["1", "2"]), ground4.subset(["2", "3"]),
@@ -265,3 +293,70 @@ class TestGenerateAlgebra:
                     u = u | m
                 unions.add(u)
         assert target not in unions
+
+    def test_matches_fixpoint_closure(self):
+        rng = random.Random(17)
+        for n in range(1, 9):
+            ground = GroundSet(tuple(str(i + 1) for i in range(n)))
+            for _ in range(6):
+                bits = {0, ground.full_bits}
+                while len(bits) < min(2 + rng.randrange(5), 1 << n):
+                    bits.add(rng.randrange(1 << n))
+                coat = Coat.from_bits(ground, sorted(bits))
+                expected = sorted(fixpoint_closure(ground, coat.member_bits()))
+                assert [m.bits for m in generate_algebra(coat).members] == expected
+
+
+class TestAlgebraFamily:
+    def test_rejects_missing_complement(self, ground4):
+        family = masks_of(ground4, [], ["1", "2", "3", "4"], ["1", "2"])
+        with pytest.raises(ValueError, match="not closed"):
+            AlgebraFamily(ground4, tuple(sorted(family, key=lambda m: m.bits)))
+
+    def test_rejects_missing_union(self, ground4):
+        # Closed under complement, but {1} | {2} = {1,2} is absent.
+        family = masks_of(ground4, [], ["1", "2", "3", "4"], ["1"], ["2", "3", "4"],
+                          ["2"], ["1", "3", "4"])
+        with pytest.raises(ValueError, match="not closed"):
+            AlgebraFamily(ground4, tuple(sorted(family, key=lambda m: m.bits)))
+
+    def test_rejects_missing_intersection(self, ground4):
+        # Every union of coat members and their complements is present; the
+        # meet {2} = {1,2} & {2,3} is not.
+        literals = [["1", "2"], ["3", "4"], ["2", "3"], ["1", "4"]]
+        family = {ground4.empty(), ground4.full()}
+        for r in range(1, len(literals) + 1):
+            for group in itertools.combinations(literals, r):
+                family.add(ground4.subset(itertools.chain(*group)))
+        assert ground4.subset(["2"]) not in family
+        with pytest.raises(ValueError, match="not closed"):
+            AlgebraFamily(ground4, tuple(sorted(family, key=lambda m: m.bits)))
+
+
+@st.composite
+def near_algebras(draw):
+    """A partition algebra on n <= 5 elements with up to three masks toggled."""
+    n = draw(st.integers(1, 5))
+    blocks: dict[int, int] = {}
+    for i, block in enumerate(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))):
+        blocks[block] = blocks.get(block, 0) | 1 << i
+    algebra = {0}
+    for atom in blocks.values():
+        algebra |= {u | atom for u in algebra}
+    toggled = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=3))
+    return n, sorted(algebra ^ toggled)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(near_algebras())
+def test_size_check_agrees_with_pairwise_closure(case):
+    n, bits = case
+    ground = GroundSet(tuple(str(i + 1) for i in range(n)))
+    closed = bool(bits) and is_pairwise_closed(ground, bits)
+    assert (len(bits) == 1 << len(_atom_bits(n, bits))) == closed
+    members = tuple(ground.mask(b) for b in bits)
+    if closed:
+        AlgebraFamily(ground, members)
+    else:
+        with pytest.raises(ValueError):
+            AlgebraFamily(ground, members)
