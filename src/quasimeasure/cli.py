@@ -9,9 +9,10 @@ Subcommands:
     search   seed-range survey asserting the extension property
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 input or
-configuration error.  Identical inputs and flags produce byte-identical
-reports in both formats; the machine format is JSON Lines with a fixed,
-documented key order and rationals rendered as "p/q" strings.
+configuration error, 3 internal error (a fault of the program, never a check
+result).  Identical inputs and flags produce byte-identical reports in both
+formats; the machine format is JSON Lines with a fixed, documented key order
+and rationals rendered as "p/q" strings.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -138,7 +140,11 @@ def _text_line(record: dict) -> str:
 def _load_instance(config: RunConfig):
     if not config.input_path:
         raise ParseError("an input instance path is required")
-    document = Path(config.input_path).read_text(encoding="utf-8")
+    data = Path(config.input_path).read_bytes()
+    try:
+        document = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("input is not UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
     spec = parse_instance(document)
     ground, coat, qm = spec.build()
     if ground.n > config.max_n:
@@ -232,12 +238,16 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute one configured subcommand; exceptions become exit code 2."""
+    """Execute one configured subcommand; input errors exit 2, internal errors 3."""
     try:
         return _RUNNERS[config.subcommand](config)
     except (ParseError, BudgetExceeded, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program: keep it apart from exit 1
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def _parse_seed_range(text: str) -> tuple[int, int]:

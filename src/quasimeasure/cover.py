@@ -8,8 +8,10 @@ deterministically: lowest cost, then fewest members, then lexicographically
 smallest index list.
 
 Two independent routes compute the same quantity: a memoized branch-and-bound
-(`outer`) and a full enumeration of all subcollections (`outer_exhaustive`).
-Tests hold them to exact cost equality.
+(`CoverSolver`, reached through `outer`) and a full enumeration of all
+subcollections (`outer_exhaustive`).  Tests hold them to exact cost equality.
+The solver works on plain int masks and keeps the only cover memo;
+`SubsetMask` and `CoverSolution` are built only for results and witnesses.
 """
 
 from __future__ import annotations
@@ -18,10 +20,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Generic, Sequence, TypeVar
 
 from .quasi import ONE, ZERO, QuasiMeasure, cover_bound_violations, subcollection_table
 from .report import AxiomReport, ReportBuilder, Witness
 from .sets import SubsetMask
+
+W = TypeVar("W")
+TRIPLE_BUDGET = 1 << 18  # subadditivity triples checked before sampling
 
 
 @dataclass(frozen=True)
@@ -47,37 +53,39 @@ class CoverSolution:
         return target.bits & ~union == 0 and total == self.cost
 
 
-class _CoverSolver:
-    """Minimum-weight cover search with memoization on the uncovered mask.
+class CoverSolver(Generic[W]):
+    """Minimum-weight cover search on int masks, memoized on the uncovered mask.
 
-    Candidates at each node are ordered by decreasing fresh coverage; a
-    candidate whose own weight already exceeds the node's best cost is
-    pruned (weights are nonnegative, so it cannot improve or tie).
+    ``entries`` are ``(index, bits, weight)``; weights are any nonnegative,
+    ordered, additive type with zero ``zero``: ``Fraction`` for coats,
+    ``float`` for interval pools.  ``solve`` returns the cost and the
+    ascending chosen indices.  Candidates at each node are ordered by
+    decreasing fresh coverage; a candidate whose own weight already exceeds
+    the node's best cost is pruned (it cannot improve or tie).
     """
 
-    def __init__(self, entries: list[tuple[int, int, Fraction]], zero):
+    def __init__(self, entries: Sequence[tuple[int, int, W]], zero: W):
         self.entries = entries
-        self.zero = zero
         self.reach = 0
         for _, bits, _ in entries:
             self.reach |= bits
-        self._memo: dict[int, tuple[Fraction, tuple[int, ...]]] = {0: (zero, ())}
+        self._memo: dict[int, tuple[W, tuple[int, ...]]] = {0: (zero, ())}
 
     def feasible(self, target_bits: int) -> bool:
         return target_bits & ~self.reach == 0
 
-    def solve(self, target_bits: int) -> tuple[Fraction, tuple[int, ...]]:
+    def solve(self, target_bits: int) -> tuple[W, tuple[int, ...]]:
         if not self.feasible(target_bits):
             raise ValueError("target not coverable by the available members")
         return self._solve(target_bits)
 
-    def _solve(self, residual: int) -> tuple[Fraction, tuple[int, ...]]:
+    def _solve(self, residual: int) -> tuple[W, tuple[int, ...]]:
         hit = self._memo.get(residual)
         if hit is not None:
             return hit
         candidates = [e for e in self.entries if e[1] & residual]
         candidates.sort(key=lambda e: -(e[1] & residual).bit_count())
-        best: tuple[Fraction, tuple[int, ...]] | None = None
+        best: tuple[W, tuple[int, ...]] | None = None
         for idx, bits, weight in candidates:
             if best is not None and weight > best[0]:
                 continue
@@ -92,34 +100,28 @@ class _CoverSolver:
 
 
 class OuterMeasureCache:
-    """Per-instance memo of already-solved exterior values.
+    """Binds one quasi-measure to its ``CoverSolver``, whose int-keyed memo
+    holds every exterior value solved through the cache.
 
     Single writer per cache instance; use independent caches for parallel
     workers.  A cache is bound to the first quasi-measure it serves and
-    refuses any other.
+    refuses any other, even one on the same ground set.
     """
 
     def __init__(self) -> None:
-        self.memo: dict[SubsetMask, tuple[Fraction, CoverSolution]] = {}
         self._qm: QuasiMeasure | None = None
-        self._solver: _CoverSolver | None = None
+        self._solver: CoverSolver[Fraction] | None = None
 
-    def bind(self, qm: QuasiMeasure) -> _CoverSolver:
-        if self._qm is None:
-            self._qm = qm
-            self._solver = _make_solver(qm)
+    def bind(self, qm: QuasiMeasure) -> CoverSolver[Fraction]:
+        if self._solver is None:
+            self._qm, self._solver = qm, _make_solver(qm)
         elif self._qm is not qm:
             raise ValueError("cache already bound to a different quasi-measure")
-        assert self._solver is not None
         return self._solver
 
-    def __len__(self) -> int:
-        return len(self.memo)
 
-
-def _make_solver(qm: QuasiMeasure) -> _CoverSolver:
-    entries = [(i, m.bits, qm.value(m)) for i, m in enumerate(qm.coat.members)]
-    return _CoverSolver(entries, ZERO)
+def _make_solver(qm: QuasiMeasure) -> CoverSolver[Fraction]:
+    return CoverSolver([(i, m.bits, qm.value(m)) for i, m in enumerate(qm.coat.members)], ZERO)
 
 
 def outer(
@@ -133,18 +135,9 @@ def outer(
     and the result is at most 1.  The empty subcollection covers only the
     empty set, which therefore gets cost 0.
     """
-    if cache is not None:
-        hit = cache.memo.get(a)
-        if hit is not None:
-            return hit
-        solver = cache.bind(qm)
-    else:
-        solver = _make_solver(qm)
+    solver = _make_solver(qm) if cache is None else cache.bind(qm)
     cost, chosen = solver.solve(a.bits)
-    result = (cost, CoverSolution(chosen, cost))
-    if cache is not None:
-        cache.memo[a] = result
-    return result
+    return cost, CoverSolution(chosen, cost)
 
 
 MAX_EXHAUSTIVE_COAT = 20
@@ -195,7 +188,6 @@ def check_outer_properties(
     qm: QuasiMeasure,
     subset_budget: int = 1 << 12,
     seed: int = 0,
-    triple_budget: int = 1 << 18,
 ) -> AxiomReport:
     """Exact checks of the exterior value's structural properties.
 
@@ -209,10 +201,10 @@ def check_outer_properties(
     ground = qm.ground
     n = ground.n
     total = 1 << n
-    cache = OuterMeasureCache()
+    solver = _make_solver(qm)
 
     def value_of(bits: int) -> Fraction:
-        return outer(qm, ground.mask(bits), cache)[0]
+        return solver.solve(bits)[0]
 
     exhaustive = total <= subset_budget
     if exhaustive:
@@ -271,14 +263,14 @@ def check_outer_properties(
                 rb.fail("subadditive", Witness(
                     (("A1", ground.mask(a)), ("A2", ground.mask(b))),
                     value_of(a | b), va + value_of(b), "le"))
-    if len(pair_sources) ** 3 <= triple_budget:
+    if len(pair_sources) ** 3 <= TRIPLE_BUDGET:
         triples = [(a, b, c) for a in pair_sources for b in pair_sources for c in pair_sources]
         rb.note("triples=exhaustive")
     else:
         rng = random.Random(seed + 1)
         triples = [
             (rng.choice(pair_sources), rng.choice(pair_sources), rng.choice(pair_sources))
-            for _ in range(triple_budget // 64)
+            for _ in range(TRIPLE_BUDGET // 64)
         ]
         rb.note(f"triples=sampled count={len(triples)} seed={seed + 1}")
     for a, b, c in triples:

@@ -18,6 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .cover import CoverSolution, OuterMeasureCache, outer
 from .quasi import ONE, ZERO, QuasiMeasure
@@ -26,6 +27,7 @@ from .sets import AlgebraFamily, BudgetExceeded, SubsetMask, generate_algebra
 
 DEFAULT_SUBSET_BUDGET = 1 << 16
 AUDIT_LIMIT = 5  # ground sets up to this size get the all-subsets audit
+TRIPLE_BUDGET = 1 << 18  # disjoint-triple candidates checked before sampling
 
 
 def is_caratheodory_measurable(
@@ -35,20 +37,10 @@ def is_caratheodory_measurable(
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> tuple[bool, SubsetMask | None]:
     """Exhaustive splitting test; returns the first violating A in mask order."""
-    ground = qm.ground
-    if (1 << ground.n) > subset_budget:
-        raise BudgetExceeded(
-            f"2**{ground.n} subsets exceed budget {subset_budget}; use sample_measurability"
-        )
-    if cache is None:
-        cache = OuterMeasureCache()
-    comp = w.complement()
-    for a in ground.all_subsets(budget=subset_budget):
-        whole = outer(qm, a, cache)[0]
-        split = outer(qm, a & w, cache)[0] + outer(qm, a & comp, cache)[0]
-        if whole != split:
-            return False, a
-    return True, None
+    n = qm.ground.n
+    if (1 << n) > subset_budget:
+        raise BudgetExceeded(f"2**{n} subsets exceed budget {subset_budget}; use sample_measurability")
+    return _first_split_failure(qm, w, cache, range(1 << n))
 
 
 def sample_measurability(
@@ -59,17 +51,22 @@ def sample_measurability(
     cache: OuterMeasureCache | None = None,
 ) -> tuple[bool, SubsetMask | None]:
     """Randomized splitting test: True means "not falsified", never "measurable"."""
-    ground = qm.ground
-    if cache is None:
-        cache = OuterMeasureCache()
     rng = random.Random(seed)
-    comp = w.complement()
-    for _ in range(sample_count):
-        a = ground.mask(rng.randrange(1 << ground.n))
-        whole = outer(qm, a, cache)[0]
-        split = outer(qm, a & w, cache)[0] + outer(qm, a & comp, cache)[0]
-        if whole != split:
-            return False, a
+    candidates = (rng.randrange(1 << qm.ground.n) for _ in range(sample_count))
+    return _first_split_failure(qm, w, cache, candidates)
+
+
+def _first_split_failure(
+    qm: QuasiMeasure, w: SubsetMask, cache: OuterMeasureCache | None, candidates: Iterable[int]
+) -> tuple[bool, SubsetMask | None]:
+    """Splitting test of ``w`` over int candidates A; the first failure is returned."""
+    if w.ground != qm.ground:
+        raise ValueError("candidate set belongs to a different ground set")
+    solve = (OuterMeasureCache() if cache is None else cache).bind(qm).solve
+    inside, outside = w.bits, w.bits ^ qm.ground.full_bits
+    for a in candidates:
+        if solve(a)[0] != solve(a & inside)[0] + solve(a & outside)[0]:
+            return False, qm.ground.mask(a)
     return True, None
 
 
@@ -109,19 +106,14 @@ def measurable_family(
     cache: OuterMeasureCache | None = None,
     subset_budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> MeasurabilityReport:
-    if cache is None:
-        cache = OuterMeasureCache()
-    algebra = generate_algebra(qm.coat)
-    tested = tuple(
-        MeasurabilityRecord(w, *is_caratheodory_measurable(qm, w, cache, subset_budget))
-        for w in algebra
-    )
-    audit: tuple[MeasurabilityRecord, ...] = ()
-    if qm.ground.n <= AUDIT_LIMIT:
-        audit = tuple(
-            MeasurabilityRecord(w, *is_caratheodory_measurable(qm, w, cache, subset_budget))
-            for w in qm.ground.all_subsets()
-        )
+    shared = OuterMeasureCache() if cache is None else cache
+
+    def records(candidates: Iterable[SubsetMask]) -> tuple[MeasurabilityRecord, ...]:
+        return tuple(MeasurabilityRecord(w, *is_caratheodory_measurable(qm, w, shared, subset_budget))
+                     for w in candidates)
+
+    tested = records(generate_algebra(qm.coat))
+    audit = records(qm.ground.all_subsets()) if qm.ground.n <= AUDIT_LIMIT else ()
     return MeasurabilityReport(tested, audit)
 
 
@@ -174,49 +166,51 @@ def extend(qm: QuasiMeasure, cache: OuterMeasureCache | None = None) -> MeasureT
     return MeasureTable(algebra, values, provenance)
 
 
-def verify_premeasure(table: MeasureTable, triple_budget: int = 1 << 18) -> AxiomReport:
+def verify_premeasure(table: MeasureTable) -> AxiomReport:
     """Exact additivity checks on the tabulated algebra values.
 
     Pairwise additivity on disjoint members is the primary check: combined
     with algebra closure it yields finite additivity inductively.  Disjoint
     triples are re-checked as a redundant audit while they fit the budget.
+    Member i of the algebra is the union of the atoms in the bits of i, so
+    members i, j are disjoint iff ``i & j == 0``, with union member ``i | j``.
     """
     rb = ReportBuilder("premeasure")
     rb.declare("endpoints", "nonnegative", "pair-additivity", "triple-additivity")
-    ground = table.algebra.ground
-    if table.value(ground.empty()) != ZERO:
-        rb.fail("endpoints", Witness((("set", ground.empty()),), table.value(ground.empty()), ZERO, "eq"))
-    if table.value(ground.full()) != ONE:
-        rb.fail("endpoints", Witness((("set", ground.full()),), table.value(ground.full()), ONE, "eq"))
-
     members = table.algebra.members
-    for m in members:
-        if table.value(m) < ZERO:
-            rb.fail("nonnegative", Witness((("E", m),), table.value(m), ZERO, "le"))
+    values = [table.values[m] for m in members]
+    if values[0] != ZERO:
+        rb.fail("endpoints", Witness((("set", members[0]),), values[0], ZERO, "eq"))
+    if values[-1] != ONE:
+        rb.fail("endpoints", Witness((("set", members[-1]),), values[-1], ONE, "eq"))
 
-    for e1, e2 in itertools.combinations(members, 2):
-        if not e1.isdisjoint(e2):
-            continue
-        got = table.value(e1 | e2)
-        want = table.value(e1) + table.value(e2)
-        if got != want:
-            rb.fail("pair-additivity", Witness((("E1", e1), ("E2", e2)), got, want, "eq"))
+    for i, value in enumerate(values):
+        if value < ZERO:
+            rb.fail("nonnegative", Witness((("E", members[i]),), value, ZERO, "le"))
 
-    triple_count = len(members) * (len(members) - 1) * (len(members) - 2) // 6
-    if triple_count <= triple_budget:
-        triples = itertools.combinations(members, 3)
+    size = len(members)
+    for i in range(size):
+        for j in range(i + 1, size):
+            if i & j:
+                continue
+            got, want = values[i | j], values[i] + values[j]
+            if got != want:
+                rb.fail("pair-additivity", Witness(
+                    (("E1", members[i]), ("E2", members[j])), got, want, "eq"))
+
+    if size * (size - 1) * (size - 2) // 6 <= TRIPLE_BUDGET:
+        triples: Iterable[tuple[int, ...]] = itertools.combinations(range(size), 3)
         rb.note("triples=exhaustive")
     else:
         rng = random.Random(0)
-        triples = (
-            tuple(rng.sample(members, 3)) for _ in range(triple_budget // 8)  # type: ignore[misc]
-        )
-        rb.note(f"triples=sampled budget={triple_budget // 8} seed=0")
-    for e1, e2, e3 in triples:
-        if not (e1.isdisjoint(e2) and e1.isdisjoint(e3) and e2.isdisjoint(e3)):
+        triples = (tuple(rng.sample(range(size), 3)) for _ in range(TRIPLE_BUDGET // 8))
+        rb.note(f"triples=sampled budget={TRIPLE_BUDGET // 8} seed=0")
+    for i, j, k in triples:
+        if i & j or i & k or j & k:
             continue
-        got = table.value(e1 | e2 | e3)
-        want = table.value(e1) + table.value(e2) + table.value(e3)
+        got = values[i | j | k]
+        want = values[i] + values[j] + values[k]
         if got != want:
-            rb.fail("triple-additivity", Witness((("E1", e1), ("E2", e2), ("E3", e3)), got, want, "eq"))
+            rb.fail("triple-additivity", Witness(
+                (("E1", members[i]), ("E2", members[j]), ("E3", members[k])), got, want, "eq"))
     return rb.build()

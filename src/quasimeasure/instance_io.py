@@ -50,7 +50,10 @@ def parse_rational(text: str, line: int | None = None) -> Fraction:
     m = _RATIONAL.match(text)
     if not m:
         raise ParseError(f"malformed rational {text!r}, expected p/q", line)
-    num, den = int(m.group(1)), int(m.group(2))
+    try:
+        num, den = int(m.group(1)), int(m.group(2))
+    except ValueError as exc:  # more digits than int() will convert
+        raise ParseError(f"rational too long: {exc}", line) from None
     if den == 0:
         raise ParseError(f"zero denominator in {text!r}", line)
     value = Fraction(num, den)

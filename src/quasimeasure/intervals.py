@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cover import _CoverSolver
+from .cover import CoverSolver
 from .report import AxiomReport, ReportBuilder, Witness
 
 INF = math.inf
@@ -388,7 +388,7 @@ def outer_interval(target: IntervalSet, pool: Sequence[Interval]) -> IntervalCov
             if _contains_atom((p,), atom):
                 bits |= 1 << i
         entries.append((idx, bits, p.weight()))
-    solver = _CoverSolver(entries, 0.0)
+    solver = CoverSolver(entries, 0.0)
     if not solver.feasible(target_bits):
         raise ValueError("pool cannot cover the target")
     cost, chosen = solver.solve(target_bits)

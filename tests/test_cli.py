@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from quasimeasure import canonical_negative_instance, instance_spec_from, random_instance
+from quasimeasure import canonical_negative_instance, extension, instance_spec_from, random_instance
 from quasimeasure.cli import main
 from quasimeasure.instance_io import (
     ParseError,
@@ -143,6 +143,19 @@ class TestParsing:
         with pytest.raises(ParseError, match="malformed rational"):
             parse_instance(doc)
 
+    def test_overlong_rational_reports_line(self):
+        # 5,000 digits exceed Python's int-from-string limit
+        doc = UNIFORM_DOC.replace("value A: 1/2", "value A: " + "1" * 5000 + "/2")
+        with pytest.raises(ParseError, match="line 8") as info:
+            parse_instance(doc)
+        assert info.value.line == 8
+
+    def test_non_utf8_input_reports_line(self, tmp_path, capsys):
+        path = tmp_path / "latin.qm"
+        path.write_bytes(UNIFORM_DOC.replace("set B: 2 3", "set B: 2 \xff3").encode("latin-1"))
+        assert main(["check", str(path)]) == 2
+        assert "line 4: input is not UTF-8" in capsys.readouterr().err
+
     def test_seed_line_roundtrips(self):
         doc = UNIFORM_DOC + "seed: 42\n"
         spec = parse_instance(doc)
@@ -237,6 +250,18 @@ class TestRun:
         bad.write_text("ground: 1\ncoat: empty\n", encoding="utf-8")
         assert main(["check", str(bad)]) == 2
         capsys.readouterr()
+
+    def test_internal_error_exits_three(self, uniform_path, capsys, monkeypatch):
+        # A fault in the program must not look like a failed check (exit 1).
+        def broken_outer(*args, **kwargs):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(extension, "outer", broken_outer)
+        assert main(["extend", uniform_path]) == 3
+        captured = capsys.readouterr()
+        assert "RuntimeError: injected fault" in captured.err  # the traceback
+        assert captured.err.endswith("\ninternal error: injected fault\n")
+        assert captured.out == ""
 
     def test_max_n_guard(self, uniform_path, capsys):
         assert main(["check", uniform_path, "--max-n", "2"]) == 2

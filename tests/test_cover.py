@@ -5,6 +5,7 @@ import pytest
 from quasimeasure import (
     Coat,
     OuterMeasureCache,
+    TrueMeasure,
     check_outer_properties,
     induce,
     outer,
@@ -12,6 +13,7 @@ from quasimeasure import (
     perturb,
     random_instance,
 )
+from quasimeasure.cover import CoverSolver
 
 
 class TestOuter:
@@ -94,17 +96,29 @@ class TestOuterExhaustive:
                 outer_exhaustive(qm, qm.ground.empty())
 
 
+class TestCoverSolver:
+    def test_float_weights_on_int_masks(self):
+        # Members {0,1} 0.5, {1,2} 0.25, {2} 0.5, {0,1,2} 1.0 (weights of any ordered type)
+        solver = CoverSolver([(0, 0b011, 0.5), (1, 0b110, 0.25), (2, 0b100, 0.5), (3, 0b111, 1.0)], 0.0)
+        assert solver.solve(0) == (0.0, ())
+        assert solver.solve(0b111) == (0.75, (0, 1))
+        assert solver.solve(0b100) == (0.25, (1,))
+        assert not solver.feasible(0b1000)
+        with pytest.raises(ValueError, match="not coverable"):
+            solver.solve(0b1000)
+
+
 class TestCache:
     def test_cache_hits_reverify_against_fresh_solves(self, negative_instance):
+        # The second pass over the 16 masks is served from the cache.
         _, _, qm = negative_instance
         cache = OuterMeasureCache()
-        for bits in range(1 << 4):
-            outer(qm, qm.ground.mask(bits), cache)
-        assert len(cache) == 16
-        for mask, (value, solution) in cache.memo.items():
-            fresh_value, _ = outer(qm, mask)
-            assert fresh_value == value
-            assert solution.verify(qm, mask)
+        for _ in range(2):
+            for bits in range(1 << 4):
+                mask = qm.ground.mask(bits)
+                value, solution = outer(qm, mask, cache)
+                assert (value, solution) == outer(qm, mask)
+                assert solution.verify(qm, mask)
 
     def test_cache_bound_to_one_instance(self, negative_instance, power_set_instance):
         _, _, qm1 = negative_instance
@@ -113,6 +127,18 @@ class TestCache:
         outer(qm1, qm1.ground.empty(), cache)
         with pytest.raises(ValueError, match="bound"):
             outer(qm2, qm2.ground.empty(), cache)
+
+    def test_cache_refuses_another_instance_on_the_same_ground(self, negative_instance):
+        # Same ground and coat, different values: {1,2} costs 1/2 under qm1
+        # and 1 under qm2, so a cache that answered for qm2 would be wrong.
+        _, coat, qm1 = negative_instance
+        qm2 = induce(TrueMeasure.from_weights(coat.ground, "1/2", "1/2", 0, 0), coat)
+        target = coat.ground.subset(["1", "2"])
+        cache = OuterMeasureCache()
+        assert outer(qm1, target, cache)[0] == Fraction(1, 2)
+        assert outer(qm2, target)[0] == 1
+        with pytest.raises(ValueError, match="bound"):
+            outer(qm2, target, cache)
 
 
 class TestOptimizerMonotonicity:

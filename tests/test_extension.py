@@ -1,19 +1,29 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasimeasure import (
+    Coat,
+    GroundSet,
+    MeasureTable,
     OuterMeasureCache,
     check_axioms,
     extend,
+    generate_algebra,
     is_caratheodory_measurable,
     measurable_family,
     sample_measurability,
     verify_premeasure,
 )
-from quasimeasure.quasi import cover_bound_violations
+from quasimeasure.extension import TRIPLE_BUDGET
+from quasimeasure.quasi import ONE, ZERO, cover_bound_violations
+from quasimeasure.report import ReportBuilder, Witness
 from quasimeasure.sets import BudgetExceeded
-from quasimeasure.testkit import instance_for_seed
+from quasimeasure.testkit import instance_for_seed, random_instance
 
 
 class TestMeasurability:
@@ -235,3 +245,96 @@ class TestLiteralVariantFinding:
         _, _, qm = negative_instance
         assert check_axioms(qm, variant="literal").passed
         assert not verify_premeasure(extend(qm)).passed
+
+
+def pairwise_verify_premeasure(table):
+    """Reference for ``verify_premeasure``: the pair and triple loops on masks.
+
+    Tests disjointness with ``SubsetMask.isdisjoint`` and looks unions up by
+    mask, so it does not rely on the member-index structure of the algebra.
+    """
+    rb = ReportBuilder("premeasure")
+    rb.declare("endpoints", "nonnegative", "pair-additivity", "triple-additivity")
+    ground = table.algebra.ground
+    if table.value(ground.empty()) != ZERO:
+        rb.fail("endpoints", Witness((("set", ground.empty()),), table.value(ground.empty()), ZERO, "eq"))
+    if table.value(ground.full()) != ONE:
+        rb.fail("endpoints", Witness((("set", ground.full()),), table.value(ground.full()), ONE, "eq"))
+    members = table.algebra.members
+    for m in members:
+        if table.value(m) < ZERO:
+            rb.fail("nonnegative", Witness((("E", m),), table.value(m), ZERO, "le"))
+    for e1, e2 in itertools.combinations(members, 2):
+        if not e1.isdisjoint(e2):
+            continue
+        got = table.value(e1 | e2)
+        want = table.value(e1) + table.value(e2)
+        if got != want:
+            rb.fail("pair-additivity", Witness((("E1", e1), ("E2", e2)), got, want, "eq"))
+    triple_count = len(members) * (len(members) - 1) * (len(members) - 2) // 6
+    if triple_count <= TRIPLE_BUDGET:
+        triples = itertools.combinations(members, 3)
+        rb.note("triples=exhaustive")
+    else:
+        rng = random.Random(0)
+        triples = (tuple(rng.sample(members, 3)) for _ in range(TRIPLE_BUDGET // 8))
+        rb.note(f"triples=sampled budget={TRIPLE_BUDGET // 8} seed=0")
+    for e1, e2, e3 in triples:
+        if not (e1.isdisjoint(e2) and e1.isdisjoint(e3) and e2.isdisjoint(e3)):
+            continue
+        got = table.value(e1 | e2 | e3)
+        want = table.value(e1) + table.value(e2) + table.value(e3)
+        if got != want:
+            rb.fail("triple-additivity", Witness((("E1", e1), ("E2", e2), ("E3", e3)), got, want, "eq"))
+    return rb.build()
+
+
+def quarter_table(coat, quarters):
+    """Values ``q/4`` on the coat's generated algebra, with the empty set at 0."""
+    algebra = generate_algebra(coat)
+    values = {m: Fraction(q, 4) for m, q in zip(algebra.members, [0, *quarters])}
+    return MeasureTable(algebra, values, {})
+
+
+def assert_same_report(table):
+    fast, reference = verify_premeasure(table), pairwise_verify_premeasure(table)
+    assert fast.notes == reference.notes
+    for got, want in zip(fast.results, reference.results, strict=True):
+        assert got.name == want.name
+        assert [w.render() for w in got.witnesses] == [w.render() for w in want.witnesses]
+    assert fast == reference
+
+
+@st.composite
+def quarter_tables(draw):
+    """Random {0, 1/4, ..., 1} values on the algebra of a random coat, n <= 7."""
+    n = draw(st.integers(1, 7))
+    ground = GroundSet(tuple(str(i + 1) for i in range(n)))
+    full = ground.full_bits
+    inner = draw(st.sets(st.integers(1, max(full - 1, 1)), max_size=4)) - {full}
+    coat = Coat.from_bits(ground, [0, full, *sorted(inner)])
+    size = len(generate_algebra(coat))
+    return quarter_table(coat, draw(st.lists(st.integers(0, 4), min_size=size - 1, max_size=size - 1)))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(quarter_tables())
+def test_verify_premeasure_agrees_with_pairwise_reference(table):
+    assert_same_report(table)
+
+
+def test_verify_premeasure_agrees_with_reference_on_sampled_triples():
+    rng = random.Random(7)
+    for n in (7, 8):
+        ground = GroundSet(tuple(str(i + 1) for i in range(n)))
+        coat = Coat.from_bits(ground, [0, ground.full_bits, *(1 << i for i in range(n - 1))])
+        table = quarter_table(coat, [rng.randrange(5) for _ in range((1 << n) - 1)])
+        assert len(table.algebra) >= 128
+        assert_same_report(table)
+        assert verify_premeasure(table).notes == ("triples=sampled budget=32768 seed=0",)
+
+
+def test_verify_premeasure_agrees_with_reference_on_extend_tables():
+    for seed in range(6):
+        _, _, qm = random_instance(seed, n=3 + seed % 4, coat_size=4 + seed % 5)
+        assert_same_report(extend(qm))
