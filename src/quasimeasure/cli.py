@@ -65,6 +65,8 @@ class RunConfig:
             raise ValueError("--max-n must be positive")
         if self.max_cover is not None and self.max_cover <= 0:
             raise ValueError("--max-cover must be positive")
+        if not self.tol > 0:
+            raise ValueError("--tol must be positive")
 
 
 def _format_value(value) -> str:
@@ -241,7 +243,7 @@ def run(config: RunConfig) -> int:
     """Execute one configured subcommand; input errors exit 2, internal errors 3."""
     try:
         return _RUNNERS[config.subcommand](config)
-    except (ParseError, BudgetExceeded, OSError, ValueError, KeyError) as exc:
+    except (ParseError, BudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program: keep it apart from exit 1

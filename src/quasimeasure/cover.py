@@ -10,8 +10,9 @@ smallest index list.
 Two independent routes compute the same quantity: a memoized branch-and-bound
 (`CoverSolver`, reached through `outer`) and a full enumeration of all
 subcollections (`outer_exhaustive`).  Tests hold them to exact cost equality.
-The solver works on plain int masks and keeps the only cover memo;
-`SubsetMask` and `CoverSolution` are built only for results and witnesses.
+Both work on int masks and int costs (numerators over ``qm.scale``), and the
+solver keeps the only cover memo; ``Fraction``, `SubsetMask` and
+`CoverSolution` are built only for results and witnesses.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Generic, Sequence, TypeVar
 
-from .quasi import ONE, ZERO, QuasiMeasure, cover_bound_violations, subcollection_table
-from .report import AxiomReport, ReportBuilder, Witness
+from .quasi import ZERO, QuasiMeasure, subcollection_table
+from .report import AxiomReport, ReportBuilder
 from .sets import SubsetMask
 
 W = TypeVar("W")
@@ -57,8 +58,8 @@ class CoverSolver(Generic[W]):
     """Minimum-weight cover search on int masks, memoized on the uncovered mask.
 
     ``entries`` are ``(index, bits, weight)``; weights are any nonnegative,
-    ordered, additive type with zero ``zero``: ``Fraction`` for coats,
-    ``float`` for interval pools.  ``solve`` returns the cost and the
+    ordered, additive type with zero ``zero``: int numerators over ``scale``
+    for coats, ``float`` for interval pools.  ``solve`` returns the cost and the
     ascending chosen indices.  Candidates at each node are ordered by
     decreasing fresh coverage; a candidate whose own weight already exceeds
     the node's best cost is pruned (it cannot improve or tie).
@@ -110,9 +111,9 @@ class OuterMeasureCache:
 
     def __init__(self) -> None:
         self._qm: QuasiMeasure | None = None
-        self._solver: CoverSolver[Fraction] | None = None
+        self._solver: CoverSolver[int] | None = None
 
-    def bind(self, qm: QuasiMeasure) -> CoverSolver[Fraction]:
+    def bind(self, qm: QuasiMeasure) -> CoverSolver[int]:
         if self._solver is None:
             self._qm, self._solver = qm, _make_solver(qm)
         elif self._qm is not qm:
@@ -120,8 +121,8 @@ class OuterMeasureCache:
         return self._solver
 
 
-def _make_solver(qm: QuasiMeasure) -> CoverSolver[Fraction]:
-    return CoverSolver([(i, m.bits, qm.value(m)) for i, m in enumerate(qm.coat.members)], ZERO)
+def _make_solver(qm: QuasiMeasure) -> CoverSolver[int]:
+    return CoverSolver([(i, b, qm.numerator(b)) for i, b in enumerate(qm.coat.member_bits())], 0)
 
 
 def outer(
@@ -137,7 +138,8 @@ def outer(
     """
     solver = _make_solver(qm) if cache is None else cache.bind(qm)
     cost, chosen = solver.solve(a.bits)
-    return cost, CoverSolution(chosen, cost)
+    value = Fraction(cost, qm.scale)
+    return value, CoverSolution(chosen, value)
 
 
 MAX_EXHAUSTIVE_COAT = 20
@@ -145,8 +147,8 @@ MAX_EXHAUSTIVE_COAT = 20
 
 @lru_cache(maxsize=8)
 def _cached_subcollection_table(
-    member_bits: tuple[int, ...], values: tuple[Fraction, ...]
-) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    member_bits: tuple[int, ...], values: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``subcollection_table``, frozen so that cached callers share it safely."""
     unions, costs = subcollection_table(member_bits, values)
     return tuple(unions), tuple(costs)
@@ -161,27 +163,22 @@ def outer_exhaustive(qm: QuasiMeasure, a: SubsetMask) -> tuple[Fraction, CoverSo
     if k > MAX_EXHAUSTIVE_COAT:
         raise ValueError(f"coat too large for enumeration ({k} > {MAX_EXHAUSTIVE_COAT})")
     member_bits = qm.coat.member_bits()
-    values = tuple(qm.value(m) for m in qm.coat.members)
-    unions, costs = _cached_subcollection_table(member_bits, values)
-    best: tuple[Fraction, int, tuple[int, ...]] | None = None
-    target = a.bits
+    unions, costs = _cached_subcollection_table(
+        member_bits, tuple(qm.numerator(b) for b in member_bits))
+
+    def indices(s: int) -> tuple[int, ...]:
+        return tuple(i for i in range(k) if s >> i & 1)
+
+    best: tuple[tuple[int, int], tuple[int, ...]] | None = None  # ((cost, size), indices)
     for s in range(1 << k):
-        if target & ~unions[s]:
+        if a.bits & ~unions[s]:
             continue
-        cost = costs[s]
-        size = s.bit_count()
-        if best is not None:
-            if (cost, size) > (best[0], best[1]):
-                continue
-            if (cost, size) == (best[0], best[1]):
-                chosen = tuple(i for i in range(k) if s >> i & 1)
-                if chosen >= best[2]:
-                    continue
-                best = (cost, size, chosen)
-                continue
-        best = (cost, size, tuple(i for i in range(k) if s >> i & 1))
+        key = (costs[s], s.bit_count())
+        if best is None or key < best[0] or key == best[0] and indices(s) < best[1]:
+            best = (key, indices(s))
     assert best is not None  # omega is always a feasible cover
-    return best[0], CoverSolution(best[2], best[0])
+    value = Fraction(best[0][0], qm.scale)
+    return value, CoverSolution(best[1], value)
 
 
 def check_outer_properties(
@@ -203,7 +200,7 @@ def check_outer_properties(
     total = 1 << n
     solver = _make_solver(qm)
 
-    def value_of(bits: int) -> Fraction:
+    def value_of(bits: int) -> int:
         return solver.solve(bits)[0]
 
     exhaustive = total <= subset_budget
@@ -212,21 +209,16 @@ def check_outer_properties(
         rb.note(f"subsets=exhaustive n={n}")
     else:
         rng = random.Random(seed)
-        targets = sorted(rng.sample(range(total), subset_budget))
-        for required in (0, ground.full_bits):
-            if required not in targets:
-                targets.append(required)
-        targets.sort()
+        targets = sorted({0, ground.full_bits, *rng.sample(range(total), subset_budget)})
         rb.note(f"subsets=sampled count={len(targets)} seed={seed}")
 
-    if value_of(0) != ZERO:
-        rb.fail("endpoints", Witness((("set", ground.empty()),), value_of(0), ZERO, "eq"))
-    if value_of(ground.full_bits) != ONE:
-        rb.fail("endpoints", Witness((("set", ground.full()),), value_of(ground.full_bits), ONE, "eq"))
+    for endpoint, want in ((0, 0), (ground.full_bits, qm.scale)):
+        if value_of(endpoint) != want:
+            rb.fail("endpoints", qm.witness((("set", endpoint),), value_of(endpoint), want, "eq"))
 
     for bits in targets:
-        if value_of(bits) < ZERO:
-            rb.fail("nonnegative", Witness((("A", ground.mask(bits)),), value_of(bits), ZERO, "le"))
+        if value_of(bits) < 0:
+            rb.fail("nonnegative", qm.witness((("A", bits),), value_of(bits), 0, "le"))
 
     if exhaustive:
         for b in range(total):
@@ -235,48 +227,45 @@ def check_outer_properties(
             while True:  # all submasks of b, then the empty set
                 a = (a - 1) & b
                 if value_of(a) > vb:
-                    rb.fail("monotone", Witness(
-                        (("A", ground.mask(a)), ("B", ground.mask(b))), value_of(a), vb, "le"))
+                    rb.fail("monotone", qm.witness((("A", a), ("B", b)), value_of(a), vb, "le"))
                 if a == 0:
                     break
     else:
         for a in targets:
             for b in targets:
                 if a & ~b == 0 and value_of(a) > value_of(b):
-                    rb.fail("monotone", Witness(
-                        (("A", ground.mask(a)), ("B", ground.mask(b))), value_of(a), value_of(b), "le"))
+                    rb.fail("monotone", qm.witness((("A", a), ("B", b)), value_of(a), value_of(b), "le"))
 
-    precondition_ok = not cover_bound_violations(qm)
+    # A member covers itself, so its exterior value never exceeds its own;
+    # the cover bound holds iff every member's exterior value equals it.
+    agreement = [(x, qm.numerator(x.bits), value_of(x.bits)) for x in qm.coat.members]
+    precondition_ok = all(assigned == exterior for _, assigned, exterior in agreement)
     rb.note(f"coat-agreement precondition (cover bound): {'pass' if precondition_ok else 'fail'}")
-    for x in qm.coat.members:
-        assigned = qm.value(x)
-        exterior = value_of(x.bits)
-        rb.detail("coat-agreement", f"member {x}: assigned {assigned} exterior {exterior}")
+    for x, assigned, exterior in agreement:
+        rb.detail("coat-agreement",
+                  f"member {x}: assigned {qm.value(x)} exterior {Fraction(exterior, qm.scale)}")
         if exterior != assigned:
-            rb.fail("coat-agreement", Witness((("X", x),), exterior, assigned, "eq"))
+            rb.fail("coat-agreement", qm.witness((("X", x.bits),), exterior, assigned, "eq"))
 
-    pair_sources = targets
-    for a in pair_sources:
+    for a in targets:
         va = value_of(a)
-        for b in pair_sources:
+        for b in targets:
             if value_of(a | b) > va + value_of(b):
-                rb.fail("subadditive", Witness(
-                    (("A1", ground.mask(a)), ("A2", ground.mask(b))),
-                    value_of(a | b), va + value_of(b), "le"))
-    if len(pair_sources) ** 3 <= TRIPLE_BUDGET:
-        triples = [(a, b, c) for a in pair_sources for b in pair_sources for c in pair_sources]
+                rb.fail("subadditive", qm.witness(
+                    (("A1", a), ("A2", b)), value_of(a | b), va + value_of(b), "le"))
+    if len(targets) ** 3 <= TRIPLE_BUDGET:
+        triples = [(a, b, c) for a in targets for b in targets for c in targets]
         rb.note("triples=exhaustive")
     else:
         rng = random.Random(seed + 1)
         triples = [
-            (rng.choice(pair_sources), rng.choice(pair_sources), rng.choice(pair_sources))
+            (rng.choice(targets), rng.choice(targets), rng.choice(targets))
             for _ in range(TRIPLE_BUDGET // 64)
         ]
         rb.note(f"triples=sampled count={len(triples)} seed={seed + 1}")
     for a, b, c in triples:
         bound = value_of(a) + value_of(b) + value_of(c)
         if value_of(a | b | c) > bound:
-            rb.fail("subadditive", Witness(
-                (("A1", ground.mask(a)), ("A2", ground.mask(b)), ("A3", ground.mask(c))),
-                value_of(a | b | c), bound, "le"))
+            rb.fail("subadditive", qm.witness(
+                (("A1", a), ("A2", b), ("A3", c)), value_of(a | b | c), bound, "le"))
     return rb.build()

@@ -15,6 +15,7 @@ subsets.  The sampling variant can only report "not falsified", never
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +60,7 @@ def sample_measurability(
 def _first_split_failure(
     qm: QuasiMeasure, w: SubsetMask, cache: OuterMeasureCache | None, candidates: Iterable[int]
 ) -> tuple[bool, SubsetMask | None]:
-    """Splitting test of ``w`` over int candidates A; the first failure is returned."""
+    """Splitting test of ``w`` over int candidates A on int costs; the first failure is returned."""
     if w.ground != qm.ground:
         raise ValueError("candidate set belongs to a different ground set")
     solve = (OuterMeasureCache() if cache is None else cache).bind(qm).solve
@@ -101,15 +102,11 @@ class MeasurabilityReport:
         raise KeyError(f"{candidate} not among tested algebra members")
 
 
-def measurable_family(
-    qm: QuasiMeasure,
-    cache: OuterMeasureCache | None = None,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-) -> MeasurabilityReport:
+def measurable_family(qm: QuasiMeasure, cache: OuterMeasureCache | None = None) -> MeasurabilityReport:
     shared = OuterMeasureCache() if cache is None else cache
 
     def records(candidates: Iterable[SubsetMask]) -> tuple[MeasurabilityRecord, ...]:
-        return tuple(MeasurabilityRecord(w, *is_caratheodory_measurable(qm, w, shared, subset_budget))
+        return tuple(MeasurabilityRecord(w, *is_caratheodory_measurable(qm, w, shared))
                      for w in candidates)
 
     tested = records(generate_algebra(qm.coat))
@@ -174,29 +171,32 @@ def verify_premeasure(table: MeasureTable) -> AxiomReport:
     triples are re-checked as a redundant audit while they fit the budget.
     Member i of the algebra is the union of the atoms in the bits of i, so
     members i, j are disjoint iff ``i & j == 0``, with union member ``i | j``.
+    Values are compared as int numerators over the lcm of their denominators.
     """
     rb = ReportBuilder("premeasure")
     rb.declare("endpoints", "nonnegative", "pair-additivity", "triple-additivity")
     members = table.algebra.members
     values = [table.values[m] for m in members]
-    if values[0] != ZERO:
+    scale = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (scale // v.denominator) for v in values]
+    if nums[0] != 0:
         rb.fail("endpoints", Witness((("set", members[0]),), values[0], ZERO, "eq"))
-    if values[-1] != ONE:
+    if nums[-1] != scale:
         rb.fail("endpoints", Witness((("set", members[-1]),), values[-1], ONE, "eq"))
 
-    for i, value in enumerate(values):
-        if value < ZERO:
-            rb.fail("nonnegative", Witness((("E", members[i]),), value, ZERO, "le"))
+    for i, value in enumerate(nums):
+        if value < 0:
+            rb.fail("nonnegative", Witness((("E", members[i]),), values[i], ZERO, "le"))
 
     size = len(members)
     for i in range(size):
         for j in range(i + 1, size):
             if i & j:
                 continue
-            got, want = values[i | j], values[i] + values[j]
-            if got != want:
-                rb.fail("pair-additivity", Witness(
-                    (("E1", members[i]), ("E2", members[j])), got, want, "eq"))
+            want = nums[i] + nums[j]
+            if nums[i | j] != want:
+                rb.fail("pair-additivity", Witness((("E1", members[i]), ("E2", members[j])),
+                                                   values[i | j], Fraction(want, scale), "eq"))
 
     if size * (size - 1) * (size - 2) // 6 <= TRIPLE_BUDGET:
         triples: Iterable[tuple[int, ...]] = itertools.combinations(range(size), 3)
@@ -208,9 +208,9 @@ def verify_premeasure(table: MeasureTable) -> AxiomReport:
     for i, j, k in triples:
         if i & j or i & k or j & k:
             continue
-        got = values[i | j | k]
-        want = values[i] + values[j] + values[k]
-        if got != want:
+        want = nums[i] + nums[j] + nums[k]
+        if nums[i | j | k] != want:
             rb.fail("triple-additivity", Witness(
-                (("E1", members[i]), ("E2", members[j]), ("E3", members[k])), got, want, "eq"))
+                (("E1", members[i]), ("E2", members[j]), ("E3", members[k])),
+                values[i | j | k], Fraction(want, scale), "eq"))
     return rb.build()

@@ -256,9 +256,12 @@ def parse_instance(document: str) -> InstanceSpec:
         (expr, parse_rational(text, lineno)) for lineno, expr, text in value_lines
     )
     spec = InstanceSpec(ground_labels, tuple(set_defs), coat_names, values, seed)
-    # Deep validation happens in build(); re-raise with no line attached
+    # Deep validation happens in build(); its errors carry no line number,
     # since mask-level problems span several lines.
-    spec.build()
+    try:
+        spec.build()
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     return spec
 
 

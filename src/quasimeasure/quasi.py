@@ -3,7 +3,10 @@
 A quasi-measure assigns an exact rational in [0,1] to every member of a
 coat's refinement, sending the empty set to 0 and the full set to 1.  The
 checkers below quantify exhaustively over coat pairs and coat subcollections
-and compare exact rationals; there is no tolerance anywhere in this module.
+and compare exact values; there is no tolerance anywhere in this module.
+They compute on int masks and on integer numerators over one ``scale``, which
+keeps equality and order; ``Fraction`` and ``SubsetMask`` are built only for
+witnesses.
 
 Values are keyed by mask, so two expressions denoting the same set cannot
 receive different values; well-definedness is structural, not checked.
@@ -13,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Iterable
 
 from .report import AxiomReport, ReportBuilder, Witness
-from .sets import BudgetExceeded, Coat, Refinement, SubsetMask, refine
+from .sets import BudgetExceeded, Coat, Refinement, SubsetMask
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -35,11 +38,16 @@ def ensure_unit_interval(value: Fraction, what: str = "value") -> Fraction:
 
 @dataclass(frozen=True, eq=False)
 class QuasiMeasure:
-    """A total map from refinement members to exact rationals in [0,1]."""
+    """A total map from refinement members to exact rationals in [0,1].
+
+    ``scale`` is the lcm of the value denominators; the checks read values as
+    integer numerators over it.
+    """
 
     coat: Coat
     refinement: Refinement
     values: dict[SubsetMask, Fraction]
+    scale: int = field(init=False)
 
     def __post_init__(self) -> None:
         domain = set(self.values)
@@ -58,11 +66,12 @@ class QuasiMeasure:
             raise ValueError("value of the empty set must be 0")
         if self.values[ground.full()] != ONE:
             raise ValueError("value of omega must be 1")
-        object.__setattr__(self, "_by_bits", {m.bits: v for m, v in self.values.items()})
-
-    @classmethod
-    def from_values(cls, coat: Coat, values: Mapping[SubsetMask, Fraction]) -> "QuasiMeasure":
-        return cls(coat, refine(coat), dict(values))
+        scale = math.lcm(*(v.denominator for v in self.values.values()))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_numerators", {
+            m.bits: v.numerator * (scale // v.denominator) for m, v in self.values.items()
+        })
+        object.__setattr__(self, "_coat_masks", {m.bits: m for m in self.coat.members})
 
     @property
     def ground(self):
@@ -71,8 +80,18 @@ class QuasiMeasure:
     def value(self, mask: SubsetMask) -> Fraction:
         return self.values[mask]
 
-    def value_bits(self, bits: int) -> Fraction:
-        return self._by_bits[bits]  # type: ignore[attr-defined]
+    def numerator(self, bits: int) -> int:
+        """The value of the refinement member with these bits, times ``scale``."""
+        return self._numerators[bits]  # type: ignore[attr-defined]
+
+    def witness(self, roles: Iterable[tuple[str, int]], lhs: int, rhs: int | None,
+                relation: str, note: str = "") -> Witness:
+        """A report witness from role bits and numerators; coat members reuse the coat's masks."""
+        coat_masks = self._coat_masks  # type: ignore[attr-defined]
+        sets = tuple((role, coat_masks[bits] if bits in coat_masks else self.ground.mask(bits))
+                     for role, bits in roles)
+        return Witness(sets, Fraction(lhs, self.scale),
+                       None if rhs is None else Fraction(rhs, self.scale), relation, note)
 
     def replace_value(self, mask: SubsetMask, value: Fraction) -> "QuasiMeasure":
         """A copy with one entry changed; endpoints stay protected."""
@@ -82,17 +101,17 @@ class QuasiMeasure:
 
 
 def subcollection_table(
-    member_bits: tuple[int, ...], values: tuple[Fraction, ...]
-) -> tuple[list[int], list[Fraction]]:
+    member_bits: tuple[int, ...], values: tuple[int, ...]
+) -> tuple[list[int], list[int]]:
     """Union and value sum of every subcollection of the coat.
 
     Entry s describes the subcollection containing coat member i iff bit i
-    of s is set.  Built by peeling the lowest set bit, so the whole table is
-    linear in 2**|coat|.
+    of s is set.  Values are int numerators over one scale.  Built by
+    peeling the lowest set bit, so the whole table is linear in 2**|coat|.
     """
     k = len(member_bits)
     unions = [0] * (1 << k)
-    costs: list[Fraction] = [ZERO] * (1 << k)
+    costs = [0] * (1 << k)
     for s in range(1, 1 << k):
         low = (s & -s).bit_length() - 1
         rest = s & (s - 1)
@@ -118,39 +137,34 @@ def cover_bound_violations(
     """
     if cover_mode not in ("all", "disjoint-only"):
         raise ValueError(f"unknown cover mode {cover_mode!r}")
-    members = qm.coat.members
-    k = len(members)
+    k = len(qm.coat)
     if max_cover_size is None:
         max_cover_size = k
     if max_cover_size > k:
         raise ValueError("max_cover_size exceeds the coat size")
     bits = qm.coat.member_bits()
-    values = tuple(qm.value_bits(b) for b in bits)
-    targets = [(x, qm.value(x)) for x in members]
+    values = tuple(qm.numerator(b) for b in bits)
     violations: list[Witness] = []
 
-    def check_cover(index_tuple: tuple[int, ...], union: int, cost: Fraction) -> None:
-        if (cover_mode == "disjoint-only"
-                and sum(bits[i].bit_count() for i in index_tuple) != union.bit_count()):
+    def check_cover(chosen: int, union: int, cost: int) -> None:
+        """Witness each member that the subcollection ``chosen`` covers below its value."""
+        violated = [(x, vx) for x, vx in zip(bits, values) if x & ~union == 0 and vx > cost]
+        if not violated:
             return
-        for x, vx in targets:
-            if x.bits & ~union == 0 and vx > cost:
-                chosen = tuple(members[i] for i in index_tuple)
-                violations.append(Witness(
-                    sets=(("X", x),) + tuple((f"S{n+1}", m) for n, m in enumerate(chosen)),
-                    lhs=vx,
-                    rhs=cost,
-                    relation="le",
-                    note="cover value sum below the covered member",
-                ))
+        indices = [i for i in range(k) if chosen >> i & 1]
+        if (cover_mode == "disjoint-only"
+                and sum(bits[i].bit_count() for i in indices) != union.bit_count()):
+            return
+        roles = tuple((f"S{n + 1}", bits[i]) for n, i in enumerate(indices))
+        for x, vx in violated:
+            violations.append(qm.witness((("X", x), *roles), vx, cost, "le",
+                                         "cover value sum below the covered member"))
 
     if (1 << k) <= COVER_ENUMERATION_LIMIT:
         unions, costs = subcollection_table(bits, values)
         for s in range(1, 1 << k):
-            if s.bit_count() > max_cover_size:
-                continue
-            index_tuple = tuple(i for i in range(k) if s >> i & 1)
-            check_cover(index_tuple, unions[s], costs[s])
+            if s.bit_count() <= max_cover_size:
+                check_cover(s, unions[s], costs[s])
         return violations
 
     total = sum(math.comb(k, size) for size in range(1, max_cover_size + 1))
@@ -160,41 +174,38 @@ def cover_bound_violations(
         )
     for size in range(1, max_cover_size + 1):
         for combo in itertools.combinations(range(k), size):
-            union = 0
-            cost = ZERO
+            chosen = union = cost = 0
             for i in combo:
+                chosen |= 1 << i
                 union |= bits[i]
                 cost += values[i]
-            check_cover(combo, union, cost)
+            check_cover(chosen, union, cost)
     return violations
 
 
-def _checked_pairs(
-    rb: ReportBuilder, qm: QuasiMeasure
-) -> list[tuple[SubsetMask, SubsetMask, SubsetMask, SubsetMask, Fraction, Fraction]]:
+def _checked_pairs(rb: ReportBuilder, qm: QuasiMeasure) -> list[tuple[int, int, int, int, int, int]]:
     """Check the endpoints and the splitting of every coat pair.
 
-    Returns ``(x, y, meet, diff, value of meet, value of diff)`` for every
-    ordered coat pair, for the pair checks that follow.
+    Returns ``(x, y, meet, diff, value of meet, value of diff)`` as bits and
+    numerators for every ordered coat pair, for the pair checks that follow.
     """
-    ground = qm.ground
-    if qm.value(ground.empty()) != ZERO:
-        rb.fail("endpoints", Witness((("set", ground.empty()),), qm.value(ground.empty()), ZERO, "eq"))
-    if qm.value(ground.full()) != ONE:
-        rb.fail("endpoints", Witness((("set", ground.full()),), qm.value(ground.full()), ONE, "eq"))
+    num = qm.numerator
+    for endpoint, want in ((0, 0), (qm.ground.full_bits, qm.scale)):
+        if num(endpoint) != want:
+            rb.fail("endpoints", qm.witness((("set", endpoint),), num(endpoint), want, "eq"))
 
+    bits = qm.coat.member_bits()
     pairs = []
-    for x in qm.coat.members:
-        vx = qm.value(x)
-        for y in qm.coat.members:
-            meet = x & y
-            diff = x.difference(y)
-            vmeet = qm.value(meet)
-            vdiff = qm.value(diff)
+    for x in bits:
+        vx = num(x)
+        for y in bits:
+            meet, diff = x & y, x & ~y
+            vmeet, vdiff = num(meet), num(diff)
             if vx != vmeet + vdiff:
-                rb.fail("splitting", Witness(
+                rb.fail("splitting", qm.witness(
                     (("X", x), ("Y", y)), vx, vmeet + vdiff, "eq",
-                    note=f"meet {meet} has value {vmeet}, difference {diff} has value {vdiff}",
+                    f"meet {qm.ground.mask(meet)} has value {Fraction(vmeet, qm.scale)},"
+                    f" difference {qm.ground.mask(diff)} has value {Fraction(vdiff, qm.scale)}",
                 ))
             pairs.append((x, y, meet, diff, vmeet, vdiff))
     return pairs
@@ -202,22 +213,32 @@ def _checked_pairs(
 
 def _check_monotone(rb: ReportBuilder, qm: QuasiMeasure, outer_role: str) -> None:
     """Fail "monotone" for every coat member inside another of smaller value."""
-    members = qm.coat.members
-    for x in members:
-        vx = qm.value(x)
-        for y in members:
-            if x.bits & ~y.bits == 0 and vx > qm.value(y):
-                rb.fail("monotone", Witness((("X", x), (outer_role, y)), vx, qm.value(y), "le"))
+    bits = qm.coat.member_bits()
+    num = qm.numerator
+    for x in bits:
+        vx = num(x)
+        for y in bits:
+            if x & ~y == 0 and vx > num(y):
+                rb.fail("monotone", qm.witness((("X", x), (outer_role, y)), vx, num(y), "le"))
 
 
-def _envelope_fail(kind: str, x: SubsetMask, y: SubsetMask, target: SubsetMask,
-                   value: Fraction, pool_name: str) -> Witness:
-    return Witness(
-        sets=(("X", x), ("Y", y), (kind, target)),
-        lhs=value,
-        rhs=None,
-        relation="exists",
-        note=f"no {pool_name} superset with equal value",
+def _envelope_lookup(qm: QuasiMeasure, pool: Iterable[int]) -> Callable[[int, int], bool]:
+    """``has_envelope(target, value)``: some pool member of that value contains the target."""
+    pool_by_value: dict[int, list[int]] = {}
+    for w in pool:
+        pool_by_value.setdefault(qm.numerator(w), []).append(w)
+
+    def has_envelope(target: int, value: int) -> bool:
+        return any(target & ~w == 0 for w in pool_by_value.get(value, ()))
+
+    return has_envelope
+
+
+def _envelope_fail(qm: QuasiMeasure, kind: str, x: int, y: int, target: int,
+                   value: int, pool_name: str) -> Witness:
+    return qm.witness(
+        (("X", x), ("Y", y), (kind, target)), value, None, "exists",
+        f"no {pool_name} superset with equal value",
     )
 
 
@@ -245,18 +266,13 @@ def check_axioms(
 
     pool = qm.coat.members if variant == "restricted" else qm.refinement.members
     pool_name = "coat" if variant == "restricted" else "refinement"
-    pool_by_value: dict[Fraction, list[SubsetMask]] = {}
-    for w in pool:
-        pool_by_value.setdefault(qm.value(w), []).append(w)
-
-    def has_envelope(target: SubsetMask, value: Fraction) -> bool:
-        return any(target.issubset(w) for w in pool_by_value.get(value, ()))
+    has_envelope = _envelope_lookup(qm, (w.bits for w in pool))
 
     for x, y, meet, diff, vmeet, vdiff in _checked_pairs(rb, qm):
         if not has_envelope(meet, vmeet):
-            rb.fail("meet-envelope", _envelope_fail("meet", x, y, meet, vmeet, pool_name))
+            rb.fail("meet-envelope", _envelope_fail(qm, "meet", x, y, meet, vmeet, pool_name))
         if not has_envelope(diff, vdiff):
-            rb.fail("diff-envelope", _envelope_fail("difference", x, y, diff, vdiff, pool_name))
+            rb.fail("diff-envelope", _envelope_fail(qm, "difference", x, y, diff, vdiff, pool_name))
 
     for witness in cover_bound_violations(qm, cover_mode, max_cover_size):
         rb.fail("cover-bound", witness)
@@ -276,17 +292,18 @@ def check_alt_conditions(qm: QuasiMeasure) -> AxiomReport:
     rb.declare(*ALT_CHECKS)
 
     _check_monotone(rb, qm, "Y")
-    members = qm.coat.members
+    bits = qm.coat.member_bits()
+    num = qm.numerator
+    has_envelope = _envelope_lookup(qm, bits)
     for x, y, meet, diff, vmeet, vdiff in _checked_pairs(rb, qm):
-        inner_ok = any(k.issubset(meet) and qm.value(k) == vmeet for k in members)
-        outer_ok = any(meet.issubset(w) and qm.value(w) == vmeet for w in members)
-        if not (inner_ok and outer_ok):
-            rb.fail("meet-squeeze", Witness(
+        inner_ok = any(k & ~meet == 0 and num(k) == vmeet for k in bits)
+        if not (inner_ok and has_envelope(meet, vmeet)):
+            rb.fail("meet-squeeze", qm.witness(
                 (("X", x), ("Y", y), ("meet", meet)), vmeet, None, "exists",
-                note="no coat pair squeezing the meet with equal values",
+                "no coat pair squeezing the meet with equal values",
             ))
-        if not any(diff.issubset(z) and qm.value(z) == vdiff for z in members):
-            rb.fail("diff-envelope", _envelope_fail("difference", x, y, diff, vdiff, "coat"))
+        if not has_envelope(diff, vdiff):
+            rb.fail("diff-envelope", _envelope_fail(qm, "difference", x, y, diff, vdiff, "coat"))
     return rb.build()
 
 

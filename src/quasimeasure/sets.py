@@ -63,10 +63,10 @@ class GroundSet:
                 raise KeyError(f"unknown element label: {label!r}") from None
         return SubsetMask(self, bits)
 
-    def all_subsets(self, budget: int = DEFAULT_EXHAUSTIVE_LIMIT) -> Iterator["SubsetMask"]:
+    def all_subsets(self) -> Iterator["SubsetMask"]:
         """Yield all 2**n subsets in mask order, refusing oversized loops."""
-        if (1 << self.n) > budget:
-            raise BudgetExceeded(f"2**{self.n} subsets exceed budget {budget}")
+        if (1 << self.n) > DEFAULT_EXHAUSTIVE_LIMIT:
+            raise BudgetExceeded(f"2**{self.n} subsets exceed budget {DEFAULT_EXHAUSTIVE_LIMIT}")
         for bits in range(1 << self.n):
             yield SubsetMask(self, bits)
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from quasimeasure import (
     Coat,
@@ -10,6 +11,11 @@ from quasimeasure import (
     induce,
     power_set_coat,
 )
+
+# Property tests are derandomized and keep no example database, so every
+# run draws the same examples; each test sets only ``max_examples``.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

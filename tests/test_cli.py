@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from quasimeasure import canonical_negative_instance, extension, instance_spec_from, random_instance
+from quasimeasure import canonical_negative_instance, cli, extension, instance_spec_from, random_instance
 from quasimeasure.cli import main
 from quasimeasure.instance_io import (
     ParseError,
@@ -262,6 +262,30 @@ class TestRun:
         assert "RuntimeError: injected fault" in captured.err  # the traceback
         assert captured.err.endswith("\ninternal error: injected fault\n")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("document", [
+        UNIFORM_DOC.replace("set B: 2 3", "set B: 2 1"),  # two names for one coat mask
+        UNIFORM_DOC.replace("value empty: 0/1", "value empty: 1/2"),
+        "ground: " + " ".join(str(i) for i in range(25)) + "\ncoat: empty omega\n"
+        "value empty: 0/1\nvalue omega: 1/1\n",
+    ])
+    def test_invalid_instances_exit_two(self, document, tmp_path, capsys):
+        path = tmp_path / "invalid.qm"
+        path.write_text(document, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_nonpositive_tolerance_exits_two(self, capsys):
+        assert main(["example", "--tol", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_internal_value_error_exits_three(self, uniform_path, capsys, monkeypatch):
+        def broken_verify(*args, **kwargs):
+            raise ValueError("injected fault")
+
+        monkeypatch.setattr(cli, "verify_premeasure", broken_verify)
+        assert main(["extend", uniform_path]) == 3
+        assert capsys.readouterr().err.endswith("\ninternal error: injected fault\n")
 
     def test_max_n_guard(self, uniform_path, capsys):
         assert main(["check", uniform_path, "--max-n", "2"]) == 2

@@ -14,6 +14,7 @@ from quasimeasure import (
     random_instance,
 )
 from quasimeasure.cover import CoverSolver
+from quasimeasure.quasi import cover_bound_violations
 
 
 class TestOuter:
@@ -192,6 +193,26 @@ class TestOuterProperties:
         report = check_outer_properties(qm, subset_budget=16, seed=5)
         assert report.passed
         assert any("sampled" in note and "seed=5" in note for note in report.notes)
+
+    def test_coats_beyond_the_enumeration_limit_are_checked(self):
+        # 2**24 subcollections are past the cover-bound enumeration limit;
+        # the precondition note comes from the coat-agreement values instead.
+        _, _, qm = random_instance(5, n=5, coat_size=24)
+        assert len(qm.coat) == 24
+        report = check_outer_properties(qm)
+        assert report.passed
+        assert "coat-agreement precondition (cover bound): pass" in report.notes
+
+    def test_precondition_note_agrees_with_cover_bound_enumeration(self):
+        outcomes = set()
+        for seed in range(80):
+            _, _, qm = random_instance(seed, n=1 + seed % 5, coat_size=3 + seed % 6)
+            mutated = perturb(qm, seed + 300, max_changes=1 + seed % 4)
+            holds = cover_bound_violations(mutated) == []
+            note = f"coat-agreement precondition (cover bound): {'pass' if holds else 'fail'}"
+            assert note in check_outer_properties(mutated).notes
+            outcomes.add(holds)
+        assert outcomes == {True, False}
 
     def test_adversarial_instance_can_break_endpoints(self):
         # Hunt a perturbed instance whose cheapest full cover undercuts 1;

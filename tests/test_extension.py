@@ -317,7 +317,7 @@ def quarter_tables(draw):
     return quarter_table(coat, draw(st.lists(st.integers(0, 4), min_size=size - 1, max_size=size - 1)))
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(quarter_tables())
 def test_verify_premeasure_agrees_with_pairwise_reference(table):
     assert_same_report(table)

@@ -1,17 +1,24 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasimeasure import (
+    OuterMeasureCache,
     QuasiMeasure,
     check_alt_conditions,
     check_axioms,
     check_coat_monotonicity,
+    outer,
+    outer_exhaustive,
     perturb,
     random_algebra_instance,
     random_instance,
 )
-from quasimeasure.quasi import cover_bound_violations
+from quasimeasure.quasi import ALT_CHECKS, AXIOM_CHECKS, ONE, ZERO, cover_bound_violations
+from quasimeasure.report import ReportBuilder, Witness
 from quasimeasure.testkit import instance_for_seed
 
 
@@ -216,3 +223,166 @@ class TestGenerators:
         for seed in range(30):
             _, _, qm = random_algebra_instance(seed, n=5)
             assert check_axioms(qm, variant="restricted").passed
+
+
+# Reference checkers on Fraction values and SubsetMask operations, the form
+# the integer checkers replaced.  They pin notes, witnesses and witness order.
+
+
+def reference_cover_bound_violations(qm, cover_mode="all", max_cover_size=None):
+    members = qm.coat.members
+    k = len(members)
+    if max_cover_size is None:
+        max_cover_size = k
+    violations = []
+    for s in range(1, 1 << k):
+        chosen = tuple(members[i] for i in range(k) if s >> i & 1)
+        if len(chosen) > max_cover_size:
+            continue
+        union, cost = qm.ground.empty(), ZERO
+        for m in chosen:
+            union, cost = union | m, cost + qm.value(m)
+        if cover_mode == "disjoint-only" and sum(m.size for m in chosen) != union.size:
+            continue
+        for x in members:
+            if x.issubset(union) and qm.value(x) > cost:
+                violations.append(Witness(
+                    (("X", x),) + tuple((f"S{n + 1}", m) for n, m in enumerate(chosen)),
+                    qm.value(x), cost, "le", note="cover value sum below the covered member"))
+    return violations
+
+
+def reference_pairs(rb, qm):
+    ground = qm.ground
+    for endpoint, want in ((ground.empty(), ZERO), (ground.full(), ONE)):
+        if qm.value(endpoint) != want:
+            rb.fail("endpoints", Witness((("set", endpoint),), qm.value(endpoint), want, "eq"))
+    pairs = []
+    for x in qm.coat.members:
+        for y in qm.coat.members:
+            meet, diff = x & y, x.difference(y)
+            vmeet, vdiff = qm.value(meet), qm.value(diff)
+            if qm.value(x) != vmeet + vdiff:
+                rb.fail("splitting", Witness(
+                    (("X", x), ("Y", y)), qm.value(x), vmeet + vdiff, "eq",
+                    note=f"meet {meet} has value {vmeet}, difference {diff} has value {vdiff}"))
+            pairs.append((x, y, meet, diff, vmeet, vdiff))
+    return pairs
+
+
+def reference_monotone(rb, qm, outer_role):
+    for x in qm.coat.members:
+        for y in qm.coat.members:
+            if x.issubset(y) and qm.value(x) > qm.value(y):
+                rb.fail("monotone", Witness((("X", x), (outer_role, y)), qm.value(x), qm.value(y), "le"))
+
+
+def reference_envelope_fail(kind, x, y, target, value, pool_name):
+    return Witness((("X", x), ("Y", y), (kind, target)), value, None, "exists",
+                   note=f"no {pool_name} superset with equal value")
+
+
+def reference_check_axioms(qm, variant, cover_mode, max_cover_size=None):
+    rb = ReportBuilder("axioms")
+    rb.declare(*AXIOM_CHECKS)
+    rb.note(f"variant={variant}")
+    rb.note(f"cover_mode={cover_mode}")
+    pool = qm.coat.members if variant == "restricted" else qm.refinement.members
+    pool_name = "coat" if variant == "restricted" else "refinement"
+
+    def has_envelope(target, value):
+        return any(target.issubset(w) and qm.value(w) == value for w in pool)
+
+    for x, y, meet, diff, vmeet, vdiff in reference_pairs(rb, qm):
+        if not has_envelope(meet, vmeet):
+            rb.fail("meet-envelope", reference_envelope_fail("meet", x, y, meet, vmeet, pool_name))
+        if not has_envelope(diff, vdiff):
+            rb.fail("diff-envelope", reference_envelope_fail("difference", x, y, diff, vdiff, pool_name))
+    for witness in reference_cover_bound_violations(qm, cover_mode, max_cover_size):
+        rb.fail("cover-bound", witness)
+    return rb.build()
+
+
+def reference_check_alt_conditions(qm):
+    rb = ReportBuilder("alt-conditions")
+    rb.declare(*ALT_CHECKS)
+    reference_monotone(rb, qm, "Y")
+    members = qm.coat.members
+    for x, y, meet, diff, vmeet, vdiff in reference_pairs(rb, qm):
+        inner_ok = any(k.issubset(meet) and qm.value(k) == vmeet for k in members)
+        outer_ok = any(meet.issubset(w) and qm.value(w) == vmeet for w in members)
+        if not (inner_ok and outer_ok):
+            rb.fail("meet-squeeze", Witness(
+                (("X", x), ("Y", y), ("meet", meet)), vmeet, None, "exists",
+                note="no coat pair squeezing the meet with equal values"))
+        if not any(diff.issubset(z) and qm.value(z) == vdiff for z in members):
+            rb.fail("diff-envelope", reference_envelope_fail("difference", x, y, diff, vdiff, "coat"))
+    return rb.build()
+
+
+def exact_witnesses(witnesses):
+    return [(w.render(), repr(w.lhs), repr(w.rhs)) for w in witnesses]
+
+
+def assert_same_report(got, want):
+    assert got.notes == want.notes
+    for g, w in zip(got.results, want.results, strict=True):
+        assert g.name == w.name
+        assert exact_witnesses(g.witnesses) == exact_witnesses(w.witnesses)
+    assert got == want
+
+
+def assert_matches_references(qm, sizes=(None, 2)):
+    for variant in ("literal", "restricted"):
+        for cover_mode in ("all", "disjoint-only"):
+            for size in sizes:
+                size = size if size is None else min(size, len(qm.coat))
+                assert_same_report(check_axioms(qm, variant, cover_mode, size),
+                                   reference_check_axioms(qm, variant, cover_mode, size))
+    assert_same_report(check_alt_conditions(qm), reference_check_alt_conditions(qm))
+    got, want = cover_bound_violations(qm), reference_cover_bound_violations(qm)
+    assert exact_witnesses(got) == exact_witnesses(want) and got == want
+
+
+@st.composite
+def perturbed_instances(draw):
+    """Random coats with n <= 5 and k <= 8, some values overwritten at random."""
+    _, _, qm = random_instance(draw(st.integers(0, 10**6)), n=draw(st.integers(1, 5)),
+                               coat_size=draw(st.integers(2, 8)))
+    return perturb(qm, draw(st.integers(0, 10**6)), max_changes=draw(st.integers(1, 6)))
+
+
+@settings(max_examples=150)
+@given(perturbed_instances())
+def test_integer_checks_agree_with_fraction_references(qm):
+    assert_matches_references(qm)
+
+
+def large_denominator_instance(seed, bits=3000):
+    """A perturbed-style instance whose inner values have distinct ``bits``-bit denominators."""
+    _, coat, qm = random_instance(seed, n=5, coat_size=8)
+    rng = random.Random(seed)
+    values = dict(qm.values)
+    for m in qm.refinement.members:
+        if not m.is_empty() and not m.is_full():
+            d = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            values[m] = Fraction(rng.randrange(d), d)
+    return QuasiMeasure(coat, qm.refinement, values)
+
+
+def test_large_denominators_agree_with_references():
+    qm = large_denominator_instance(0)
+    assert qm.scale.bit_length() > 30_000
+    assert not check_axioms(qm).passed
+    assert_matches_references(qm, sizes=(None,))
+    cache = OuterMeasureCache()
+    for bits in range(1 << qm.ground.n):
+        target = qm.ground.mask(bits)
+        assert outer(qm, target, cache) == outer_exhaustive(qm, target)
+
+
+def test_scale_is_the_lcm_of_the_value_denominators(negative_instance):
+    _, _, qm = negative_instance
+    assert qm.scale == 4
+    for m in qm.refinement.members:
+        assert qm.numerator(m.bits) == qm.value(m) * 4

@@ -347,7 +347,7 @@ def near_algebras(draw):
     return n, sorted(algebra ^ toggled)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(near_algebras())
 def test_size_check_agrees_with_pairwise_closure(case):
     n, bits = case
