@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Generic, Sequence, TypeVar
 
-from .quasi import ZERO, QuasiMeasure, subcollection_table
+from .quasi import COVER_ENUMERATION_LIMIT, ZERO, QuasiMeasure, subcollection_table
 from .report import AxiomReport, ReportBuilder
 from .sets import SubsetMask
 
@@ -142,9 +142,6 @@ def outer(
     return value, CoverSolution(chosen, value)
 
 
-MAX_EXHAUSTIVE_COAT = 20
-
-
 @lru_cache(maxsize=8)
 def _cached_subcollection_table(
     member_bits: tuple[int, ...], values: tuple[int, ...]
@@ -160,8 +157,8 @@ def outer_exhaustive(qm: QuasiMeasure, a: SubsetMask) -> tuple[Fraction, CoverSo
     Independent of the branch-and-bound path; used to validate it.
     """
     k = len(qm.coat)
-    if k > MAX_EXHAUSTIVE_COAT:
-        raise ValueError(f"coat too large for enumeration ({k} > {MAX_EXHAUSTIVE_COAT})")
+    if (1 << k) > COVER_ENUMERATION_LIMIT:
+        raise ValueError(f"coat too large for enumeration (2**{k} > {COVER_ENUMERATION_LIMIT})")
     member_bits = qm.coat.member_bits()
     unions, costs = _cached_subcollection_table(
         member_bits, tuple(qm.numerator(b) for b in member_bits))

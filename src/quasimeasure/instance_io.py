@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .quasi import ONE, ZERO, QuasiMeasure
-from .sets import Coat, GroundSet, Refinement, SubsetMask, refine
+from .sets import Coat, GroundSet, SubsetMask, refine
 
 RESERVED_NAMES = ("empty", "omega")
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
@@ -141,6 +141,10 @@ class InstanceSpec:
         return names
 
     def build(self) -> tuple[GroundSet, Coat, QuasiMeasure]:
+        """The instance this spec denotes, built on the first call and shared after it."""
+        built = self.__dict__.get("_built")
+        if built is not None:
+            return built
         ground = self.ground()
         names = self.names()
         coat = Coat(ground, tuple(names[n] for n in self.coat_names))
@@ -160,7 +164,10 @@ class InstanceSpec:
         if missing:
             rendered = " ".join(str(m) for m in missing)
             raise ParseError(f"missing values for refinement members: {rendered}")
-        return ground, coat, QuasiMeasure(coat, refinement, values)
+        built = ground, coat, QuasiMeasure(coat, refinement, values)
+        # Not a field: equality, hashing and rendering see only the document.
+        object.__setattr__(self, "_built", built)
+        return built
 
 
 def parse_instance(document: str) -> InstanceSpec:
@@ -256,8 +263,8 @@ def parse_instance(document: str) -> InstanceSpec:
         (expr, parse_rational(text, lineno)) for lineno, expr, text in value_lines
     )
     spec = InstanceSpec(ground_labels, tuple(set_defs), coat_names, values, seed)
-    # Deep validation happens in build(); its errors carry no line number,
-    # since mask-level problems span several lines.
+    # Deep validation happens in build(), whose result the spec keeps; its
+    # errors carry no line number, since mask-level problems span several lines.
     try:
         spec.build()
     except ValueError as exc:
@@ -277,60 +284,31 @@ def render_instance(spec: InstanceSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def canonical_expression(
-    mask: SubsetMask, names: Mapping[str, SubsetMask], refinement: Refinement
-) -> str:
-    """A deterministic expression for a refinement member.
-
-    Uses the member's own name when it has one, otherwise its first
-    recorded derivation.
-    """
-    for name, named_mask in names.items():
-        if named_mask == mask:
-            return name
-    derivation = refinement.provenance[mask][0]
-    coat_names = _coat_member_names(names, refinement)
-    left = coat_names[derivation.left]
-    right = coat_names[derivation.right]
-    return f"{left}&{right}" if derivation.kind == "meet" else f"{left}&!{right}"
-
-
-def _coat_member_names(names: Mapping[str, SubsetMask], refinement: Refinement) -> list[str]:
-    out = []
-    for member in refinement.coat.members:
-        for name, mask in names.items():
-            if mask == member:
-                out.append(name)
-                break
-        else:
-            raise ValueError(f"coat member {member} has no name")
-    return out
-
-
 def instance_spec_from(qm: QuasiMeasure, seed: int | None = None) -> InstanceSpec:
     """Normalize a programmatic instance to its canonical document form.
 
     Coat members beyond empty/omega are named S1, S2, ... in coat order and
-    every refinement member gets one canonical value line.
+    every refinement member gets one canonical value line: its own name when
+    it is a coat member, otherwise its first recorded derivation.
     """
-    ground = qm.ground
-    names: dict[str, SubsetMask] = {"empty": ground.empty(), "omega": ground.full()}
     set_defs: list[tuple[str, tuple[str, ...]]] = []
     coat_names: list[str] = []
-    counter = 0
     for member in qm.coat.members:
         if member.is_empty():
             coat_names.append("empty")
         elif member.is_full():
             coat_names.append("omega")
         else:
-            counter += 1
-            name = f"S{counter}"
-            names[name] = member
+            name = f"S{len(set_defs) + 1}"
             set_defs.append((name, member.labels()))
             coat_names.append(name)
-    values = tuple(
-        (canonical_expression(member, names, qm.refinement), qm.value(member))
-        for member in qm.refinement.members
-    )
-    return InstanceSpec(ground.elements, tuple(set_defs), tuple(coat_names), values, seed)
+    name_of = dict(zip(qm.coat.member_bits(), coat_names))
+    values = []
+    for member in qm.refinement.members:
+        expression = name_of.get(member.bits)
+        if expression is None:
+            derivation = qm.refinement.provenance[member][0]
+            left, right = coat_names[derivation.left], coat_names[derivation.right]
+            expression = f"{left}&{right}" if derivation.kind == "meet" else f"{left}&!{right}"
+        values.append((expression, qm.value(member)))
+    return InstanceSpec(qm.ground.elements, tuple(set_defs), tuple(coat_names), tuple(values), seed)

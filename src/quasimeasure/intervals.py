@@ -267,8 +267,8 @@ def verify_example_axioms(
     pairwise-disjoint covers (where some single cover member must already
     contain the target).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     rb = ReportBuilder("exponential")
     rb.declare("endpoints", "splitting", "meet-envelope", "diff-envelope", "cover-bound")
     rb.note(f"samples={sample_count} seed={seed} tol={tol!r}")

@@ -60,7 +60,8 @@ class QuasiMeasure:
                 f" extra={sorted(str(m) for m in extra)}"
             )
         for mask, value in self.values.items():
-            ensure_unit_interval(value, f"value of {mask}")
+            if not ZERO <= value <= ONE:
+                raise ValueError(f"value of {mask} outside [0,1]: {value}")
         ground = self.coat.ground
         if self.values[ground.empty()] != ZERO:
             raise ValueError("value of the empty set must be 0")

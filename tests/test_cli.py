@@ -1,11 +1,20 @@
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from quasimeasure import canonical_negative_instance, cli, extension, instance_spec_from, random_instance
+from quasimeasure import (
+    canonical_negative_instance,
+    cli,
+    extension,
+    instance_io,
+    instance_spec_from,
+    random_instance,
+)
 from quasimeasure.cli import main
 from quasimeasure.instance_io import (
     ParseError,
@@ -163,6 +172,13 @@ class TestParsing:
         assert parse_instance(render_instance(spec)) == spec
 
 
+    def test_build_returns_the_instance_parsing_built(self):
+        spec = parse_instance(UNIFORM_DOC)
+        assert spec.build()[2] is spec.build()[2]
+        unbuilt = dataclasses.replace(spec)
+        assert (spec, hash(spec), repr(spec)) == (unbuilt, hash(unbuilt), repr(unbuilt))
+
+
 class TestRoundTrip:
     def test_generated_instances_roundtrip(self):
         for seed in range(25):
@@ -287,6 +303,35 @@ class TestRun:
         assert main(["extend", uniform_path]) == 3
         assert capsys.readouterr().err.endswith("\ninternal error: injected fault\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["example", "--samples", "0"],
+        ["example", "--samples", "-5"],
+        ["example", "--tol", "inf"],
+        ["example", "--tol", "nan"],
+    ])
+    def test_flag_values_that_check_nothing_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {argv[1]} must be ")
+
+    @pytest.mark.parametrize("seeds", ["5..2", "5..5"])
+    def test_empty_seed_range_is_a_usage_error(self, seeds, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--seeds", seeds])
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+
+    def test_builds_each_document_once(self, uniform_path, capsys, monkeypatch):
+        refines, refine = [], instance_io.refine
+
+        def counting_refine(coat):
+            refines.append(coat)
+            return refine(coat)
+
+        monkeypatch.setattr(instance_io, "refine", counting_refine)
+        assert main(["check", uniform_path]) == 1
+        assert len(refines) == 1
+        capsys.readouterr()
+
     def test_max_n_guard(self, uniform_path, capsys):
         assert main(["check", uniform_path, "--max-n", "2"]) == 2
         err = capsys.readouterr().err
@@ -307,6 +352,44 @@ class TestRun:
         # a bounded cover size keeps the run feasible
         assert main(["check", str(path), "--max-cover", "2"]) in (0, 1)
         capsys.readouterr()
+
+
+class TestFlags:
+    FLAGS = {
+        "check": {"--variant", "--cover-mode", "--max-cover", "--max-n", "--format", "--out"},
+        "outer": {"--set", "--max-n", "--format", "--out"},
+        "extend": {"--max-n", "--format", "--out"},
+        "example": {"--samples", "--seed", "--tol", "--format", "--out"},
+        "search": {"--seeds", "--variant", "--cover-mode", "--format", "--out"},
+    }
+
+    @pytest.mark.parametrize("subcommand", sorted(FLAGS))
+    def test_help_lists_only_the_flags_read(self, subcommand, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert listed == self.FLAGS[subcommand]
+
+    @pytest.mark.parametrize("argv", [
+        ["outer", "x.qm", "--set", "2", "--variant", "literal"],
+        ["outer", "x.qm", "--set", "2", "--cover-mode", "all"],
+        ["outer", "x.qm", "--set", "2", "--max-cover", "1"],
+        ["extend", "x.qm", "--variant", "literal"],
+        ["extend", "x.qm", "--cover-mode", "all"],
+        ["extend", "x.qm", "--max-cover", "1"],
+        ["example", "--variant", "literal"],
+        ["example", "--cover-mode", "all"],
+        ["example", "--max-n", "3"],
+        ["example", "--max-cover", "1"],
+        ["search", "--seeds", "0..2", "--max-n", "3"],
+        ["search", "--seeds", "0..2", "--max-cover", "1"],
+    ])
+    def test_flags_a_subcommand_ignores_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMachineFormat:

@@ -13,6 +13,7 @@ from quasimeasure import (
     OuterMeasureCache,
     check_axioms,
     extend,
+    extension,
     generate_algebra,
     is_caratheodory_measurable,
     measurable_family,
@@ -332,6 +333,24 @@ def test_verify_premeasure_agrees_with_reference_on_sampled_triples():
         assert len(table.algebra) >= 128
         assert_same_report(table)
         assert verify_premeasure(table).notes == ("triples=sampled budget=32768 seed=0",)
+
+
+def test_passing_table_walks_no_triples(monkeypatch):
+    # Additive pairs make additive triples, so a passing table above the
+    # triple budget reports the sampled audit without drawing a sample.
+    def no_sampling(seed):
+        raise AssertionError("triples sampled on a table whose pairs are additive")
+
+    n = 7
+    ground = GroundSet(tuple(str(i + 1) for i in range(n)))
+    coat = Coat.from_bits(ground, [0, ground.full_bits, *(1 << i for i in range(n - 1))])
+    algebra = generate_algebra(coat)
+    table = MeasureTable(algebra, {m: Fraction(m.size, n) for m in algebra}, {})
+    assert len(algebra) >= 128
+    monkeypatch.setattr(extension.random, "Random", no_sampling)
+    report = verify_premeasure(table)
+    assert report.passed
+    assert report.notes == ("triples=sampled budget=32768 seed=0",)
 
 
 def test_verify_premeasure_agrees_with_reference_on_extend_tables():

@@ -178,6 +178,12 @@ class TestExampleSuite:
         with pytest.raises(ValueError):
             verify_example_axioms(sample_count=1, seed=0, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # inf would pass every comparison and nan would fail none.
+        with pytest.raises(ValueError, match="finite"):
+            verify_example_axioms(sample_count=1, seed=0, tol=tol)
+
     def test_deterministic_in_seed(self):
         a = verify_example_axioms(sample_count=50, seed=7)
         b = verify_example_axioms(sample_count=50, seed=7)

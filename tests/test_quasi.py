@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,7 @@ class TestQuasiMeasureValidation:
         values = dict(qm.values)
         member = next(m for m in values if m.size == 1)
         values[member] = Fraction(5, 4)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=re.escape(f"value of {member} outside [0,1]: 5/4")):
             QuasiMeasure(coat, qm.refinement, values)
 
     def test_endpoints_enforced(self, negative_instance):
