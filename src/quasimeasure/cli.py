@@ -161,8 +161,8 @@ def _run_outer(args: argparse.Namespace) -> _Outcome:
 def _run_extend(args: argparse.Namespace) -> _Outcome:
     _, qm = _load_instance(args)
     table = extend(qm)
-    records = [_cover_record("table", member, value, solution.chosen, qm.coat)
-               for member, value, solution in table.rows()]
+    records = [_cover_record("table", member, value, chosen, qm.coat)
+               for member, value, chosen in zip(table.algebra, table.values, table.covers)]
     report = verify_premeasure(table)
     return records + _check_records(report), report.suite, report.passed
 

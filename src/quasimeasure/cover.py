@@ -38,9 +38,6 @@ class CoverSolution:
     chosen: tuple[int, ...]
     cost: Fraction
 
-    def members(self, qm: QuasiMeasure) -> tuple[SubsetMask, ...]:
-        return tuple(qm.coat.members[i] for i in self.chosen)
-
     def verify(self, qm: QuasiMeasure, target: SubsetMask) -> bool:
         """Re-check the witness: covers the target, cost is the value sum."""
         if len(set(self.chosen)) != len(self.chosen):

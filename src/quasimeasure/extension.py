@@ -14,15 +14,17 @@ subsets.  The sampling variant can only report "not falsified", never
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
-from .cover import CoverSolution, OuterMeasureCache, outer
-from .quasi import ONE, ZERO, QuasiMeasure
+from .cover import CoverSolution, OuterMeasureCache
+from .quasi import ONE, QuasiMeasure
 from .report import AxiomReport, ReportBuilder, Witness
 from .sets import DEFAULT_EXHAUSTIVE_LIMIT, AlgebraFamily, BudgetExceeded, SubsetMask, generate_algebra
 
@@ -94,12 +96,6 @@ class MeasurabilityReport:
     def all_algebra_measurable(self) -> bool:
         return all(r.measurable for r in self.algebra)
 
-    def record(self, candidate: SubsetMask) -> MeasurabilityRecord:
-        for r in self.algebra:
-            if r.candidate == candidate:
-                return r
-        raise KeyError(f"{candidate} not among tested algebra members")
-
 
 def measurable_family(qm: QuasiMeasure, cache: OuterMeasureCache | None = None) -> MeasurabilityReport:
     shared = OuterMeasureCache() if cache is None else cache
@@ -117,31 +113,46 @@ def measurable_family(qm: QuasiMeasure, cache: OuterMeasureCache | None = None) 
 class MeasureTable:
     """Exterior values tabulated on the generated algebra, with witnesses.
 
-    The table itself carries no verification claim; run ``verify_premeasure``
-    to check the endpoints and additivity.  On axiom-failing inputs the full
-    set can admit a cover cheaper than 1, so the omega endpoint is a checked
-    property, not a structural invariant.
+    Entry i is member i of the algebra, the union of the atoms in the bits
+    of i: its value is ``numerators[i] / scale`` and ``covers[i]`` holds the
+    ascending coat indices of an optimal cover.  ``extend`` stores the least
+    ``scale``, the lcm of the value denominators.  The table carries no
+    verification claim: on axiom-failing inputs the full set can admit a
+    cover cheaper than 1, so ``verify_premeasure`` checks that endpoint.
     """
 
     algebra: AlgebraFamily
-    values: dict[SubsetMask, Fraction]
-    provenance: dict[SubsetMask, CoverSolution]
+    scale: int
+    numerators: tuple[int, ...]
+    covers: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        ground = self.algebra.ground
-        if set(self.values) != set(self.algebra.members):
+        size = len(self.algebra)
+        if len(self.numerators) != size or len(self.covers) != size:
             raise ValueError("table must assign exactly the algebra members")
-        if self.values[ground.empty()] != ZERO:
+        if self.scale < 1:
+            raise ValueError("table scale must be positive")
+        if self.numerators[0] != 0:
             raise ValueError("table value of the empty set must be 0")
-        for mask, value in self.values.items():
-            if not ZERO <= value <= ONE:
+        for mask, numerator in zip(self.algebra.members, self.numerators):
+            if not 0 <= numerator <= self.scale:
                 raise ValueError(f"table value outside [0,1] at {mask}")
 
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The exterior values as exact rationals, built once on first use."""
+        return tuple(Fraction(v, self.scale) for v in self.numerators)
+
     def value(self, mask: SubsetMask) -> Fraction:
-        return self.values[mask]
+        members = self.algebra.members
+        i = bisect.bisect_left(members, mask.bits, key=lambda m: m.bits)
+        if i == len(members) or members[i] != mask:  # masks compare ground and bits
+            raise KeyError(f"{mask} is not a member of the table's algebra")
+        return self.values[i]
 
     def rows(self) -> tuple[tuple[SubsetMask, Fraction, CoverSolution], ...]:
-        return tuple((m, self.values[m], self.provenance[m]) for m in self.algebra.members)
+        return tuple((m, v, CoverSolution(chosen, v))
+                     for m, v, chosen in zip(self.algebra.members, self.values, self.covers))
 
 
 def extend(qm: QuasiMeasure, cache: OuterMeasureCache | None = None) -> MeasureTable:
@@ -150,16 +161,12 @@ def extend(qm: QuasiMeasure, cache: OuterMeasureCache | None = None) -> MeasureT
     Never refuses axiom-failing inputs; negative instances are first-class
     material and verification is a separate step.
     """
-    if cache is None:
-        cache = OuterMeasureCache()
+    solve = (OuterMeasureCache() if cache is None else cache).bind(qm).solve
     algebra = generate_algebra(qm.coat)
-    values: dict[SubsetMask, Fraction] = {}
-    provenance: dict[SubsetMask, CoverSolution] = {}
-    for member in algebra:
-        cost, solution = outer(qm, member, cache)
-        values[member] = cost
-        provenance[member] = solution
-    return MeasureTable(algebra, values, provenance)
+    solved = [solve(m.bits) for m in algebra.members]
+    divisor = math.gcd(qm.scale, *(cost for cost, _ in solved))
+    return MeasureTable(algebra, qm.scale // divisor, tuple(cost // divisor for cost, _ in solved),
+                        tuple(chosen for _, chosen in solved))
 
 
 def verify_premeasure(table: MeasureTable) -> AxiomReport:
@@ -171,22 +178,16 @@ def verify_premeasure(table: MeasureTable) -> AxiomReport:
     the budget and a seeded sample otherwise.
     Member i of the algebra is the union of the atoms in the bits of i, so
     members i, j are disjoint iff ``i & j == 0``, with union member ``i | j``.
-    Values are compared as int numerators over the lcm of their denominators.
+    Values are compared as the table's int numerators over its ``scale``.
     """
     rb = ReportBuilder("premeasure")
     rb.declare("endpoints", "nonnegative", "pair-additivity", "triple-additivity")
     members = table.algebra.members
-    values = [table.values[m] for m in members]
-    scale = math.lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (scale // v.denominator) for v in values]
-    if nums[0] != 0:
-        rb.fail("endpoints", Witness((("set", members[0]),), values[0], ZERO, "eq"))
+    nums, scale = table.numerators, table.scale
+    # The table holds the empty set at 0 and every value in [0, 1], so only
+    # the omega endpoint can fail and "nonnegative" always passes.
     if nums[-1] != scale:
-        rb.fail("endpoints", Witness((("set", members[-1]),), values[-1], ONE, "eq"))
-
-    for i, value in enumerate(nums):
-        if value < 0:
-            rb.fail("nonnegative", Witness((("E", members[i]),), values[i], ZERO, "le"))
+        rb.fail("endpoints", Witness((("set", members[-1]),), table.values[-1], ONE, "eq"))
 
     size = len(members)
     pair_failed = False
@@ -200,7 +201,7 @@ def verify_premeasure(table: MeasureTable) -> AxiomReport:
             if nums[i | j] != want:
                 pair_failed = True
                 rb.fail("pair-additivity", Witness((("E1", members[i]), ("E2", members[j])),
-                                                   values[i | j], Fraction(want, scale), "eq"))
+                                                   table.values[i | j], Fraction(want, scale), "eq"))
             j = (j - rest) & rest
 
     # Additive pairs make additive triples, since i | j is a member disjoint
@@ -221,5 +222,5 @@ def verify_premeasure(table: MeasureTable) -> AxiomReport:
         if nums[i | j | k] != want:
             rb.fail("triple-additivity", Witness(
                 (("E1", members[i]), ("E2", members[j]), ("E3", members[k])),
-                values[i | j | k], Fraction(want, scale), "eq"))
+                table.values[i | j | k], Fraction(want, scale), "eq"))
     return rb.build()

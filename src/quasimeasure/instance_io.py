@@ -29,6 +29,7 @@ from .sets import Coat, GroundSet, SubsetMask, refine
 RESERVED_NAMES = ("empty", "omega")
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
 _NAME = re.compile(r"^[^\s&!:#]+$")
+_LABEL = re.compile(r"[^\s#]+")
 
 
 class ParseError(ValueError):
@@ -289,8 +290,13 @@ def instance_spec_from(qm: QuasiMeasure, seed: int | None = None) -> InstanceSpe
 
     Coat members beyond empty/omega are named S1, S2, ... in coat order and
     every refinement member gets one canonical value line: its own name when
-    it is a coat member, otherwise its first recorded derivation.
+    it is a coat member, otherwise its first recorded derivation.  A ground
+    label that is empty or holds whitespace or ``#`` cannot be written as one
+    token and raises ``ValueError``.
     """
+    for label in qm.ground.elements:
+        if not _LABEL.fullmatch(label):
+            raise ValueError(f"ground label {label!r} is empty or holds whitespace or '#'")
     set_defs: list[tuple[str, tuple[str, ...]]] = []
     coat_names: list[str] = []
     for member in qm.coat.members:

@@ -30,12 +30,6 @@ AXIOM_CHECKS = ("endpoints", "splitting", "meet-envelope", "diff-envelope", "cov
 ALT_CHECKS = ("endpoints", "monotone", "splitting", "meet-squeeze", "diff-envelope")
 
 
-def ensure_unit_interval(value: Fraction, what: str = "value") -> Fraction:
-    if not ZERO <= value <= ONE:
-        raise ValueError(f"{what} outside [0,1]: {value}")
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class QuasiMeasure:
     """A total map from refinement members to exact rationals in [0,1].
@@ -93,12 +87,6 @@ class QuasiMeasure:
                      for role, bits in roles)
         return Witness(sets, Fraction(lhs, self.scale),
                        None if rhs is None else Fraction(rhs, self.scale), relation, note)
-
-    def replace_value(self, mask: SubsetMask, value: Fraction) -> "QuasiMeasure":
-        """A copy with one entry changed; endpoints stay protected."""
-        updated = dict(self.values)
-        updated[mask] = ensure_unit_interval(value)
-        return QuasiMeasure(self.coat, self.refinement, updated)
 
 
 def subcollection_table(

@@ -162,10 +162,6 @@ class Coat:
     def member_bits(self) -> tuple[int, ...]:
         return tuple(m.bits for m in self.members)
 
-    def is_complement_closed(self) -> bool:
-        bits = set(self.member_bits())
-        return all(b ^ self.ground.full_bits in bits for b in bits)
-
 
 @dataclass(frozen=True)
 class Derivation:
@@ -205,11 +201,6 @@ class Refinement:
 
     def __contains__(self, mask: SubsetMask) -> bool:
         return mask in self.provenance
-
-    def recompute(self, d: Derivation) -> SubsetMask:
-        x = self.coat.members[d.left]
-        y = self.coat.members[d.right]
-        return x & y if d.kind == "meet" else x.difference(y)
 
 
 def refine(c: Coat) -> Refinement:
@@ -273,9 +264,6 @@ class AlgebraFamily:
     def __iter__(self) -> Iterator[SubsetMask]:
         return iter(self.members)
 
-    def __contains__(self, mask: SubsetMask) -> bool:
-        return mask.ground == self.ground and any(m.bits == mask.bits for m in self.members)
-
 
 def generate_algebra(c: Coat) -> AlgebraFamily:
     """The algebra generated by the coat: every union of its atoms.
@@ -284,18 +272,13 @@ def generate_algebra(c: Coat) -> AlgebraFamily:
     of its m atoms (Halmos, *Measure Theory*, 1950, sections 4-5).  Atoms are
     disjoint and ascend in mask order, so each atom's top bit lies above
     every bit of the atoms before it, and the unions come out in mask order
-    when indexed by the bits of their atom set.
+    when indexed by the bits of their atom set.  More than
+    ``DEFAULT_EXHAUSTIVE_LIMIT`` members are refused with ``BudgetExceeded``.
     """
     atoms = _atom_bits(c.ground.n, c.member_bits())
+    if (1 << len(atoms)) > DEFAULT_EXHAUSTIVE_LIMIT:
+        raise BudgetExceeded(f"2**{len(atoms)} algebra members exceed budget {DEFAULT_EXHAUSTIVE_LIMIT}")
     unions = [0] * (1 << len(atoms))
     for s in range(1, len(unions)):
         unions[s] = unions[s & (s - 1)] | atoms[(s & -s).bit_length() - 1]
     return AlgebraFamily(c.ground, tuple(SubsetMask(c.ground, b) for b in unions))
-
-
-def algebra_atoms(c: Coat) -> tuple[SubsetMask, ...]:
-    """Minimal nonempty members of the generated algebra, in mask order.
-
-    Each atom is one class of elements that belong to the same coat members.
-    """
-    return tuple(SubsetMask(c.ground, b) for b in _atom_bits(c.ground.n, c.member_bits()))

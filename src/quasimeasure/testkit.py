@@ -119,14 +119,10 @@ def random_algebra_instance(
     blocks = [0] * k
     for position, element in enumerate(order):
         blocks[position % k] |= 1 << element
-    union_bits = set()
-    for s in range(1 << k):
-        u = 0
-        for i in range(k):
-            if s >> i & 1:
-                u |= blocks[i]
-        union_bits.add(u)
-    coat = _ordered_coat(ground, union_bits)
+    unions = [0] * (1 << k)
+    for s in range(1, 1 << k):  # union s adds its lowest block to the union before it
+        unions[s] = unions[s & (s - 1)] | blocks[(s & -s).bit_length() - 1]
+    coat = _ordered_coat(ground, set(unions))
     return tm, coat, induce(tm, coat)
 
 

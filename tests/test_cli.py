@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -8,9 +9,13 @@ from pathlib import Path
 import pytest
 
 from quasimeasure import (
+    Coat,
+    GroundSet,
+    TrueMeasure,
     canonical_negative_instance,
     cli,
     extension,
+    induce,
     instance_io,
     instance_spec_from,
     random_instance,
@@ -22,6 +27,9 @@ from quasimeasure.instance_io import (
     render_instance,
     resolve_target,
 )
+
+# CLI subprocesses import the package from where this process found it.
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
 UNIFORM_DOC = """\
 # canonical failing instance
@@ -193,6 +201,14 @@ class TestRoundTrip:
         assert coat.member_bits() == qm.coat.member_bits()
         assert rebuilt.values == qm.values
 
+    @pytest.mark.parametrize("label", ["", "a b", "a#b"])
+    def test_labels_the_format_cannot_write_are_refused(self, label):
+        # Rendered, "a b" would parse back as two elements and "a#b" as "a".
+        ground = GroundSet((label, "c"))
+        qm = induce(TrueMeasure.uniform(ground), Coat(ground, (ground.empty(), ground.full())))
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            instance_spec_from(qm)
+
 
 class TestResolveTarget:
     def test_bare_element_label(self):
@@ -269,10 +285,10 @@ class TestRun:
 
     def test_internal_error_exits_three(self, uniform_path, capsys, monkeypatch):
         # A fault in the program must not look like a failed check (exit 1).
-        def broken_outer(*args, **kwargs):
+        def broken_algebra(*args, **kwargs):
             raise RuntimeError("injected fault")
 
-        monkeypatch.setattr(extension, "outer", broken_outer)
+        monkeypatch.setattr(extension, "generate_algebra", broken_algebra)
         assert main(["extend", uniform_path]) == 3
         captured = capsys.readouterr()
         assert "RuntimeError: injected fault" in captured.err  # the traceback
@@ -336,6 +352,17 @@ class TestRun:
         assert main(["check", uniform_path, "--max-n", "2"]) == 2
         err = capsys.readouterr().err
         assert "exceeds" in err
+
+    def test_oversized_algebra_exits_two(self, tmp_path, capsys):
+        ground = GroundSet(tuple(str(i + 1) for i in range(17)))
+        coat = Coat.from_bits(ground, [0, ground.full_bits, *(1 << i for i in range(17))])
+        path = tmp_path / "singletons.qm"
+        path.write_text(render_instance(instance_spec_from(induce(TrueMeasure.uniform(ground), coat))),
+                        encoding="utf-8")
+        assert main(["extend", str(path), "--max-n", "17"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "2**17" in captured.err
+        assert captured.out == ""
 
     def test_outer_requires_known_target(self, uniform_path, capsys):
         assert main(["outer", uniform_path, "--set", "frob"]) == 2
@@ -424,7 +451,7 @@ class TestMachineFormat:
     def test_console_entry_point(self, uniform_path):
         proc = subprocess.run(
             [sys.executable, "-m", "quasimeasure.cli", "outer", uniform_path, "--set", "A&B"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CLI_ENV,
         )
         assert proc.returncode == 0
         assert "outer {2} = 1/2" in proc.stdout
@@ -446,8 +473,8 @@ class TestMachineFormat:
     def test_byte_identical_across_processes(self, uniform_path):
         argv = [sys.executable, "-m", "quasimeasure.cli", "check", uniform_path,
                 "--format", "machine"]
-        first = subprocess.run(argv, capture_output=True)
-        second = subprocess.run(argv, capture_output=True)
+        first = subprocess.run(argv, capture_output=True, env=CLI_ENV)
+        second = subprocess.run(argv, capture_output=True, env=CLI_ENV)
         assert first.returncode == second.returncode == 1
         assert first.stdout == second.stdout
         assert first.stdout.strip()

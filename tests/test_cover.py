@@ -36,7 +36,7 @@ class TestOuter:
         value, solution = outer(qm, qm.ground.subset(["2"]))
         assert value == Fraction(1, 2)
         assert solution.chosen == (2,)
-        assert solution.members(qm) == (qm.ground.subset(["1", "2"]),)
+        assert coat.members[2] == qm.ground.subset(["1", "2"])
 
     def test_witness_verifies(self, negative_instance):
         _, _, qm = negative_instance

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from quasimeasure import (
     generate_algebra,
     is_caratheodory_measurable,
     measurable_family,
+    outer_exhaustive,
     sample_measurability,
     verify_premeasure,
 )
@@ -86,7 +89,8 @@ class TestMeasurability:
     def test_negative_instance_flags_overlap(self, negative_instance):
         _, _, qm = negative_instance
         report = measurable_family(qm)
-        assert not report.record(qm.ground.subset(["1", "2"])).measurable
+        overlap = qm.ground.subset(["1", "2"])
+        assert not next(r for r in report.algebra if r.candidate == overlap).measurable
         assert not report.all_algebra_measurable
 
     def test_measurable_sets_form_an_algebra(self):
@@ -157,6 +161,48 @@ class TestExtend:
         for member, value, solution in table.rows():
             assert solution.verify(qm, member)
             assert solution.cost == value
+
+
+class TestMeasureTable:
+    def test_constructor_refuses_malformed_tables(self, negative_instance):
+        _, _, qm = negative_instance
+        table = extend(qm)
+        algebra, scale, nums, covers = table.algebra, table.scale, table.numerators, table.covers
+        with pytest.raises(ValueError, match="exactly the algebra members"):
+            MeasureTable(algebra, scale, nums[:-1], covers)
+        with pytest.raises(ValueError, match="exactly the algebra members"):
+            MeasureTable(algebra, scale, nums, covers[1:])
+        with pytest.raises(ValueError, match="scale must be positive"):
+            MeasureTable(algebra, 0, (0,) * len(nums), covers)
+        with pytest.raises(ValueError, match="empty set must be 0"):
+            MeasureTable(algebra, scale, (1, *nums[1:]), covers)
+        with pytest.raises(ValueError, match=re.escape(f"outside [0,1] at {algebra.members[1]}")):
+            MeasureTable(algebra, scale, (0, -1, *nums[2:]), covers)
+        with pytest.raises(ValueError, match=re.escape(f"outside [0,1] at {algebra.members[-1]}")):
+            MeasureTable(algebra, scale, (*nums[:-1], scale + 1), covers)
+
+    def test_value_refuses_non_members(self, trivial_instance):
+        _, _, qm = trivial_instance
+        table = extend(qm)
+        with pytest.raises(KeyError):
+            table.value(qm.ground.subset(["1"]))
+        for labels in (("a", "b", "c", "d"), ("1", "2", "3", "4", "5")):
+            with pytest.raises(KeyError):  # the same bits on another ground
+                table.value(GroundSet(labels).full())
+
+    def test_rows_agree_with_the_exhaustive_oracle(self):
+        for seed in range(40):
+            qm = instance_for_seed(seed, n_max=6)
+            table = extend(qm)
+            for member, value, solution in table.rows():
+                cost, oracle = outer_exhaustive(qm, member)
+                assert (value, solution.chosen) == (cost, oracle.chosen), (seed, member)
+                assert table.value(member) == value
+
+    def test_scale_is_the_lcm_of_the_row_denominators(self):
+        for seed in range(40):
+            table = extend(instance_for_seed(seed))
+            assert table.scale == math.lcm(*(v.denominator for _, v, _ in table.rows())), seed
 
 
 class TestVerifyPremeasure:
@@ -293,8 +339,7 @@ def pairwise_verify_premeasure(table):
 def quarter_table(coat, quarters):
     """Values ``q/4`` on the coat's generated algebra, with the empty set at 0."""
     algebra = generate_algebra(coat)
-    values = {m: Fraction(q, 4) for m, q in zip(algebra.members, [0, *quarters])}
-    return MeasureTable(algebra, values, {})
+    return MeasureTable(algebra, 4, (0, *quarters), ((),) * len(algebra))
 
 
 def assert_same_report(table):
@@ -345,7 +390,7 @@ def test_passing_table_walks_no_triples(monkeypatch):
     ground = GroundSet(tuple(str(i + 1) for i in range(n)))
     coat = Coat.from_bits(ground, [0, ground.full_bits, *(1 << i for i in range(n - 1))])
     algebra = generate_algebra(coat)
-    table = MeasureTable(algebra, {m: Fraction(m.size, n) for m in algebra}, {})
+    table = MeasureTable(algebra, n, tuple(m.size for m in algebra), ((),) * len(algebra))
     assert len(algebra) >= 128
     monkeypatch.setattr(extension.random, "Random", no_sampling)
     report = verify_premeasure(table)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasimeasure import (
     Interval,
@@ -147,6 +149,41 @@ class TestIntervalSets:
     def test_complement_of_open_interval_keeps_boundary_points(self):
         got = complement(IntervalSet.of(Interval(1.0, 2.0, False, False)))
         assert got == IntervalSet.of(Interval.closed(0.0, 1.0), Interval(2.0, math.inf, True, False))
+
+
+@st.composite
+def intervals(draw):
+    """One interval with integer endpoints in 0..5, or a tail to infinity."""
+    left = float(draw(st.integers(0, 5)))
+    right = draw(st.sampled_from([*range(int(left), 6), math.inf]))
+    if right == left:
+        return Interval.closed(left, left)
+    return Interval(left, float(right), draw(st.booleans()), right != math.inf and draw(st.booleans()))
+
+
+interval_lists = st.lists(intervals(), max_size=4)
+
+
+@settings(max_examples=100)
+@given(interval_lists, interval_lists)
+def test_interval_set_operations_obey_the_set_laws(xs, ys):
+    x, y = IntervalSet.of(*xs), IntervalSet.of(*ys)
+    assert complement(union(x, y)) == intersect(complement(x), complement(y))
+    assert complement(intersect(x, y)) == union(complement(x), complement(y))
+    assert union(x, y) == union(y, x)
+    assert intersect(x, y) == intersect(y, x)
+    assert union(x, x) == x
+    assert intersect(x, x) == x
+    assert issubset(x, y) == (union(x, y) == y)
+
+
+@settings(max_examples=100)
+@given(interval_lists.flatmap(lambda xs: st.tuples(st.just(xs), st.permutations(xs))))
+def test_interval_set_of_is_order_independent_and_canonical(case):
+    components, shuffled = case
+    s = IntervalSet.of(*components)
+    assert IntervalSet.of(*shuffled) == s
+    assert IntervalSet.of(*s.components) == s
 
 
 class TestExampleSuite:

@@ -130,7 +130,9 @@ class TestCheckAxioms:
     def test_splitting_fails_after_perturbation(self, power_set_instance):
         _, _, qm = power_set_instance
         member = qm.ground.subset(["1"])
-        broken = qm.replace_value(member, qm.value(member) + Fraction(1, 8))
+        values = dict(qm.values)
+        values[member] += Fraction(1, 8)
+        broken = QuasiMeasure(qm.coat, qm.refinement, values)
         report = check_axioms(broken, variant="restricted")
         assert not report.result("splitting").passed
         witness = report.result("splitting").witnesses[0]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasimeasure import AlgebraFamily, Coat, GroundSet, generate_algebra, refine
-from quasimeasure.sets import _atom_bits, algebra_atoms
+from quasimeasure.sets import DEFAULT_EXHAUSTIVE_LIMIT, BudgetExceeded, _atom_bits
 
 
 def masks_of(ground, *label_groups):
@@ -117,7 +117,8 @@ class TestRefine:
         for member, derivations in refinement.provenance.items():
             assert derivations
             for d in derivations:
-                assert refinement.recompute(d) == member
+                x, y = coat.members[d.left], coat.members[d.right]
+                assert (x & y if d.kind == "meet" else x.difference(y)) == member
 
     def test_value_level_dedup_keeps_all_derivations(self, ground4):
         coat = Coat(ground4, (ground4.empty(), ground4.full(), ground4.subset(["1", "2"])))
@@ -130,7 +131,8 @@ class TestRefine:
         ground = GroundSet(("1", "2", "3", "4"))
         a = ground.subset(["1", "2"])
         coat = Coat(ground, (ground.empty(), ground.full(), a, a.complement()))
-        assert coat.is_complement_closed()
+        bits = set(coat.member_bits())
+        assert {b ^ ground.full_bits for b in bits} == bits
         meets = {x & y for x in coat.members for y in coat.members}
         assert set(refine(coat).members) == meets
 
@@ -145,7 +147,7 @@ class TestRefine:
                     u |= block.bits
             union_bits.add(u)
         coat = Coat.from_bits(ground, sorted(union_bits))
-        assert coat.is_complement_closed()
+        assert {b ^ ground.full_bits for b in union_bits} == union_bits
         meets = {x & y for x in coat.members for y in coat.members}
         assert set(refine(coat).members) == meets
 
@@ -229,13 +231,13 @@ class TestGenerateAlgebra:
                 while len(bits) < min(5, 1 << n):
                     bits.add(rng.randrange(1 << n))
                 coat = Coat.from_bits(ground, sorted(bits))
-                atoms = algebra_atoms(coat)
+                atoms = _atom_bits(n, coat.member_bits())
                 expected = set()
                 for take in range(1 << len(atoms)):
                     u = 0
                     for i, atom in enumerate(atoms):
                         if take >> i & 1:
-                            u |= atom.bits
+                            u |= atom
                     expected.add(ground.mask(u))
                 assert set(generate_algebra(coat).members) == expected
 
@@ -331,6 +333,14 @@ class TestAlgebraFamily:
         assert ground4.subset(["2"]) not in family
         with pytest.raises(ValueError, match="not closed"):
             AlgebraFamily(ground4, tuple(sorted(family, key=lambda m: m.bits)))
+
+
+def test_generate_algebra_refuses_more_members_than_the_budget():
+    ground = GroundSet(tuple(str(i + 1) for i in range(17)))
+    coat = Coat.from_bits(ground, [0, ground.full_bits, *(1 << i for i in range(17))])
+    assert 1 << 17 > DEFAULT_EXHAUSTIVE_LIMIT
+    with pytest.raises(BudgetExceeded, match=r"2\*\*17 algebra members"):
+        generate_algebra(coat)
 
 
 @st.composite
