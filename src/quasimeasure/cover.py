@@ -12,7 +12,9 @@ Two independent routes compute the same quantity: a memoized branch-and-bound
 subcollections (`outer_exhaustive`).  Tests hold them to exact cost equality.
 Both work on int masks and int costs (numerators over ``qm.scale``), and the
 solver keeps the only cover memo; ``Fraction``, `SubsetMask` and
-`CoverSolution` are built only for results and witnesses.
+`CoverSolution` are built only for results and witnesses.  Checks that
+quantify over all 2**n subsets solve the list of 2**n exterior values once
+and index it, instead of calling the solver per lookup.
 """
 
 from __future__ import annotations
@@ -175,6 +177,22 @@ def outer_exhaustive(qm: QuasiMeasure, a: SubsetMask) -> tuple[Fraction, CoverSo
     return value, CoverSolution(best[1], value)
 
 
+class SolvedValues(dict):
+    """Exterior values (int numerators) by mask, solved on first lookup.
+
+    Indexes like the list of all 2**n values, for loops that visit only a
+    sample of the subsets.
+    """
+
+    def __init__(self, solver: CoverSolver[int]):
+        super().__init__()
+        self._solver = solver
+
+    def __missing__(self, bits: int) -> int:
+        value = self[bits] = self._solver.solve(bits)[0]
+        return value
+
+
 def check_outer_properties(
     qm: QuasiMeasure,
     subset_budget: int = 1 << 12,
@@ -184,8 +202,10 @@ def check_outer_properties(
 
     Quantification is exhaustive over all 2**n subsets while that fits the
     budget, otherwise over a deterministic sample drawn from the recorded
-    seed.  Agreement with the assigned coat values holds only when the
-    cover bound does, so that precondition is evaluated and recorded.
+    seed.  Exhaustive checks solve the list of all 2**n exterior values once
+    and index it; sampled checks index a ``SolvedValues`` instead.  Agreement
+    with the assigned coat values holds only when the cover bound does, so
+    that precondition is evaluated and recorded.
     """
     rb = ReportBuilder("outer-properties")
     rb.declare("endpoints", "nonnegative", "monotone", "coat-agreement", "subadditive")
@@ -194,72 +214,77 @@ def check_outer_properties(
     total = 1 << n
     solver = _make_solver(qm)
 
-    def value_of(bits: int) -> int:
-        return solver.solve(bits)[0]
-
     exhaustive = total <= subset_budget
+    v: Sequence[int] | SolvedValues
     if exhaustive:
         targets = list(range(total))
+        v = [solver.solve(bits)[0] for bits in targets]
         rb.note(f"subsets=exhaustive n={n}")
     else:
         rng = random.Random(seed)
         targets = sorted({0, ground.full_bits, *rng.sample(range(total), subset_budget)})
+        v = SolvedValues(solver)
         rb.note(f"subsets=sampled count={len(targets)} seed={seed}")
 
     for endpoint, want in ((0, 0), (ground.full_bits, qm.scale)):
-        if value_of(endpoint) != want:
-            rb.fail("endpoints", qm.witness((("set", endpoint),), value_of(endpoint), want, "eq"))
+        if v[endpoint] != want:
+            rb.fail("endpoints", qm.witness((("set", endpoint),), v[endpoint], want, "eq"))
 
     for bits in targets:
-        if value_of(bits) < 0:
-            rb.fail("nonnegative", qm.witness((("A", bits),), value_of(bits), 0, "le"))
+        if v[bits] < 0:
+            rb.fail("nonnegative", qm.witness((("A", bits),), v[bits], 0, "le"))
 
     if exhaustive:
-        for b in range(total):
-            vb = value_of(b)
+        for b in targets:
+            vb = v[b]
             a = b
             while True:  # all submasks of b, then the empty set
                 a = (a - 1) & b
-                if value_of(a) > vb:
-                    rb.fail("monotone", qm.witness((("A", a), ("B", b)), value_of(a), vb, "le"))
+                if v[a] > vb:
+                    rb.fail("monotone", qm.witness((("A", a), ("B", b)), v[a], vb, "le"))
                 if a == 0:
                     break
     else:
         for a in targets:
             for b in targets:
-                if a & ~b == 0 and value_of(a) > value_of(b):
-                    rb.fail("monotone", qm.witness((("A", a), ("B", b)), value_of(a), value_of(b), "le"))
+                if a & ~b == 0 and v[a] > v[b]:
+                    rb.fail("monotone", qm.witness((("A", a), ("B", b)), v[a], v[b], "le"))
 
     # A member covers itself, so its exterior value never exceeds its own;
     # the cover bound holds iff every member's exterior value equals it.
-    agreement = [(x, qm.numerator(x.bits), value_of(x.bits)) for x in qm.coat.members]
+    agreement = [(x, qm.numerator(x.bits), v[x.bits]) for x in qm.coat.members]
     precondition_ok = all(assigned == exterior for _, assigned, exterior in agreement)
     rb.note(f"coat-agreement precondition (cover bound): {'pass' if precondition_ok else 'fail'}")
     for x, assigned, exterior in agreement:
         rb.detail("coat-agreement",
-                  f"member {x}: assigned {qm.value(x)} exterior {Fraction(exterior, qm.scale)}")
+                  f"member {x}: assigned {qm.value(x)} exterior {qm.fraction(exterior)}")
         if exterior != assigned:
             rb.fail("coat-agreement", qm.witness((("X", x.bits),), exterior, assigned, "eq"))
 
     for a in targets:
-        va = value_of(a)
+        va = v[a]
         for b in targets:
-            if value_of(a | b) > va + value_of(b):
+            if v[a | b] > va + v[b]:
                 rb.fail("subadditive", qm.witness(
-                    (("A1", a), ("A2", b)), value_of(a | b), va + value_of(b), "le"))
+                    (("A1", a), ("A2", b)), v[a | b], va + v[b], "le"))
     if len(targets) ** 3 <= TRIPLE_BUDGET:
-        triples = [(a, b, c) for a in targets for b in targets for c in targets]
         rb.note("triples=exhaustive")
+        for a in targets:
+            va = v[a]
+            for b in targets:
+                ab, vab = a | b, va + v[b]
+                for c in targets:
+                    if v[ab | c] > vab + v[c]:
+                        rb.fail("subadditive", qm.witness(
+                            (("A1", a), ("A2", b), ("A3", c)), v[ab | c], vab + v[c], "le"))
     else:
         rng = random.Random(seed + 1)
-        triples = [
-            (rng.choice(targets), rng.choice(targets), rng.choice(targets))
-            for _ in range(TRIPLE_BUDGET // 64)
-        ]
-        rb.note(f"triples=sampled count={len(triples)} seed={seed + 1}")
-    for a, b, c in triples:
-        bound = value_of(a) + value_of(b) + value_of(c)
-        if value_of(a | b | c) > bound:
-            rb.fail("subadditive", qm.witness(
-                (("A1", a), ("A2", b), ("A3", c)), value_of(a | b | c), bound, "le"))
+        count = TRIPLE_BUDGET // 64
+        rb.note(f"triples=sampled count={count} seed={seed + 1}")
+        for _ in range(count):
+            a, b, c = rng.choice(targets), rng.choice(targets), rng.choice(targets)
+            bound = v[a] + v[b] + v[c]
+            if v[a | b | c] > bound:
+                rb.fail("subadditive", qm.witness(
+                    (("A1", a), ("A2", b), ("A3", c)), v[a | b | c], bound, "le"))
     return rb.build()

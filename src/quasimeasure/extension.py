@@ -21,14 +21,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .cover import CoverSolution, OuterMeasureCache
+from .cover import CoverSolution, OuterMeasureCache, SolvedValues
 from .quasi import ONE, QuasiMeasure
 from .report import AxiomReport, ReportBuilder, Witness
 from .sets import DEFAULT_EXHAUSTIVE_LIMIT, AlgebraFamily, BudgetExceeded, SubsetMask, generate_algebra
 
 AUDIT_LIMIT = 5  # ground sets up to this size get the all-subsets audit
+SPLIT_BUDGET = 1 << 24  # (algebra members + audit candidates) * 2**n lookups in measurable_family
 TRIPLE_BUDGET = 1 << 18  # disjoint-triple candidates checked before sampling
 
 
@@ -38,11 +39,12 @@ def is_caratheodory_measurable(
     cache: OuterMeasureCache | None = None,
     subset_budget: int = DEFAULT_EXHAUSTIVE_LIMIT,
 ) -> tuple[bool, SubsetMask | None]:
-    """Exhaustive splitting test; returns the first violating A in mask order."""
-    n = qm.ground.n
-    if (1 << n) > subset_budget:
-        raise BudgetExceeded(f"2**{n} subsets exceed budget {subset_budget}; use sample_measurability")
-    return _first_split_failure(qm, w, cache, range(1 << n))
+    """Exhaustive splitting test on the list of all 2**n exterior values.
+
+    Returns the first violating A in mask order.
+    """
+    values = _all_values(qm, cache, subset_budget)
+    return _first_split_failure(qm, w, values, range(len(values)))
 
 
 def sample_measurability(
@@ -55,19 +57,28 @@ def sample_measurability(
     """Randomized splitting test: True means "not falsified", never "measurable"."""
     rng = random.Random(seed)
     candidates = (rng.randrange(1 << qm.ground.n) for _ in range(sample_count))
-    return _first_split_failure(qm, w, cache, candidates)
+    values = SolvedValues((OuterMeasureCache() if cache is None else cache).bind(qm))
+    return _first_split_failure(qm, w, values, candidates)
+
+
+def _all_values(qm: QuasiMeasure, cache: OuterMeasureCache | None, subset_budget: int) -> list[int]:
+    """The exterior value of every subset as int numerators, indexed by mask."""
+    n = qm.ground.n
+    if (1 << n) > subset_budget:
+        raise BudgetExceeded(f"2**{n} subsets exceed budget {subset_budget}; use sample_measurability")
+    solve = (OuterMeasureCache() if cache is None else cache).bind(qm).solve
+    return [solve(a)[0] for a in range(1 << n)]
 
 
 def _first_split_failure(
-    qm: QuasiMeasure, w: SubsetMask, cache: OuterMeasureCache | None, candidates: Iterable[int]
+    qm: QuasiMeasure, w: SubsetMask, values: Sequence[int] | SolvedValues, candidates: Iterable[int]
 ) -> tuple[bool, SubsetMask | None]:
-    """Splitting test of ``w`` over int candidates A on int costs; the first failure is returned."""
+    """Splitting test of ``w`` over int candidates A on exterior values indexed by mask."""
     if w.ground != qm.ground:
         raise ValueError("candidate set belongs to a different ground set")
-    solve = (OuterMeasureCache() if cache is None else cache).bind(qm).solve
     inside, outside = w.bits, w.bits ^ qm.ground.full_bits
     for a in candidates:
-        if solve(a)[0] != solve(a & inside)[0] + solve(a & outside)[0]:
+        if values[a] != values[a & inside] + values[a & outside]:
             return False, qm.ground.mask(a)
     return True, None
 
@@ -98,15 +109,29 @@ class MeasurabilityReport:
 
 
 def measurable_family(qm: QuasiMeasure, cache: OuterMeasureCache | None = None) -> MeasurabilityReport:
-    shared = OuterMeasureCache() if cache is None else cache
+    """Exhaustive splitting tests of every algebra member and audit candidate.
+
+    The 2**n exterior values are solved once, through ``cache`` when given,
+    and every test indexes that list.  The tests together read
+    (members + audit candidates) * 2**n values; past ``SPLIT_BUDGET`` the
+    call refuses with ``BudgetExceeded`` before solving anything.
+    """
+    n = qm.ground.n
+    algebra = generate_algebra(qm.coat)
+    audit = list(qm.ground.all_subsets()) if n <= AUDIT_LIMIT else []
+    work = (len(algebra) + len(audit)) << n
+    if work > SPLIT_BUDGET:
+        raise BudgetExceeded(
+            f"{len(algebra)} algebra members and {len(audit)} audit candidates by 2**{n} subsets"
+            f" make {work} splitting lookups, over SPLIT_BUDGET={SPLIT_BUDGET}")
+    values = _all_values(qm, cache, DEFAULT_EXHAUSTIVE_LIMIT)
+    subsets = range(1 << n)
 
     def records(candidates: Iterable[SubsetMask]) -> tuple[MeasurabilityRecord, ...]:
-        return tuple(MeasurabilityRecord(w, *is_caratheodory_measurable(qm, w, shared))
+        return tuple(MeasurabilityRecord(w, *_first_split_failure(qm, w, values, subsets))
                      for w in candidates)
 
-    tested = records(generate_algebra(qm.coat))
-    audit = records(qm.ground.all_subsets()) if qm.ground.n <= AUDIT_LIMIT else ()
-    return MeasurabilityReport(tested, audit)
+    return MeasurabilityReport(records(algebra), records(audit))
 
 
 @dataclass(frozen=True, eq=False)

@@ -79,14 +79,27 @@ class QuasiMeasure:
         """The value of the refinement member with these bits, times ``scale``."""
         return self._numerators[bits]  # type: ignore[attr-defined]
 
+    def fraction(self, numerator: int) -> Fraction:
+        """``numerator / scale``, reusing the stored ``Fraction`` of a value with this numerator.
+
+        Only sums of values need a new ``Fraction``; with large denominators
+        its normalization dominates a report.
+        """
+        stored = self.__dict__.get("_fractions")
+        if stored is None:
+            stored = {self.numerator(m.bits): v for m, v in self.values.items()}
+            object.__setattr__(self, "_fractions", stored)
+        value = stored.get(numerator)
+        return Fraction(numerator, self.scale) if value is None else value
+
     def witness(self, roles: Iterable[tuple[str, int]], lhs: int, rhs: int | None,
                 relation: str, note: str = "") -> Witness:
         """A report witness from role bits and numerators; coat members reuse the coat's masks."""
         coat_masks = self._coat_masks  # type: ignore[attr-defined]
         sets = tuple((role, coat_masks[bits] if bits in coat_masks else self.ground.mask(bits))
                      for role, bits in roles)
-        return Witness(sets, Fraction(lhs, self.scale),
-                       None if rhs is None else Fraction(rhs, self.scale), relation, note)
+        return Witness(sets, self.fraction(lhs),
+                       None if rhs is None else self.fraction(rhs), relation, note)
 
 
 def subcollection_table(
@@ -193,8 +206,8 @@ def _checked_pairs(rb: ReportBuilder, qm: QuasiMeasure) -> list[tuple[int, int, 
             if vx != vmeet + vdiff:
                 rb.fail("splitting", qm.witness(
                     (("X", x), ("Y", y)), vx, vmeet + vdiff, "eq",
-                    f"meet {qm.ground.mask(meet)} has value {Fraction(vmeet, qm.scale)},"
-                    f" difference {qm.ground.mask(diff)} has value {Fraction(vdiff, qm.scale)}",
+                    f"meet {qm.ground.mask(meet)} has value {qm.fraction(vmeet)},"
+                    f" difference {qm.ground.mask(diff)} has value {qm.fraction(vdiff)}",
                 ))
             pairs.append((x, y, meet, diff, vmeet, vdiff))
     return pairs

@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasimeasure import (
     Coat,
@@ -18,6 +20,8 @@ from quasimeasure import (
     induce,
     instance_io,
     instance_spec_from,
+    perturb,
+    random_algebra_instance,
     random_instance,
 )
 from quasimeasure.cli import main
@@ -188,11 +192,21 @@ class TestParsing:
 
 
 class TestRoundTrip:
-    def test_generated_instances_roundtrip(self):
-        for seed in range(25):
-            _, _, qm = random_instance(seed, n=2 + seed % 4, coat_size=2 + seed % 6)
-            spec = instance_spec_from(qm, seed=seed)
-            assert parse_instance(render_instance(spec)) == spec
+    @settings(max_examples=60)
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.sampled_from(("random", "algebra", "perturbed")))
+    def test_generated_instances_roundtrip(self, seed, n, style):
+        if style == "algebra":
+            qm = random_algebra_instance(seed, n=n)[2]
+        else:
+            qm = random_instance(seed, n=n, coat_size=2 + seed % 8)[2]
+            if style == "perturbed":
+                qm = perturb(qm, seed + 1, max_changes=4)
+        spec = instance_spec_from(qm, seed=seed)
+        parsed = parse_instance(render_instance(spec))
+        assert parsed == spec
+        _, coat, rebuilt = parsed.build()
+        assert coat.member_bits() == qm.coat.member_bits()
+        assert rebuilt.values == qm.values
 
     def test_rendered_instance_rebuilds_same_values(self):
         _, _, qm = canonical_negative_instance()

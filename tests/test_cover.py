@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasimeasure import (
     Coat,
@@ -11,10 +14,12 @@ from quasimeasure import (
     outer,
     outer_exhaustive,
     perturb,
+    random_algebra_instance,
     random_instance,
 )
-from quasimeasure.cover import CoverSolver
+from quasimeasure.cover import TRIPLE_BUDGET, CoverSolver, _make_solver
 from quasimeasure.quasi import cover_bound_violations
+from quasimeasure.report import ReportBuilder
 
 
 class TestOuter:
@@ -230,3 +235,150 @@ class TestOuterProperties:
                 found = True
                 break
         assert found
+
+
+def reference_check_outer_properties(qm, subset_budget=1 << 12, seed=0):
+    """``check_outer_properties`` with one solver call per value lookup, kept as its oracle."""
+    rb = ReportBuilder("outer-properties")
+    rb.declare("endpoints", "nonnegative", "monotone", "coat-agreement", "subadditive")
+    ground = qm.ground
+    n = ground.n
+    total = 1 << n
+    solver = _make_solver(qm)
+
+    def value_of(bits):
+        return solver.solve(bits)[0]
+
+    exhaustive = total <= subset_budget
+    if exhaustive:
+        targets = list(range(total))
+        rb.note(f"subsets=exhaustive n={n}")
+    else:
+        rng = random.Random(seed)
+        targets = sorted({0, ground.full_bits, *rng.sample(range(total), subset_budget)})
+        rb.note(f"subsets=sampled count={len(targets)} seed={seed}")
+
+    for endpoint, want in ((0, 0), (ground.full_bits, qm.scale)):
+        if value_of(endpoint) != want:
+            rb.fail("endpoints", qm.witness((("set", endpoint),), value_of(endpoint), want, "eq"))
+
+    for bits in targets:
+        if value_of(bits) < 0:
+            rb.fail("nonnegative", qm.witness((("A", bits),), value_of(bits), 0, "le"))
+
+    if exhaustive:
+        for b in range(total):
+            vb = value_of(b)
+            a = b
+            while True:
+                a = (a - 1) & b
+                if value_of(a) > vb:
+                    rb.fail("monotone", qm.witness((("A", a), ("B", b)), value_of(a), vb, "le"))
+                if a == 0:
+                    break
+    else:
+        for a in targets:
+            for b in targets:
+                if a & ~b == 0 and value_of(a) > value_of(b):
+                    rb.fail("monotone", qm.witness((("A", a), ("B", b)), value_of(a), value_of(b), "le"))
+
+    agreement = [(x, qm.numerator(x.bits), value_of(x.bits)) for x in qm.coat.members]
+    precondition_ok = all(assigned == exterior for _, assigned, exterior in agreement)
+    rb.note(f"coat-agreement precondition (cover bound): {'pass' if precondition_ok else 'fail'}")
+    for x, assigned, exterior in agreement:
+        rb.detail("coat-agreement",
+                  f"member {x}: assigned {qm.value(x)} exterior {Fraction(exterior, qm.scale)}")
+        if exterior != assigned:
+            rb.fail("coat-agreement", qm.witness((("X", x.bits),), exterior, assigned, "eq"))
+
+    for a in targets:
+        va = value_of(a)
+        for b in targets:
+            if value_of(a | b) > va + value_of(b):
+                rb.fail("subadditive", qm.witness(
+                    (("A1", a), ("A2", b)), value_of(a | b), va + value_of(b), "le"))
+    if len(targets) ** 3 <= TRIPLE_BUDGET:
+        triples = [(a, b, c) for a in targets for b in targets for c in targets]
+        rb.note("triples=exhaustive")
+    else:
+        rng = random.Random(seed + 1)
+        triples = [
+            (rng.choice(targets), rng.choice(targets), rng.choice(targets))
+            for _ in range(TRIPLE_BUDGET // 64)
+        ]
+        rb.note(f"triples=sampled count={len(triples)} seed={seed + 1}")
+    for a, b, c in triples:
+        bound = value_of(a) + value_of(b) + value_of(c)
+        if value_of(a | b | c) > bound:
+            rb.fail("subadditive", qm.witness(
+                (("A1", a), ("A2", b), ("A3", c)), value_of(a | b | c), bound, "le"))
+    return rb.build()
+
+
+@st.composite
+def audit_instances(draw, n):
+    """Random, partition-algebra or perturbed instances on ``n`` elements."""
+    seed = draw(st.integers(0, 10**6))
+    style = draw(st.sampled_from(("random", "algebra", "perturbed")))
+    if style == "algebra":
+        return random_algebra_instance(seed, n=n)[2]
+    qm = random_instance(seed, n=n, coat_size=draw(st.integers(2, 10)))[2]
+    return qm if style == "random" else perturb(qm, seed + 1, max_changes=draw(st.integers(1, 6)))
+
+
+def report_lines(report):
+    """The report's repr, one line per note, check, detail and witness."""
+    lines = [report.suite, *report.notes]
+    for r in report.results:
+        lines += [f"{r.name} passed={r.passed}", *r.details, *map(repr, r.witnesses)]
+    return lines
+
+
+def assert_outer_properties_match(qm, **kwargs):
+    # Compared as lists of lines: a failing comparison of two long reprs would
+    # make pytest diff them character by character.
+    got = check_outer_properties(qm, **kwargs)
+    assert report_lines(got) == report_lines(reference_check_outer_properties(qm, **kwargs))
+    return got
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 6).flatmap(audit_instances))
+def test_outer_properties_exhaustive_agree_with_reference(qm):
+    report = assert_outer_properties_match(qm)
+    assert f"subsets=exhaustive n={qm.ground.n}" in report.notes and "triples=exhaustive" in report.notes
+
+
+@settings(max_examples=6)
+@given(audit_instances(7), st.integers(0, 100))
+def test_outer_properties_sampled_triples_agree_with_reference(qm, seed):
+    report = assert_outer_properties_match(qm, seed=seed)
+    assert "subsets=exhaustive n=7" in report.notes
+    assert f"triples=sampled count={TRIPLE_BUDGET // 64} seed={seed + 1}" in report.notes
+
+
+@settings(max_examples=40)
+@given(st.integers(3, 8).flatmap(audit_instances), st.integers(1, 40), st.integers(0, 100))
+def test_outer_properties_sampled_subsets_agree_with_reference(qm, budget, seed):
+    budget = min(budget, (1 << qm.ground.n) - 1)
+    report = assert_outer_properties_match(qm, subset_budget=budget, seed=seed)
+    assert any(note.startswith("subsets=sampled") for note in report.notes)
+
+
+@pytest.mark.parametrize("n, kwargs", [(4, {}), (7, {"seed": 3}), (6, {"subset_budget": 9, "seed": 2})],
+                         ids=["exhaustive", "sampled-triples", "sampled-subsets"])
+def test_outer_properties_failure_paths_agree_with_reference(monkeypatch, n, kwargs):
+    # A real minimum cover never fails these checks; a scrambled value function
+    # that is negative somewhere, not monotone and not subadditive reaches every
+    # failure branch, so the reference pins its witnesses, their order and sides.
+    def scrambled(self, bits):
+        return random.Random(bits).randint(-2, 6), ()
+
+    _, _, qm = random_instance(n, n=n, coat_size=5)
+    monkeypatch.setattr(CoverSolver, "solve", scrambled)
+    report = assert_outer_properties_match(qm, **kwargs)
+    for name in ("endpoints", "nonnegative", "monotone", "coat-agreement", "subadditive"):
+        assert not report.result(name).passed, name
+    triples = [w for w in report.result("subadditive").witnesses if len(w.sets) == 3]
+    assert triples and triples[0].rhs == sum(
+        Fraction(scrambled(None, m.bits)[0], qm.scale) for _, m in triples[0].sets)

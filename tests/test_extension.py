@@ -11,19 +11,24 @@ from hypothesis import strategies as st
 from quasimeasure import (
     Coat,
     GroundSet,
+    MeasurabilityReport,
     MeasureTable,
     OuterMeasureCache,
+    TrueMeasure,
     check_axioms,
     extend,
     extension,
     generate_algebra,
+    induce,
     is_caratheodory_measurable,
     measurable_family,
     outer_exhaustive,
+    perturb,
     sample_measurability,
     verify_premeasure,
 )
-from quasimeasure.extension import TRIPLE_BUDGET
+from quasimeasure.cover import CoverSolver
+from quasimeasure.extension import AUDIT_LIMIT, SPLIT_BUDGET, TRIPLE_BUDGET, MeasurabilityRecord
 from quasimeasure.quasi import ONE, ZERO, cover_bound_violations
 from quasimeasure.report import ReportBuilder, Witness
 from quasimeasure.sets import BudgetExceeded
@@ -128,6 +133,69 @@ class TestMeasurability:
             assert report.all_algebra_measurable, seed
             checked += 1
         assert checked >= 20
+
+
+def reference_split_failure(qm, w, solve, candidates):
+    """The splitting test with one solver call per value lookup, kept as the oracle."""
+    inside, outside = w.bits, w.bits ^ qm.ground.full_bits
+    for a in candidates:
+        if solve(a)[0] != solve(a & inside)[0] + solve(a & outside)[0]:
+            return False, qm.ground.mask(a)
+    return True, None
+
+
+def singleton_coat_instance(n):
+    """Uniform weights with coat {empty, omega, {1}, ..., {n}}: the algebra is all 2**n subsets."""
+    ground = GroundSet(tuple(str(i + 1) for i in range(n)))
+    coat = Coat.from_bits(ground, [0, ground.full_bits, *(1 << i for i in range(n))])
+    return induce(TrueMeasure.uniform(ground), coat)
+
+
+class TestMeasurabilityOracle:
+    def test_splitting_tests_agree_with_per_lookup_reference(self):
+        non_measurable = 0
+        for seed in range(40):
+            n = 1 + seed % 5
+            qm = random_instance(seed, n=n, coat_size=3 + seed % 6)[2]
+            if seed % 2:
+                qm = perturb(qm, seed + 900, max_changes=3)
+            solve = OuterMeasureCache().bind(qm).solve
+            subsets = range(1 << n)
+
+            def want(candidates):
+                return tuple(MeasurabilityRecord(w, *reference_split_failure(qm, w, solve, subsets))
+                             for w in candidates)
+
+            cache = OuterMeasureCache()
+            report = measurable_family(qm, cache)
+            assert n <= AUDIT_LIMIT
+            assert report == MeasurabilityReport(want(generate_algebra(qm.coat)),
+                                                 want(qm.ground.all_subsets()))
+            assert set(subsets) <= set(cache.bind(qm)._memo)  # the caller's cache filled
+            non_measurable += sum(not r.measurable for r in report.algebra)
+            for record in report.audit:
+                w = record.candidate
+                assert is_caratheodory_measurable(qm, w) == (record.measurable, record.counterexample)
+                draws = random.Random(seed)
+                sampled = [draws.randrange(1 << n) for _ in range(12)]
+                assert (sample_measurability(qm, w, 12, seed, cache)
+                        == reference_split_failure(qm, w, solve, sampled))
+        assert non_measurable > 0
+
+    def test_split_budget_admits_an_n10_singleton_coat(self):
+        report = measurable_family(singleton_coat_instance(10))
+        assert len(report.algebra) == 1 << 10 and report.all_algebra_measurable
+        assert report.audit == ()
+
+    def test_split_budget_refuses_an_n16_singleton_coat_before_solving(self, monkeypatch):
+        qm = singleton_coat_instance(16)
+
+        def refuse(self, bits):
+            raise AssertionError("solved past the budget")
+
+        monkeypatch.setattr(CoverSolver, "solve", refuse)
+        with pytest.raises(BudgetExceeded, match=f"SPLIT_BUDGET={SPLIT_BUDGET}"):
+            measurable_family(qm)
 
 
 class TestExtend:

@@ -384,6 +384,17 @@ def test_large_denominators_agree_with_references():
         assert outer(qm, target, cache) == outer_exhaustive(qm, target)
 
 
+def test_fraction_reuses_stored_values_and_builds_sums():
+    qm = large_denominator_instance(1)
+    stored = list(qm.values.values())
+    for m, value in qm.values.items():
+        got = qm.fraction(qm.numerator(m.bits))
+        assert got == value and any(got is v for v in stored)
+    total = sum(qm.numerator(m.bits) for m in qm.refinement.members)
+    assert qm.fraction(total) == Fraction(total, qm.scale)
+    assert qm.fraction(-1) == Fraction(-1, qm.scale)
+
+
 def test_scale_is_the_lcm_of_the_value_denominators(negative_instance):
     _, _, qm = negative_instance
     assert qm.scale == 4
