@@ -24,6 +24,7 @@ import sys
 import traceback
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 from .cover import outer
 from .extension import extend, verify_premeasure
@@ -37,7 +38,7 @@ from .instance_io import (
 from .intervals import verify_example_axioms
 from .quasi import QuasiMeasure, check_axioms
 from .report import AxiomReport
-from .sets import BudgetExceeded, Coat, SubsetMask
+from .sets import BudgetExceeded, SubsetMask
 from .testkit import search_instances
 
 DEFAULT_MAX_N = 16
@@ -79,13 +80,16 @@ def _check_records(report: AxiomReport) -> list[dict]:
 
 
 def _cover_record(kind: str, target: SubsetMask, value: Fraction, chosen: tuple[int, ...],
-                  coat: Coat) -> dict:
-    """An ``outer`` or ``table`` record: a set, its exterior value and its optimal cover."""
+                  names: Sequence[str]) -> dict:
+    """An ``outer`` or ``table`` record: a set, its exterior value and its optimal cover.
+
+    ``names[i]`` is the text of coat member i, formatted once per run.
+    """
     return {
         "record": kind,
         "target" if kind == "outer" else "set": str(target),
         "value": format_rational(value),
-        "cover": " ".join(str(coat.members[i]) for i in chosen),
+        "cover": " ".join(names[i] for i in chosen),
         "indices": " ".join(str(i) for i in chosen),
     }
 
@@ -155,13 +159,15 @@ def _run_outer(args: argparse.Namespace) -> _Outcome:
     spec, qm = _load_instance(args)
     target = resolve_target(args.target, spec.names(), qm.ground)
     value, solution = outer(qm, target)
-    return [_cover_record("outer", target, value, solution.chosen, qm.coat)], "outer", True
+    names = [str(m) for m in qm.coat.members]
+    return [_cover_record("outer", target, value, solution.chosen, names)], "outer", True
 
 
 def _run_extend(args: argparse.Namespace) -> _Outcome:
     _, qm = _load_instance(args)
     table = extend(qm)
-    records = [_cover_record("table", member, value, chosen, qm.coat)
+    names = [str(m) for m in qm.coat.members]
+    records = [_cover_record("table", member, value, chosen, names)
                for member, value, chosen in zip(table.algebra, table.values, table.covers)]
     report = verify_premeasure(table)
     return records + _check_records(report), report.suite, report.passed

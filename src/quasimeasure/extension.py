@@ -15,13 +15,15 @@ subsets.  The sampling variant can only report "not falsified", never
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cover import CoverSolution, OuterMeasureCache, SolvedValues
 from .quasi import ONE, QuasiMeasure
@@ -204,6 +206,8 @@ def verify_premeasure(table: MeasureTable) -> AxiomReport:
     Member i of the algebra is the union of the atoms in the bits of i, so
     members i, j are disjoint iff ``i & j == 0``, with union member ``i | j``.
     Values are compared as the table's int numerators over its ``scale``.
+    Each failure is kept as its member indices packed into one int, and its
+    witness is built only when the report's witness sequence is read.
     """
     rb = ReportBuilder("premeasure")
     rb.declare("endpoints", "nonnegative", "pair-additivity", "triple-additivity")
@@ -212,40 +216,81 @@ def verify_premeasure(table: MeasureTable) -> AxiomReport:
     # The table holds the empty set at 0 and every value in [0, 1], so only
     # the omega endpoint can fail and "nonnegative" always passes.
     if nums[-1] != scale:
-        rb.fail("endpoints", Witness((("set", members[-1]),), table.values[-1], ONE, "eq"))
+        rb.fail("endpoints", Witness((("set", members[-1]),), Fraction(nums[-1], scale), ONE, "eq"))
 
     size = len(members)
-    pair_failed = False
+    shift = (size - 1).bit_length()  # a finite algebra has 2**shift members
+    low = size - 1
+    pairs = array("q")
     for i in range(size):
         # j runs in ascending order over the members above i and disjoint from
         # it, the submasks of rest from the first bit past i's top bit on.
-        rest = (size - 1) ^ i
+        rest = low ^ i
         j = 1 << i.bit_length()
+        high = i << shift
         while j & rest:
-            want = nums[i] + nums[j]
-            if nums[i | j] != want:
-                pair_failed = True
-                rb.fail("pair-additivity", Witness((("E1", members[i]), ("E2", members[j])),
-                                                   table.values[i | j], Fraction(want, scale), "eq"))
+            if nums[i | j] != nums[i] + nums[j]:
+                pairs.append(high | j)
             j = (j - rest) & rest
+    rb.fail_each("pair-additivity", pairs, functools.partial(_pair_witness, table))
 
     # Additive pairs make additive triples, since i | j is a member disjoint
     # from k, so only a failed pair can leave a triple to report.
     exhaustive = size * (size - 1) * (size - 2) // 6 <= TRIPLE_BUDGET
     rb.note("triples=exhaustive" if exhaustive
             else f"triples=sampled budget={TRIPLE_BUDGET // 8} seed=0")
-    triples: Iterable[tuple[int, ...]] = ()
-    if pair_failed and exhaustive:
+    triples: Iterable[tuple[int, int, int]] = ()
+    if pairs and exhaustive:
         triples = itertools.combinations(range(size), 3)
-    elif pair_failed:
-        rng = random.Random(0)
-        triples = (tuple(rng.sample(range(size), 3)) for _ in range(TRIPLE_BUDGET // 8))
+    elif pairs:
+        triples = _sampled_triples(random.Random(0), size, TRIPLE_BUDGET // 8)
+    failed = array("q")
     for i, j, k in triples:
         if i & j or i & k or j & k:
             continue
-        want = nums[i] + nums[j] + nums[k]
-        if nums[i | j | k] != want:
-            rb.fail("triple-additivity", Witness(
-                (("E1", members[i]), ("E2", members[j]), ("E3", members[k])),
-                table.values[i | j | k], Fraction(want, scale), "eq"))
+        if nums[i | j | k] != nums[i] + nums[j] + nums[k]:
+            failed.append((i << shift | j) << shift | k)
+    rb.fail_each("triple-additivity", failed, functools.partial(_triple_witness, table))
     return rb.build()
+
+
+def _pair_witness(table: MeasureTable, record: int) -> Witness:
+    """The witness of the failed pair ``verify_premeasure`` packed as ``i << shift | j``."""
+    shift = (len(table.numerators) - 1).bit_length()
+    i, j = record >> shift, record & ((1 << shift) - 1)
+    members, nums = table.algebra.members, table.numerators
+    return Witness((("E1", members[i]), ("E2", members[j])), table.values[i | j],
+                   Fraction(nums[i] + nums[j], table.scale), "eq")
+
+
+def _triple_witness(table: MeasureTable, record: int) -> Witness:
+    """The witness of the failed triple packed as ``(i << shift | j) << shift | k``."""
+    shift = (len(table.numerators) - 1).bit_length()
+    low = (1 << shift) - 1
+    i, j, k = record >> 2 * shift, record >> shift & low, record & low
+    members, nums = table.algebra.members, table.numerators
+    return Witness((("E1", members[i]), ("E2", members[j]), ("E3", members[k])), table.values[i | j | k],
+                   Fraction(nums[i] + nums[j] + nums[k], table.scale), "eq")
+
+
+def _sampled_triples(rng: random.Random, size: int, count: int) -> Iterator[tuple[int, int, int]]:
+    """The triples of ``count`` calls of ``rng.sample(range(size), 3)``, for ``size > 21``.
+
+    Above 21 items, ``sample`` draws 3 indices through ``_randbelow``, which
+    draws ``getrandbits(size.bit_length())`` again while the value is at
+    least ``size``, and it draws again an index it already took.  This makes
+    the same ``getrandbits`` calls without the per-sample list, set and range.
+    """
+    bits = size.bit_length()
+    draw = rng.getrandbits
+    for _ in range(count):
+        i = draw(bits)
+        while i >= size:
+            i = draw(bits)
+        j = draw(bits)
+        while j >= size or j == i:
+            j = draw(bits)
+        k = draw(bits)
+        while k >= size or k == i or k == j:
+            k = draw(bits)
+        yield i, j, k

@@ -4,10 +4,16 @@ Every verification operation in this package returns an ``AxiomReport``:
 an ordered list of named checks, each pass/fail, and for each failure a
 witness carrying the sets involved and both sides of the violated relation.
 Failures are reported, never raised.
+
+A check's ``witnesses`` is a sequence whose ``len`` is its violation count.
+Checks that can fail many times keep each failure as a compact int record
+and build its ``Witness`` only when that item is read; the sequence still
+compares, hashes and prints as the tuple of its witnesses.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -47,13 +53,50 @@ class Witness:
         return " ".join(str(p) for p in parts)
 
 
+class WitnessRecords(Sequence[Witness]):
+    """Failures kept as int records; item i is ``make(records[i])``, built on access.
+
+    ``len`` is the violation count.  Equality, hash and repr are those of the
+    tuple of all the witnesses, so a report reads the same as one built from
+    ``Witness`` objects; a slice is a tuple of built witnesses.
+    """
+
+    __slots__ = ("_records", "_make")
+
+    def __init__(self, records: Sequence[int], make: Callable[[int], Witness]):
+        self._records = records
+        self._make = make
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index: int | slice) -> Witness | tuple[Witness, ...]:
+        if isinstance(index, slice):
+            return tuple(map(self._make, self._records[index]))
+        return self._make(self._records[index])
+
+    def __iter__(self) -> Iterator[Witness]:
+        return map(self._make, self._records)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, WitnessRecords)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of a single named check."""
 
     name: str
     passed: bool
-    witnesses: tuple[Witness, ...] = ()
+    witnesses: tuple[Witness, ...] | WitnessRecords = ()
     details: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -89,7 +132,7 @@ class ReportBuilder:
     def __init__(self, suite: str):
         self.suite = suite
         self._order: list[str] = []
-        self._witnesses: dict[str, list[Witness]] = {}
+        self._witnesses: dict[str, list[Witness] | WitnessRecords] = {}
         self._details: dict[str, list[str]] = {}
         self._notes: list[str] = []
 
@@ -104,6 +147,14 @@ class ReportBuilder:
         self.declare(name)
         self._witnesses[name].append(witness)
 
+    def fail_each(self, name: str, records: Sequence[int], make: Callable[[int], Witness]) -> None:
+        """Record one failure per int in ``records``; ``make`` builds a witness when it is read."""
+        self.declare(name)
+        if self._witnesses[name]:
+            raise ValueError(f"check {name!r} already holds witnesses")
+        if records:
+            self._witnesses[name] = WitnessRecords(records, make)
+
     def detail(self, name: str, text: str) -> None:
         self.declare(name)
         self._details[name].append(text)
@@ -112,13 +163,11 @@ class ReportBuilder:
         self._notes.append(text)
 
     def build(self) -> AxiomReport:
-        results = tuple(
-            CheckResult(
-                name,
-                passed=not self._witnesses[name],
-                witnesses=tuple(self._witnesses[name]),
-                details=tuple(self._details[name]),
-            )
-            for name in self._order
-        )
-        return AxiomReport(self.suite, results, tuple(self._notes))
+        results = []
+        for name in self._order:
+            witnesses = self._witnesses[name]
+            if isinstance(witnesses, list):
+                witnesses = tuple(witnesses)
+            results.append(CheckResult(name, passed=not witnesses, witnesses=witnesses,
+                                       details=tuple(self._details[name])))
+        return AxiomReport(self.suite, tuple(results), tuple(self._notes))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -289,6 +290,7 @@ class TestVerifyPremeasure:
         assert witness.set_named("E2") == ground.subset(["2"])
         assert witness.lhs == Fraction(1, 2)
         assert witness.rhs == Fraction(1)
+        assert pickle.loads(pickle.dumps(report)) == report
 
     def test_trivial_table_passes(self, trivial_instance):
         _, _, qm = trivial_instance
@@ -470,3 +472,47 @@ def test_verify_premeasure_agrees_with_reference_on_extend_tables():
     for seed in range(6):
         _, _, qm = random_instance(seed, n=3 + seed % 4, coat_size=4 + seed % 5)
         assert_same_report(extend(qm))
+
+
+@pytest.mark.parametrize("size", [128, 1024, 65536])
+def test_sampled_triples_are_the_draws_of_random_sample(size):
+    # The sampled branch only sees algebras of 2**m >= 128 members.
+    count = TRIPLE_BUDGET // 8
+    rng = random.Random(0)
+    want = [tuple(rng.sample(range(size), 3)) for _ in range(count)]
+    assert list(extension._sampled_triples(random.Random(0), size, count)) == want
+
+
+def eager_pair_witnesses(table):
+    """Every pair-additivity witness, built up front as one tuple."""
+    members, values = table.algebra.members, table.values
+    size = len(members)
+    return tuple(Witness((("E1", members[i]), ("E2", members[j])), values[i | j], values[i] + values[j], "eq")
+                 for i in range(size) for j in range(i + 1, size)
+                 if not i & j and values[i | j] != values[i] + values[j])
+
+
+def test_failing_table_builds_witnesses_on_access(monkeypatch):
+    _, _, qm = random_instance(1, n=10, coat_size=12)
+    table = extend(qm)
+    built = []
+
+    def counting_witness(*args, **kwargs):
+        built.append(Witness(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(extension, "Witness", counting_witness)
+    pairs = verify_premeasure(table).result("pair-additivity").witnesses
+    assert built == []
+    first = pairs[0]
+    assert built == [first]
+
+    eager = eager_pair_witnesses(table)
+    assert len(pairs) == len(eager) > 1000
+    assert pairs[0] == eager[0] and pairs[-1] == eager[-1] and pairs[500] == eager[500]
+    assert pairs[3:9] == eager[3:9] and pairs[-4:] == eager[-4:] and pairs[::97] == eager[::97]
+    assert tuple(pairs) == eager
+    assert pairs == eager and eager == pairs
+    assert pairs != eager[:-1] and eager[1:] != pairs
+    assert hash(pairs) == hash(eager)
+    assert repr(pairs) == repr(eager)

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasimeasure import (
@@ -359,6 +359,15 @@ def perturbed_instances(draw):
 @given(perturbed_instances())
 def test_integer_checks_agree_with_fraction_references(qm):
     assert_matches_references(qm)
+
+
+@settings(max_examples=150)
+@given(perturbed_instances())
+def test_alt_conditions_imply_restricted_axioms(qm):
+    # The implication criterion 6 and the survey rely on, on instances the
+    # seeded corpus does not reach.
+    assume(check_alt_conditions(qm).passed)
+    assert check_axioms(qm, variant="restricted", cover_mode="all").passed
 
 
 def large_denominator_instance(seed, bits=3000):
