@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .quasi import ONE, ZERO, QuasiMeasure
+from .quasi import QuasiMeasure
 from .sets import Coat, GroundSet, SubsetMask, refine
 
 RESERVED_NAMES = ("empty", "omega")
@@ -57,10 +57,9 @@ def parse_rational(text: str, line: int | None = None) -> Fraction:
         raise ParseError(f"rational too long: {exc}", line) from None
     if den == 0:
         raise ParseError(f"zero denominator in {text!r}", line)
-    value = Fraction(num, den)
-    if not ZERO <= value <= ONE:
+    if not 0 <= num <= den:
         raise ParseError(f"value outside [0,1]: {text}", line)
-    return value
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
@@ -74,7 +73,15 @@ def resolve_expression(
     line: int | None = None,
 ) -> SubsetMask:
     """Intersect named sets and complements: ``A&!B`` is A minus B."""
-    result = ground.full()
+    if any(mask.ground != ground for mask in names.values()):
+        raise ValueError("masks belong to different ground sets")
+    bits = {name: mask.bits for name, mask in names.items()}
+    return ground.mask(_expression_bits(text, bits, ground.full_bits, line))
+
+
+def _expression_bits(text: str, names: Mapping[str, int], full: int, line: int | None) -> int:
+    """``resolve_expression`` on int masks: ``names`` maps set names to their bits."""
+    result = full
     for offset, part in _split_expression(text, line):
         negate = part.startswith("!")
         name = part[1:] if negate else part
@@ -82,8 +89,7 @@ def resolve_expression(
             raise ParseError("empty operand in expression", line, offset + 1)
         if name not in names:
             raise ParseError(f"unknown set name {name!r}", line, offset + 1)
-        mask = names[name]
-        result = result & (mask.complement() if negate else mask)
+        result &= names[name] ^ full if negate else names[name]
     return result
 
 
@@ -150,21 +156,24 @@ class InstanceSpec:
         names = self.names()
         coat = Coat(ground, tuple(names[n] for n in self.coat_names))
         refinement = refine(coat)
-        values: dict[SubsetMask, Fraction] = {}
+        member_of = {m.bits: m for m in refinement.members}
+        name_bits = {name: mask.bits for name, mask in names.items()}
+        by_bits: dict[int, Fraction] = {}
         for expr, value in self.values:
-            mask = resolve_expression(expr, names, ground)
-            if mask not in refinement:
+            bits = _expression_bits(expr, name_bits, ground.full_bits, None)
+            if bits not in member_of:
                 raise ParseError(f"value assigned to a set outside the refinement: {expr!r}")
-            if mask in values and values[mask] != value:
+            if bits in by_bits and by_bits[bits] != value:
                 raise ParseError(
-                    f"conflicting values for {expr!r}: {format_rational(values[mask])}"
+                    f"conflicting values for {expr!r}: {format_rational(by_bits[bits])}"
                     f" vs {format_rational(value)}"
                 )
-            values[mask] = value
-        missing = [m for m in refinement.members if m not in values]
+            by_bits[bits] = value
+        missing = [m for m in refinement.members if m.bits not in by_bits]
         if missing:
             rendered = " ".join(str(m) for m in missing)
             raise ParseError(f"missing values for refinement members: {rendered}")
+        values = {member_of[bits]: value for bits, value in by_bits.items()}
         built = ground, coat, QuasiMeasure(coat, refinement, values)
         # Not a field: equality, hashing and rendering see only the document.
         object.__setattr__(self, "_built", built)

@@ -44,27 +44,28 @@ class QuasiMeasure:
     scale: int = field(init=False)
 
     def __post_init__(self) -> None:
-        domain = set(self.values)
-        members = set(self.refinement.members)
-        if domain != members:
-            missing = members - domain
-            extra = domain - members
+        values, members = self.values, self.refinement.members
+        if len(values) != len(members) or not all(m in values for m in members):
+            missing = set(members) - set(values)
+            extra = set(values) - set(members)
             raise ValueError(
                 f"values must cover the refinement exactly; missing={sorted(str(m) for m in missing)}"
                 f" extra={sorted(str(m) for m in extra)}"
             )
-        for mask, value in self.values.items():
-            if not ZERO <= value <= ONE:
+        for mask, value in values.items():
+            # A Fraction is checked on its ints; other numbers (ints, floats) by comparison.
+            if not (0 <= value.numerator <= value.denominator if type(value) is Fraction
+                    else ZERO <= value <= ONE):
                 raise ValueError(f"value of {mask} outside [0,1]: {value}")
         ground = self.coat.ground
-        if self.values[ground.empty()] != ZERO:
+        if values[ground.empty()] != ZERO:
             raise ValueError("value of the empty set must be 0")
-        if self.values[ground.full()] != ONE:
+        if values[ground.full()] != ONE:
             raise ValueError("value of omega must be 1")
-        scale = math.lcm(*(v.denominator for v in self.values.values()))
+        scale = math.lcm(*(v.denominator for v in values.values()))
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_numerators", {
-            m.bits: v.numerator * (scale // v.denominator) for m, v in self.values.items()
+            m.bits: v.numerator * (scale // v.denominator) for m, v in values.items()
         })
         object.__setattr__(self, "_coat_masks", {m.bits: m for m in self.coat.members})
 

@@ -1,14 +1,16 @@
 """Finite ground sets, subset masks, coats, refinements, and generated algebras.
 
 Subsets are stored positionally: bit i of a mask is element i of the owning
-ground set.  All values here are immutable after construction and every
-operation is a pure function, so everything in this module is safe to share
-across threads without coordination.
+ground set.  All values here are immutable after construction (a refinement
+fills in its provenance once, on first read, with the same value in any
+thread) and every operation is a pure function, so everything in this module
+is safe to share across threads without coordination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 MAX_GROUND_SIZE = 24
@@ -182,12 +184,11 @@ class Refinement:
 
     Deduplication is by mask value, never by formal expression, so a value
     attached to a member is automatically well-defined on the underlying set.
-    All derivations of each member are retained for auditing.
+    All derivations of each member are kept in ``provenance``, built on first read.
     """
 
     coat: Coat
     members: tuple[SubsetMask, ...]
-    provenance: dict[SubsetMask, tuple[Derivation, ...]]
 
     @property
     def ground(self) -> GroundSet:
@@ -199,26 +200,31 @@ class Refinement:
     def __iter__(self) -> Iterator[SubsetMask]:
         return iter(self.members)
 
-    def __contains__(self, mask: SubsetMask) -> bool:
-        return mask in self.provenance
+    def __contains__(self, mask: object) -> bool:
+        return (isinstance(mask, SubsetMask) and mask.ground == self.ground
+                and mask.bits in self._member_bits)
+
+    @cached_property
+    def _member_bits(self) -> frozenset[int]:
+        return frozenset(m.bits for m in self.members)
+
+    @cached_property
+    def provenance(self) -> dict[SubsetMask, tuple[Derivation, ...]]:
+        """Every derivation of each member, in coat-pair order: meet, then diff."""
+        masks = self.coat.member_bits()
+        prov: dict[int, list[Derivation]] = {m.bits: [] for m in self.members}
+        for i, x in enumerate(masks):
+            for j, y in enumerate(masks):
+                prov[x & y].append(Derivation(i, j, "meet"))
+                prov[x & ~y].append(Derivation(i, j, "diff"))
+        return {m: tuple(prov[m.bits]) for m in self.members}
 
 
 def refine(c: Coat) -> Refinement:
     """All sets X & Y and X & ~Y for X, Y in the coat, in first-seen order."""
-    ground = c.ground
     masks = c.member_bits()
-    order: list[int] = []
-    prov: dict[int, list[Derivation]] = {}
-    for i, x in enumerate(masks):
-        for j, y in enumerate(masks):
-            for kind, bits in (("meet", x & y), ("diff", x & ~y)):
-                if bits not in prov:
-                    prov[bits] = []
-                    order.append(bits)
-                prov[bits].append(Derivation(i, j, kind))
-    members = tuple(SubsetMask(ground, b) for b in order)
-    provenance = {m: tuple(prov[m.bits]) for m in members}
-    return Refinement(c, members, provenance)
+    seen = dict.fromkeys(b for x in masks for y in masks for b in (x & y, x & ~y))
+    return Refinement(c, tuple(SubsetMask(c.ground, b) for b in seen))
 
 
 def _atom_bits(n: int, masks: Sequence[int]) -> list[int]:
@@ -249,14 +255,17 @@ class AlgebraFamily:
         full = self.ground.full_bits
         if 0 not in present or full not in present:
             raise ValueError("algebra must contain empty and omega")
-        # A family lies inside the algebra it generates, which has one member
-        # per union of atoms, so the family is closed iff it has that size.
-        atoms = len(_atom_bits(self.ground.n, bits))
-        if len(bits) != 1 << atoms:
-            raise ValueError(
-                f"algebra not closed under complement and union: {len(bits)} members"
-                f" generate {1 << atoms}"
-            )
+        # In mask order an algebra's member 2**t is atom t, and member s adds
+        # its lowest atom to member s & (s - 1) (see ``generate_algebra``); so
+        # the last member, omega, is the union of the atoms, which are
+        # disjoint iff their sum has no carries, that is, equals that union.
+        size = len(bits)
+        atoms = [bits[1 << t] for t in range(size.bit_length() - 1)]
+        if size & (size - 1) or sum(atoms) != full or not all(
+                bits[s] == bits[s & (s - 1)] | atoms[(s & -s).bit_length() - 1] for s in range(1, size)):
+            generated = 1 << len(_atom_bits(self.ground.n, bits))  # the family's closure
+            raise ValueError(f"algebra not closed under complement and union: {size} members"
+                             f" generate {generated}")
 
     def __len__(self) -> int:
         return len(self.members)

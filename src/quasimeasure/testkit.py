@@ -9,6 +9,7 @@ keeping the endpoints fixed.  Everything is deterministic in the seed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,14 +46,24 @@ class TrueMeasure:
         return cls(ground, tuple(Fraction(w) for w in weights))
 
     def mass_bits(self, bits: int) -> Fraction:
-        total = ZERO
-        for i, w in enumerate(self.weights):
-            if bits >> i & 1:
-                total += w
-        return total
+        return self._masses((bits,))[0]
 
     def mass(self, mask: SubsetMask) -> Fraction:
         return self.mass_bits(mask.bits)
+
+    def _masses(self, bits_list: Iterable[int]) -> list[Fraction]:
+        """The mass of each bit set: int weights over the lcm of their denominators."""
+        scale = math.lcm(*(w.denominator for w in self.weights))
+        ints = [w.numerator * (scale // w.denominator) for w in self.weights]
+        masses = []
+        for bits in bits_list:
+            total = 0
+            while bits:  # add the weight of the lowest element, then drop it
+                low = bits & -bits
+                total += ints[low.bit_length() - 1]
+                bits ^= low
+            masses.append(Fraction(total, scale))
+        return masses
 
 
 def induce(tm: TrueMeasure, c: Coat) -> QuasiMeasure:
@@ -60,8 +71,8 @@ def induce(tm: TrueMeasure, c: Coat) -> QuasiMeasure:
     if tm.ground != c.ground:
         raise ValueError("measure and coat live on different ground sets")
     refinement = refine(c)
-    values = {m: tm.mass(m) for m in refinement.members}
-    return QuasiMeasure(c, refinement, values)
+    masses = tm._masses(m.bits for m in refinement.members)
+    return QuasiMeasure(c, refinement, dict(zip(refinement.members, masses)))
 
 
 def _random_weights(rng: random.Random, n: int, denominator_bound: int) -> tuple[Fraction, ...]:

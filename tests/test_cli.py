@@ -100,6 +100,34 @@ class TestParsing:
         with pytest.raises(ParseError, match="value outside \\[0,1\\]"):
             parse_instance(doc)
 
+    def test_negative_value_reports_line(self):
+        doc = UNIFORM_DOC.replace("value A: 1/2", "value A: -1/2")
+        with pytest.raises(ParseError, match=re.escape("line 8: value outside [0,1]: -1/2")):
+            parse_instance(doc)
+
+    def test_build_rejections_keep_their_messages(self):
+        cases = (
+            (UNIFORM_DOC + "set D: 1 3\nvalue D: 1/2\n",
+             "value assigned to a set outside the refinement: 'D'"),
+            (UNIFORM_DOC + "value omega&!A&B: 1/8\n",
+             "conflicting values for 'omega&!A&B': 1/4 vs 1/8"),
+            (UNIFORM_DOC.replace("value B&!A: 1/4\n", "").replace("value omega&!B: 1/2\n", ""),
+             "missing values for refinement members: {1,4} {3}"),
+            (UNIFORM_DOC + "value A&!: 1/4\n", "empty operand in expression"),
+            (UNIFORM_DOC + "value A&Z: 1/4\n", "unknown set name 'Z'"),
+        )
+        for doc, message in cases:
+            with pytest.raises(ParseError) as info:
+                parse_instance(doc)
+            assert str(info.value) == message
+
+    def test_values_are_keyed_by_refinement_members_in_line_order(self):
+        qm = parse_instance(UNIFORM_DOC + "value omega&!A&B: 1/4\n").build()[2]
+        assert [str(m) for m in qm.values] == [
+            "{}", "{1,2,3,4}", "{1,2}", "{2,3}", "{2}", "{1}", "{3}", "{3,4}", "{1,4}"]
+        members = {m.bits: m for m in qm.refinement.members}
+        assert all(members[m.bits] is m for m in qm.values)
+
     def test_missing_omega_in_coat(self):
         doc = UNIFORM_DOC.replace("coat: empty omega A B", "coat: empty A B")
         with pytest.raises(ParseError, match="coat must contain omega"):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasimeasure import (
+    GroundSet,
     OuterMeasureCache,
     QuasiMeasure,
     check_alt_conditions,
@@ -44,6 +45,64 @@ class TestQuasiMeasureValidation:
         values = dict(qm.values)
         values[qm.ground.full()] = Fraction(1, 2)
         with pytest.raises(ValueError, match="omega"):
+            QuasiMeasure(coat, qm.refinement, values)
+
+    def test_extra_member_rejected(self, negative_instance):
+        _, coat, qm = negative_instance
+        values = dict(qm.values)
+        values[qm.ground.subset(["1", "3"])] = Fraction(1, 2)
+        with pytest.raises(ValueError, match=re.escape("missing=[] extra=['{1,3}']")):
+            QuasiMeasure(coat, qm.refinement, values)
+        # Same size as the refinement: one member swapped for a non-member.
+        del values[qm.ground.subset(["2"])]
+        with pytest.raises(ValueError, match=re.escape("missing=['{2}'] extra=['{1,3}']")):
+            QuasiMeasure(coat, qm.refinement, values)
+
+    def test_member_of_another_ground_rejected(self, negative_instance):
+        _, coat, qm = negative_instance
+        other = GroundSet(("a", "b", "c", "d"))
+        values = {(other.mask(m.bits) if m.size == 1 else m): v for m, v in qm.values.items()}
+        with pytest.raises(ValueError, match=re.escape(
+                "missing=['{1}', '{2}', '{3}'] extra=['{a}', '{b}', '{c}']")):
+            QuasiMeasure(coat, qm.refinement, values)
+
+    def test_negative_value_rejected(self, negative_instance):
+        _, coat, qm = negative_instance
+        values = dict(qm.values)
+        values[qm.ground.subset(["2"])] = Fraction(-1, 4)
+        with pytest.raises(ValueError, match=re.escape("value of {2} outside [0,1]: -1/4")):
+            QuasiMeasure(coat, qm.refinement, values)
+
+    def test_int_values_accepted_in_range_and_rejected_outside(self, negative_instance):
+        _, coat, qm = negative_instance
+        values = dict(qm.values)
+        values[qm.ground.empty()], values[qm.ground.full()] = 0, 1
+        assert QuasiMeasure(coat, qm.refinement, values).scale == 4
+        values[qm.ground.subset(["2"])] = 2
+        with pytest.raises(ValueError, match=re.escape("value of {2} outside [0,1]: 2")):
+            QuasiMeasure(coat, qm.refinement, values)
+        values[qm.ground.subset(["2"])] = -1
+        with pytest.raises(ValueError, match=re.escape("value of {2} outside [0,1]: -1")):
+            QuasiMeasure(coat, qm.refinement, values)
+
+    def test_float_values_rejected(self, negative_instance):
+        _, coat, qm = negative_instance
+        values = dict(qm.values)
+        values[qm.ground.subset(["2"])] = 1.5
+        with pytest.raises(ValueError, match=re.escape("value of {2} outside [0,1]: 1.5")):
+            QuasiMeasure(coat, qm.refinement, values)
+        values[qm.ground.subset(["2"])] = 0.25
+        with pytest.raises(AttributeError, match="denominator"):
+            QuasiMeasure(coat, qm.refinement, values)
+        values[qm.ground.empty()] = 0.5
+        with pytest.raises(ValueError, match="value of the empty set must be 0"):
+            QuasiMeasure(coat, qm.refinement, values)
+
+    def test_empty_set_value_must_be_zero(self, negative_instance):
+        _, coat, qm = negative_instance
+        values = dict(qm.values)
+        values[qm.ground.empty()] = Fraction(1, 4)
+        with pytest.raises(ValueError, match="^value of the empty set must be 0$"):
             QuasiMeasure(coat, qm.refinement, values)
 
 

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasimeasure import AlgebraFamily, Coat, GroundSet, generate_algebra, refine
-from quasimeasure.sets import DEFAULT_EXHAUSTIVE_LIMIT, BudgetExceeded, _atom_bits
+from quasimeasure import (
+    AlgebraFamily,
+    Coat,
+    GroundSet,
+    generate_algebra,
+    random_algebra_instance,
+    random_instance,
+    refine,
+)
+from quasimeasure.sets import DEFAULT_EXHAUSTIVE_LIMIT, BudgetExceeded, Derivation, _atom_bits
 
 
 def masks_of(ground, *label_groups):
@@ -370,3 +378,126 @@ def test_size_check_agrees_with_pairwise_closure(case):
     else:
         with pytest.raises(ValueError):
             AlgebraFamily(ground, members)
+
+
+def eager_refine(coat):
+    """Oracle: the refinement as it was built before provenance became lazy.
+
+    Returns the members and the provenance dict, both built in one pass over
+    the coat pairs with a ``Derivation`` for every pair and kind.
+    """
+    ground = coat.ground
+    masks = coat.member_bits()
+    order = []
+    prov = {}
+    for i, x in enumerate(masks):
+        for j, y in enumerate(masks):
+            for kind, bits in (("meet", x & y), ("diff", x & ~y)):
+                if bits not in prov:
+                    prov[bits] = []
+                    order.append(bits)
+                prov[bits].append(Derivation(i, j, kind))
+    members = tuple(ground.mask(b) for b in order)
+    return members, {m: tuple(prov[m.bits]) for m in members}
+
+
+@st.composite
+def coats(draw):
+    """Random coats, partition-algebra coats, and partition algebras with masks toggled."""
+    seed = draw(st.integers(0, 10**6))
+    style = draw(st.sampled_from(("random", "algebra", "perturbed")))
+    if style == "random":
+        return random_instance(seed, n=draw(st.integers(1, 6)), coat_size=draw(st.integers(2, 10)))[1]
+    coat = random_algebra_instance(seed, n=draw(st.integers(1, 6)), max_blocks=4)[1]
+    if style == "algebra":
+        return coat
+    ground = coat.ground
+    toggled = draw(st.sets(st.integers(1, ground.full_bits), max_size=3)) - {ground.full_bits}
+    rest = sorted((set(coat.member_bits()) ^ toggled) - {0, ground.full_bits})
+    return Coat.from_bits(ground, [0, ground.full_bits, *rest])
+
+
+@settings(max_examples=200)
+@given(coats())
+def test_refine_matches_eager_refinement(coat):
+    members, provenance = eager_refine(coat)
+    refinement = refine(coat)
+    assert refinement.members == members
+    for bits in range(1 << coat.ground.n):
+        mask = coat.ground.mask(bits)
+        assert (mask in refinement) == (mask in provenance)
+    assert "provenance" not in refinement.__dict__
+    assert list(refinement.provenance.items()) == list(provenance.items())
+
+
+def test_refine_builds_no_derivation_until_provenance_is_read(monkeypatch):
+    built = []
+    original = Derivation.__post_init__
+    monkeypatch.setattr(Derivation, "__post_init__", lambda self: built.append(original(self)))
+    coat = random_instance(3, n=16, coat_size=22)[1]
+    refinement = refine(coat)
+    assert len(refinement.members) > 100 and not built
+    assert refinement.members[5] in refinement and not built
+    refinement.provenance
+    assert len(built) == 2 * 22 * 22
+    refinement.provenance
+    assert len(built) == 2 * 22 * 22
+
+
+def test_refinement_contains_only_its_own_members(ground4):
+    coat = Coat(ground4, (ground4.empty(), ground4.full(), ground4.subset(["1", "2"])))
+    refinement = refine(coat)
+    twin = GroundSet(("1", "2", "3", "4"))
+    other = GroundSet(("a", "b", "c", "d"))
+    assert twin.subset(["1", "2"]) in refinement
+    assert other.mask(0b0011) not in refinement
+    assert ground4.subset(["1", "3"]) not in refinement
+    assert 0b0011 not in refinement and None not in refinement
+
+
+def reference_algebra_check(ground, members):
+    """Oracle: the closure check by atom count, as ``AlgebraFamily`` made it before.
+
+    Returns the ``ValueError`` message it raised, or None for a closed family.
+    """
+    bits = [m.bits for m in members]
+    present = set(bits)
+    if len(present) != len(bits) or bits != sorted(bits):
+        return "algebra members must be distinct and in mask order"
+    if 0 not in present or ground.full_bits not in present:
+        return "algebra must contain empty and omega"
+    atoms = len(_atom_bits(ground.n, bits))
+    if len(bits) != 1 << atoms:
+        return (f"algebra not closed under complement and union: {len(bits)} members"
+                f" generate {1 << atoms}")
+    return None
+
+
+@st.composite
+def broken_algebras(draw):
+    """A generated algebra on n <= 6 elements, intact or with one member dropped, added or altered."""
+    coat = draw(coats())
+    ground = coat.ground
+    bits = [m.bits for m in generate_algebra(coat).members]
+    edit = draw(st.sampled_from(("none", "drop", "add", "alter")))
+    if edit in ("drop", "alter"):  # mostly an inner member, so the closure check decides
+        inner = len(bits) > 2 and draw(st.integers(0, 9)) > 0
+        del bits[draw(st.integers(1, len(bits) - 2) if inner else st.integers(0, len(bits) - 1))]
+    if edit in ("add", "alter"):
+        bits.append(draw(st.integers(0, ground.full_bits)))
+    if draw(st.integers(0, 9)) > 0:
+        bits.sort()
+    return ground, tuple(ground.mask(b) for b in bits)
+
+
+@settings(max_examples=400)
+@given(broken_algebras())
+def test_closure_check_agrees_with_atom_count(case):
+    ground, members = case
+    want = reference_algebra_check(ground, members)
+    if want is None:
+        assert len(AlgebraFamily(ground, members)) == len(members)
+    else:
+        with pytest.raises(ValueError) as info:
+            AlgebraFamily(ground, members)
+        assert str(info.value) == want

@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasimeasure import (
     GroundSet,
@@ -140,3 +143,43 @@ class TestSearch:
 
         for seed in (0, 3, 6, 9):
             assert check_axioms(instance_for_seed(seed), variant="restricted").passed
+
+
+def fraction_sum_mass(tm, bits):
+    """Oracle: the atom-weight sum as ``TrueMeasure.mass_bits`` made it, one ``Fraction`` add at a time."""
+    total = Fraction(0)
+    for i, w in enumerate(tm.weights):
+        if bits >> i & 1:
+            total += w
+    return total
+
+
+def large_denominator_measure(seed, n, bits=3000):
+    """Weights with distinct ``bits``-bit denominators, each below 1/n, and the rest on the last atom."""
+    rng = random.Random(seed)
+    weights = []
+    for _ in range(n - 1):
+        d = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        weights.append(Fraction(rng.randrange(d), d * n))
+    return TrueMeasure(GroundSet(tuple(str(i + 1) for i in range(n))), (*weights, Fraction(1) - sum(weights)))
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 10**6), st.integers(1, 8), st.integers(2, 12), st.booleans())
+def test_induce_equals_fraction_sums(seed, n, coat_size, large):
+    tm, coat, qm = random_instance(seed, n=n, coat_size=coat_size)
+    if large:
+        tm = large_denominator_measure(seed, n, bits=400)
+        qm = induce(tm, coat)
+    for member in qm.refinement.members:
+        want = fraction_sum_mass(tm, member.bits)
+        assert qm.value(member) == want and tm.mass(member) == want
+
+
+def test_induce_equals_fraction_sums_at_3000_bits():
+    tm = large_denominator_measure(0, 6)
+    _, coat, _ = random_instance(0, n=6, coat_size=10)
+    qm = induce(tm, coat)
+    assert qm.scale.bit_length() > 10_000
+    for member in qm.refinement.members:
+        assert qm.value(member) == fraction_sum_mass(tm, member.bits)
