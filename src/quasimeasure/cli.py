@@ -41,11 +41,8 @@ from .report import AxiomReport
 from .sets import BudgetExceeded, SubsetMask
 from .testkit import search_instances
 
-DEFAULT_MAX_N = 16
-
 # Flag values refused with exit 2 before any work starts: (dest, test, message).
 _FLAG_RULES = (
-    ("max_n", lambda v: v > 0, "--max-n must be positive"),
     ("max_cover", lambda v: v is None or v > 0, "--max-cover must be positive"),
     ("samples", lambda v: v > 0, "--samples must be positive"),
     ("tol", lambda v: 0 < v < math.inf, "--tol must be positive and finite"),
@@ -137,10 +134,7 @@ def _load_instance(args: argparse.Namespace) -> tuple[InstanceSpec, QuasiMeasure
     except UnicodeDecodeError as exc:
         raise ParseError("input is not UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
     spec = parse_instance(document)
-    qm = spec.build()[2]
-    if qm.ground.n > args.max_n:
-        raise ParseError(f"ground set size {qm.ground.n} exceeds --max-n {args.max_n}")
-    return spec, qm
+    return spec, spec.build()[2]
 
 
 # Each runner returns its records, the suite name and whether every check passed.
@@ -167,8 +161,8 @@ def _run_extend(args: argparse.Namespace) -> _Outcome:
     _, qm = _load_instance(args)
     table = extend(qm)
     names = [str(m) for m in qm.coat.members]
-    records = [_cover_record("table", member, value, chosen, names)
-               for member, value, chosen in zip(table.algebra, table.values, table.covers)]
+    records = [_cover_record("table", qm.ground.mask(bits), value, chosen, names)
+               for bits, value, chosen in zip(table.algebra.bits, table.values, table.covers)]
     report = verify_premeasure(table)
     return records + _check_records(report), report.suite, report.passed
 
@@ -212,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     instance = argparse.ArgumentParser(add_help=False)
     instance.add_argument("input")
-    instance.add_argument("--max-n", type=int, default=DEFAULT_MAX_N)
     checks = argparse.ArgumentParser(add_help=False)
     checks.add_argument("--variant", choices=("literal", "restricted"), default="restricted")
     checks.add_argument("--cover-mode", choices=("all", "disjoint-only"), default="all")

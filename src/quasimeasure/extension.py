@@ -161,8 +161,9 @@ class MeasureTable:
             raise ValueError("table scale must be positive")
         if self.numerators[0] != 0:
             raise ValueError("table value of the empty set must be 0")
-        for mask, numerator in zip(self.algebra.members, self.numerators):
+        for i, numerator in enumerate(self.numerators):
             if not 0 <= numerator <= self.scale:
+                mask = self.algebra.ground.mask(self.algebra.bits[i])
                 raise ValueError(f"table value outside [0,1] at {mask}")
 
     @cached_property
@@ -171,9 +172,9 @@ class MeasureTable:
         return tuple(Fraction(v, self.scale) for v in self.numerators)
 
     def value(self, mask: SubsetMask) -> Fraction:
-        members = self.algebra.members
-        i = bisect.bisect_left(members, mask.bits, key=lambda m: m.bits)
-        if i == len(members) or members[i] != mask:  # masks compare ground and bits
+        bits = self.algebra.bits
+        i = bisect.bisect_left(bits, mask.bits)
+        if i == len(bits) or bits[i] != mask.bits or mask.ground != self.algebra.ground:
             raise KeyError(f"{mask} is not a member of the table's algebra")
         return self.values[i]
 
@@ -190,7 +191,7 @@ def extend(qm: QuasiMeasure, cache: OuterMeasureCache | None = None) -> MeasureT
     """
     solve = (OuterMeasureCache() if cache is None else cache).bind(qm).solve
     algebra = generate_algebra(qm.coat)
-    solved = [solve(m.bits) for m in algebra.members]
+    solved = [solve(b) for b in algebra.bits]
     divisor = math.gcd(qm.scale, *(cost for cost, _ in solved))
     return MeasureTable(algebra, qm.scale // divisor, tuple(cost // divisor for cost, _ in solved),
                         tuple(chosen for _, chosen in solved))
@@ -211,14 +212,14 @@ def verify_premeasure(table: MeasureTable) -> AxiomReport:
     """
     rb = ReportBuilder("premeasure")
     rb.declare("endpoints", "nonnegative", "pair-additivity", "triple-additivity")
-    members = table.algebra.members
     nums, scale = table.numerators, table.scale
     # The table holds the empty set at 0 and every value in [0, 1], so only
     # the omega endpoint can fail and "nonnegative" always passes.
     if nums[-1] != scale:
-        rb.fail("endpoints", Witness((("set", members[-1]),), Fraction(nums[-1], scale), ONE, "eq"))
+        omega = table.algebra.ground.full()
+        rb.fail("endpoints", Witness((("set", omega),), Fraction(nums[-1], scale), ONE, "eq"))
 
-    size = len(members)
+    size = len(nums)
     shift = (size - 1).bit_length()  # a finite algebra has 2**shift members
     low = size - 1
     pairs = array("q")
@@ -258,8 +259,8 @@ def _pair_witness(table: MeasureTable, record: int) -> Witness:
     """The witness of the failed pair ``verify_premeasure`` packed as ``i << shift | j``."""
     shift = (len(table.numerators) - 1).bit_length()
     i, j = record >> shift, record & ((1 << shift) - 1)
-    members, nums = table.algebra.members, table.numerators
-    return Witness((("E1", members[i]), ("E2", members[j])), table.values[i | j],
+    mask, bits, nums = table.algebra.ground.mask, table.algebra.bits, table.numerators
+    return Witness((("E1", mask(bits[i])), ("E2", mask(bits[j]))), table.values[i | j],
                    Fraction(nums[i] + nums[j], table.scale), "eq")
 
 
@@ -268,8 +269,9 @@ def _triple_witness(table: MeasureTable, record: int) -> Witness:
     shift = (len(table.numerators) - 1).bit_length()
     low = (1 << shift) - 1
     i, j, k = record >> 2 * shift, record >> shift & low, record & low
-    members, nums = table.algebra.members, table.numerators
-    return Witness((("E1", members[i]), ("E2", members[j]), ("E3", members[k])), table.values[i | j | k],
+    mask, bits, nums = table.algebra.ground.mask, table.algebra.bits, table.numerators
+    return Witness((("E1", mask(bits[i])), ("E2", mask(bits[j])), ("E3", mask(bits[k]))),
+                   table.values[i | j | k],
                    Fraction(nums[i] + nums[j] + nums[k], table.scale), "eq")
 
 

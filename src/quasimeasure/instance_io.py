@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .quasi import QuasiMeasure
-from .sets import Coat, GroundSet, SubsetMask, refine
+from .sets import MAX_GROUND_SIZE, Coat, GroundSet, SubsetMask, refine
 
 RESERVED_NAMES = ("empty", "omega")
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
@@ -211,6 +211,9 @@ def parse_instance(document: str) -> InstanceSpec:
             labels = tuple(rest.split())
             if not labels:
                 raise ParseError("ground set must list at least one element", lineno)
+            if len(labels) > MAX_GROUND_SIZE:
+                raise ParseError(f"ground set has {len(labels)} elements, more than {MAX_GROUND_SIZE}",
+                                 lineno)
             if len(set(labels)) != len(labels):
                 raise ParseError("duplicate element label in ground set", lineno)
             ground_labels = labels
@@ -299,9 +302,9 @@ def instance_spec_from(qm: QuasiMeasure, seed: int | None = None) -> InstanceSpe
 
     Coat members beyond empty/omega are named S1, S2, ... in coat order and
     every refinement member gets one canonical value line: its own name when
-    it is a coat member, otherwise its first recorded derivation.  A ground
-    label that is empty or holds whitespace or ``#`` cannot be written as one
-    token and raises ``ValueError``.
+    it is a coat member, otherwise its first derivation in coat-pair order,
+    ``Si&Sj`` before ``Si&!Sj``.  A ground label that is empty or holds
+    whitespace or ``#`` cannot be written as one token and raises ``ValueError``.
     """
     for label in qm.ground.elements:
         if not _LABEL.fullmatch(label):
@@ -317,13 +320,14 @@ def instance_spec_from(qm: QuasiMeasure, seed: int | None = None) -> InstanceSpe
             name = f"S{len(set_defs) + 1}"
             set_defs.append((name, member.labels()))
             coat_names.append(name)
-    name_of = dict(zip(qm.coat.member_bits(), coat_names))
-    values = []
-    for member in qm.refinement.members:
-        expression = name_of.get(member.bits)
-        if expression is None:
-            derivation = qm.refinement.provenance[member][0]
-            left, right = coat_names[derivation.left], coat_names[derivation.right]
-            expression = f"{left}&{right}" if derivation.kind == "meet" else f"{left}&!{right}"
-        values.append((expression, qm.value(member)))
-    return InstanceSpec(qm.ground.elements, tuple(set_defs), tuple(coat_names), tuple(values), seed)
+    masks = qm.coat.member_bits()
+    expression_of = dict(zip(masks, coat_names))
+    for x, left in zip(masks, coat_names):
+        for y, right in zip(masks, coat_names):
+            meet, diff = x & y, x & ~y
+            if meet not in expression_of:
+                expression_of[meet] = f"{left}&{right}"
+            if diff not in expression_of:
+                expression_of[diff] = f"{left}&!{right}"
+    values = tuple((expression_of[m.bits], qm.value(m)) for m in qm.refinement.members)
+    return InstanceSpec(qm.ground.elements, tuple(set_defs), tuple(coat_names), values, seed)

@@ -1,8 +1,8 @@
 """Finite ground sets, subset masks, coats, refinements, and generated algebras.
 
 Subsets are stored positionally: bit i of a mask is element i of the owning
-ground set.  All values here are immutable after construction (a refinement
-fills in its provenance once, on first read, with the same value in any
+ground set.  All values here are immutable after construction (an algebra
+builds its member lists once, on first read, with the same value in any
 thread) and every operation is a pure function, so everything in this module
 is safe to share across threads without coordination.
 """
@@ -124,6 +124,10 @@ class SubsetMask:
         self._require_same_ground(other)
         return self.bits & other.bits == 0
 
+    def __hash__(self) -> int:
+        # Equal masks have equal bits; hashing the ground's labels adds nothing.
+        return hash(self.bits)
+
     def __str__(self) -> str:
         return "{" + ",".join(self.labels()) + "}"
 
@@ -165,26 +169,12 @@ class Coat:
         return tuple(m.bits for m in self.members)
 
 
-@dataclass(frozen=True)
-class Derivation:
-    """How a refinement member arises from the coat: S_i & S_j or S_i & ~S_j."""
-
-    left: int
-    right: int
-    kind: str  # "meet" or "diff"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("meet", "diff"):
-            raise ValueError(f"unknown derivation kind {self.kind!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class Refinement:
     """All pairwise meets and differences of coat members, deduplicated by value.
 
     Deduplication is by mask value, never by formal expression, so a value
     attached to a member is automatically well-defined on the underlying set.
-    All derivations of each member are kept in ``provenance``, built on first read.
     """
 
     coat: Coat
@@ -207,17 +197,6 @@ class Refinement:
     @cached_property
     def _member_bits(self) -> frozenset[int]:
         return frozenset(m.bits for m in self.members)
-
-    @cached_property
-    def provenance(self) -> dict[SubsetMask, tuple[Derivation, ...]]:
-        """Every derivation of each member, in coat-pair order: meet, then diff."""
-        masks = self.coat.member_bits()
-        prov: dict[int, list[Derivation]] = {m.bits: [] for m in self.members}
-        for i, x in enumerate(masks):
-            for j, y in enumerate(masks):
-                prov[x & y].append(Derivation(i, j, "meet"))
-                prov[x & ~y].append(Derivation(i, j, "diff"))
-        return {m: tuple(prov[m.bits]) for m in self.members}
 
 
 def refine(c: Coat) -> Refinement:
@@ -242,33 +221,44 @@ def _atom_bits(n: int, masks: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class AlgebraFamily:
-    """A family of subsets closed under complement and pairwise union."""
+    """The algebra of all unions of ``atoms``, disjoint blocks covering the ground set.
+
+    Member i is the union of the atoms in the bits of i.  Atoms are disjoint
+    and ascend in mask order, so each atom's top bit lies above every bit of
+    the atoms before it, and the members come out in mask order.  ``bits``
+    and ``members`` are built on first read; more than
+    ``DEFAULT_EXHAUSTIVE_LIMIT`` members are refused with ``BudgetExceeded``.
+    """
 
     ground: GroundSet
-    members: tuple[SubsetMask, ...]  # ascending mask order
+    atoms: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        bits = [m.bits for m in self.members]
-        present = set(bits)
-        if len(present) != len(bits) or bits != sorted(bits):
-            raise ValueError("algebra members must be distinct and in mask order")
-        full = self.ground.full_bits
-        if 0 not in present or full not in present:
-            raise ValueError("algebra must contain empty and omega")
-        # In mask order an algebra's member 2**t is atom t, and member s adds
-        # its lowest atom to member s & (s - 1) (see ``generate_algebra``); so
-        # the last member, omega, is the union of the atoms, which are
-        # disjoint iff their sum has no carries, that is, equals that union.
-        size = len(bits)
-        atoms = [bits[1 << t] for t in range(size.bit_length() - 1)]
-        if size & (size - 1) or sum(atoms) != full or not all(
-                bits[s] == bits[s & (s - 1)] | atoms[(s & -s).bit_length() - 1] for s in range(1, size)):
-            generated = 1 << len(_atom_bits(self.ground.n, bits))  # the family's closure
-            raise ValueError(f"algebra not closed under complement and union: {size} members"
-                             f" generate {generated}")
+        if (1 << len(self.atoms)) > DEFAULT_EXHAUSTIVE_LIMIT:
+            raise BudgetExceeded(
+                f"2**{len(self.atoms)} algebra members exceed budget {DEFAULT_EXHAUSTIVE_LIMIT}")
+        union = 0
+        for atom in self.atoms:
+            # Disjoint atoms ascend iff each exceeds the union of those before it.
+            if atom <= union or atom & union:
+                raise ValueError("algebra atoms must be nonempty, pairwise disjoint and in mask order")
+            union |= atom
+        if union != self.ground.full_bits:
+            raise ValueError("algebra atoms must cover the ground set")
+
+    @cached_property
+    def bits(self) -> tuple[int, ...]:
+        unions = [0] * (1 << len(self.atoms))
+        for s in range(1, len(unions)):  # member s adds its lowest atom to member s & (s - 1)
+            unions[s] = unions[s & (s - 1)] | self.atoms[(s & -s).bit_length() - 1]
+        return tuple(unions)
+
+    @cached_property
+    def members(self) -> tuple[SubsetMask, ...]:
+        return tuple(SubsetMask(self.ground, b) for b in self.bits)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return 1 << len(self.atoms)
 
     def __iter__(self) -> Iterator[SubsetMask]:
         return iter(self.members)
@@ -278,16 +268,7 @@ def generate_algebra(c: Coat) -> AlgebraFamily:
     """The algebra generated by the coat: every union of its atoms.
 
     On a finite ground set the generated algebra is exactly the 2**m unions
-    of its m atoms (Halmos, *Measure Theory*, 1950, sections 4-5).  Atoms are
-    disjoint and ascend in mask order, so each atom's top bit lies above
-    every bit of the atoms before it, and the unions come out in mask order
-    when indexed by the bits of their atom set.  More than
+    of its m atoms (Halmos, *Measure Theory*, 1950, sections 4-5).  More than
     ``DEFAULT_EXHAUSTIVE_LIMIT`` members are refused with ``BudgetExceeded``.
     """
-    atoms = _atom_bits(c.ground.n, c.member_bits())
-    if (1 << len(atoms)) > DEFAULT_EXHAUSTIVE_LIMIT:
-        raise BudgetExceeded(f"2**{len(atoms)} algebra members exceed budget {DEFAULT_EXHAUSTIVE_LIMIT}")
-    unions = [0] * (1 << len(atoms))
-    for s in range(1, len(unions)):
-        unions[s] = unions[s & (s - 1)] | atoms[(s & -s).bit_length() - 1]
-    return AlgebraFamily(c.ground, tuple(SubsetMask(c.ground, b) for b in unions))
+    return AlgebraFamily(c.ground, tuple(_atom_bits(c.ground.n, c.member_bits())))

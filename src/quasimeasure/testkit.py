@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .extension import extend, verify_premeasure
 from .quasi import ONE, ZERO, QuasiMeasure, check_axioms
-from .sets import Coat, GroundSet, SubsetMask, refine
+from .sets import AlgebraFamily, Coat, GroundSet, SubsetMask, refine
 
 DEFAULT_DENOMINATOR_BOUND = 64
 
@@ -130,10 +130,7 @@ def random_algebra_instance(
     blocks = [0] * k
     for position, element in enumerate(order):
         blocks[position % k] |= 1 << element
-    unions = [0] * (1 << k)
-    for s in range(1, 1 << k):  # union s adds its lowest block to the union before it
-        unions[s] = unions[s & (s - 1)] | blocks[(s & -s).bit_length() - 1]
-    coat = _ordered_coat(ground, set(unions))
+    coat = _ordered_coat(ground, set(AlgebraFamily(ground, tuple(sorted(blocks))).bits))
     return tm, coat, induce(tm, coat)
 
 

@@ -31,6 +31,7 @@ from quasimeasure.instance_io import (
     render_instance,
     resolve_target,
 )
+from quasimeasure.sets import MAX_GROUND_SIZE
 
 # CLI subprocesses import the package from where this process found it.
 CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -390,10 +391,26 @@ class TestRun:
         assert len(refines) == 1
         capsys.readouterr()
 
-    def test_max_n_guard(self, uniform_path, capsys):
-        assert main(["check", uniform_path, "--max-n", "2"]) == 2
-        err = capsys.readouterr().err
-        assert "exceeds" in err
+    def test_max_n_guard(self, tmp_path, capsys):
+        # The parser's MAX_GROUND_SIZE is the one ground-size limit; it names the line.
+        path = tmp_path / "wide.qm"
+        labels = " ".join(str(i + 1) for i in range(MAX_GROUND_SIZE + 1))
+        path.write_text(f"# too wide\nground: {labels}\ncoat: empty omega\n", encoding="utf-8")
+        message = f"error: line 2: ground set has 25 elements, more than {MAX_GROUND_SIZE}\n"
+        for subcommand, *flags in (["check"], ["outer", "--set", "1"], ["extend"]):
+            assert main([subcommand, str(path), *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == message
+            assert captured.out == ""
+
+    def test_ground_sets_up_to_the_size_limit_get_a_result(self, tmp_path, capsys):
+        _, _, qm = random_instance(4, n=MAX_GROUND_SIZE, coat_size=5)
+        path = tmp_path / "wide.qm"
+        path.write_text(render_instance(instance_spec_from(qm)), encoding="utf-8")
+        for subcommand, *flags in (["check"], ["outer", "--set", "S1&S2"], ["extend"]):
+            assert main([subcommand, str(path), *flags, "--format", "machine"]) in (0, 1)
+            records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+            assert records[-1]["record"] == "summary"
 
     def test_oversized_algebra_exits_two(self, tmp_path, capsys):
         ground = GroundSet(tuple(str(i + 1) for i in range(17)))
@@ -401,7 +418,7 @@ class TestRun:
         path = tmp_path / "singletons.qm"
         path.write_text(render_instance(instance_spec_from(induce(TrueMeasure.uniform(ground), coat))),
                         encoding="utf-8")
-        assert main(["extend", str(path), "--max-n", "17"]) == 2
+        assert main(["extend", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "2**17" in captured.err
         assert captured.out == ""
@@ -425,9 +442,9 @@ class TestRun:
 
 class TestFlags:
     FLAGS = {
-        "check": {"--variant", "--cover-mode", "--max-cover", "--max-n", "--format", "--out"},
-        "outer": {"--set", "--max-n", "--format", "--out"},
-        "extend": {"--max-n", "--format", "--out"},
+        "check": {"--variant", "--cover-mode", "--max-cover", "--format", "--out"},
+        "outer": {"--set", "--format", "--out"},
+        "extend": {"--format", "--out"},
         "example": {"--samples", "--seed", "--tol", "--format", "--out"},
         "search": {"--seeds", "--variant", "--cover-mode", "--format", "--out"},
     }
@@ -449,9 +466,9 @@ class TestFlags:
         ["extend", "x.qm", "--max-cover", "1"],
         ["example", "--variant", "literal"],
         ["example", "--cover-mode", "all"],
-        ["example", "--max-n", "3"],
+        ["check", "x.qm", "--max-n", "16"],
         ["example", "--max-cover", "1"],
-        ["search", "--seeds", "0..2", "--max-n", "3"],
+        ["extend", "x.qm", "--max-n", "16"],
         ["search", "--seeds", "0..2", "--max-cover", "1"],
     ])
     def test_flags_a_subcommand_ignores_are_rejected(self, argv, capsys):

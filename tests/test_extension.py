@@ -224,6 +224,18 @@ class TestExtend:
         assert table.value(ground.subset(["2"])) == Fraction(1, 2)
         assert table.value(ground.subset(["1", "2"])) == Fraction(1, 2)
 
+    def test_builds_no_algebra_masks(self):
+        # extend reads the algebra's bits; masks are built only for the
+        # witnesses and values that are read.
+        _, _, qm = random_instance(1, n=10, coat_size=12)
+        table = extend(qm)
+        assert "members" not in table.algebra.__dict__
+        report = verify_premeasure(table)
+        first = report.result("pair-additivity").witnesses[0]
+        assert table.value(qm.ground.full()) == table.values[-1]
+        assert "members" not in table.algebra.__dict__
+        assert first.sets[0][1] in table.algebra.members
+
     def test_provenance_covers_verify(self, negative_instance):
         _, _, qm = negative_instance
         table = extend(qm)

@@ -429,6 +429,21 @@ def test_alt_conditions_imply_restricted_axioms(qm):
     assert check_axioms(qm, variant="restricted", cover_mode="all").passed
 
 
+@settings(max_examples=200)
+@given(perturbed_instances())
+def test_cover_bound_holds_iff_coat_members_have_their_own_exterior_value(qm):
+    # A member covers itself, so its exterior value is at most its value, and
+    # a violating subcollection is a cheaper cover of some member.  The
+    # disjoint-only mode and max_cover_size only remove subcollections.
+    cache = OuterMeasureCache()
+    certified = all(outer(qm, x, cache)[0] == qm.value(x) for x in qm.coat.members)
+    assert (cover_bound_violations(qm, "all") == []) == certified
+    if certified:
+        for cover_mode in ("all", "disjoint-only"):
+            for size in range(1, len(qm.coat) + 1):
+                assert cover_bound_violations(qm, cover_mode, size) == []
+
+
 def large_denominator_instance(seed, bits=3000):
     """A perturbed-style instance whose inner values have distinct ``bits``-bit denominators."""
     _, coat, qm = random_instance(seed, n=5, coat_size=8)

@@ -9,12 +9,15 @@ from quasimeasure import (
     AlgebraFamily,
     Coat,
     GroundSet,
+    TrueMeasure,
     generate_algebra,
+    induce,
+    instance_spec_from,
     random_algebra_instance,
     random_instance,
     refine,
 )
-from quasimeasure.sets import DEFAULT_EXHAUSTIVE_LIMIT, BudgetExceeded, Derivation, _atom_bits
+from quasimeasure.sets import DEFAULT_EXHAUSTIVE_LIMIT, BudgetExceeded, _atom_bits
 
 
 def masks_of(ground, *label_groups):
@@ -49,6 +52,17 @@ class TestGroundSet:
     def test_subset_unknown_label(self, ground4):
         with pytest.raises(KeyError):
             ground4.subset(["5"])
+
+
+class TestSubsetMask:
+    def test_equal_masks_over_distinct_equal_grounds_hash_equal(self):
+        first, second = GroundSet(("1", "2", "3")), GroundSet(("1", "2", "3"))
+        assert first is not second
+        x, y = first.subset(["1", "3"]), second.subset(["1", "3"])
+        assert x == y and hash(x) == hash(y)
+        assert {x: "x"}[y] == "x" and {y: "y"}[x] == "y" and y in {x}
+        other = GroundSet(("a", "b", "c")).mask(x.bits)  # same bits and hash, other ground
+        assert other != x and other not in {x: "x"}
 
 
 class TestCoat:
@@ -115,24 +129,6 @@ class TestRefine:
         assert ground4.empty() in members and ground4.full() in members
         algebra = set(generate_algebra(coat).members)
         assert members <= algebra
-
-    def test_provenance_recomputes(self, ground4):
-        coat = Coat(ground4, (
-            ground4.empty(), ground4.full(),
-            ground4.subset(["1", "2"]), ground4.subset(["2", "3"]),
-        ))
-        refinement = refine(coat)
-        for member, derivations in refinement.provenance.items():
-            assert derivations
-            for d in derivations:
-                x, y = coat.members[d.left], coat.members[d.right]
-                assert (x & y if d.kind == "meet" else x.difference(y)) == member
-
-    def test_value_level_dedup_keeps_all_derivations(self, ground4):
-        coat = Coat(ground4, (ground4.empty(), ground4.full(), ground4.subset(["1", "2"])))
-        refinement = refine(coat)
-        multiplicities = [len(v) for v in refinement.provenance.values()]
-        assert any(m > 1 for m in multiplicities)
 
     def test_complement_closed_coat_needs_no_differences(self):
         # When the coat is complement-closed the meets alone reproduce it.
@@ -318,29 +314,33 @@ class TestGenerateAlgebra:
 
 
 class TestAlgebraFamily:
-    def test_rejects_missing_complement(self, ground4):
-        family = masks_of(ground4, [], ["1", "2", "3", "4"], ["1", "2"])
-        with pytest.raises(ValueError, match="not closed"):
-            AlgebraFamily(ground4, tuple(sorted(family, key=lambda m: m.bits)))
+    def test_members_are_the_unions_of_the_atoms(self, ground4):
+        algebra = AlgebraFamily(ground4, (0b0010, 0b0101, 0b1000))
+        assert len(algebra) == 8
+        assert algebra.bits == (0, 0b0010, 0b0101, 0b0111, 0b1000, 0b1010, 0b1101, 0b1111)
+        assert algebra.members == tuple(ground4.mask(b) for b in algebra.bits)
+        assert list(algebra) == list(algebra.members)
 
-    def test_rejects_missing_union(self, ground4):
-        # Closed under complement, but {1} | {2} = {1,2} is absent.
-        family = masks_of(ground4, [], ["1", "2", "3", "4"], ["1"], ["2", "3", "4"],
-                          ["2"], ["1", "3", "4"])
-        with pytest.raises(ValueError, match="not closed"):
-            AlgebraFamily(ground4, tuple(sorted(family, key=lambda m: m.bits)))
+    def test_member_lists_are_built_on_first_read(self, ground4):
+        algebra = AlgebraFamily(ground4, (0b0011, 0b1100))
+        assert len(algebra) == 4
+        assert "bits" not in algebra.__dict__ and "members" not in algebra.__dict__
+        assert algebra.bits is algebra.bits and "members" not in algebra.__dict__
+        assert algebra.members is algebra.members
 
-    def test_rejects_missing_intersection(self, ground4):
-        # Every union of coat members and their complements is present; the
-        # meet {2} = {1,2} & {2,3} is not.
-        literals = [["1", "2"], ["3", "4"], ["2", "3"], ["1", "4"]]
-        family = {ground4.empty(), ground4.full()}
-        for r in range(1, len(literals) + 1):
-            for group in itertools.combinations(literals, r):
-                family.add(ground4.subset(itertools.chain(*group)))
-        assert ground4.subset(["2"]) not in family
-        with pytest.raises(ValueError, match="not closed"):
-            AlgebraFamily(ground4, tuple(sorted(family, key=lambda m: m.bits)))
+    @pytest.mark.parametrize("atoms, message", [
+        ((0, 0b1111), "nonempty"),
+        ((0b0011, 0b0110, 0b1000), "pairwise disjoint"),
+        ((0b0011, 0b0011, 0b1100), "pairwise disjoint"),
+        ((0b1100, 0b0011), "in mask order"),
+        ((0b0001, 0b0110), "cover the ground set"),
+        ((0b0001, 0b0110, 0b11000), "cover the ground set"),
+        ((), "cover the ground set"),
+        ((-1,), "nonempty"),
+    ])
+    def test_rejects_atoms_that_do_not_partition_the_ground(self, ground4, atoms, message):
+        with pytest.raises(ValueError, match=message):
+            AlgebraFamily(ground4, atoms)
 
 
 def test_generate_algebra_refuses_more_members_than_the_budget():
@@ -352,53 +352,59 @@ def test_generate_algebra_refuses_more_members_than_the_budget():
 
 
 @st.composite
-def near_algebras(draw):
-    """A partition algebra on n <= 5 elements with up to three masks toggled."""
-    n = draw(st.integers(1, 5))
+def atom_tuples(draw):
+    """The atoms of a partition of n <= 6 elements in mask order, intact or with one edit."""
+    n = draw(st.integers(1, 6))
     blocks: dict[int, int] = {}
     for i, block in enumerate(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))):
         blocks[block] = blocks.get(block, 0) | 1 << i
-    algebra = {0}
-    for atom in blocks.values():
-        algebra |= {u | atom for u in algebra}
-    toggled = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=3))
-    return n, sorted(algebra ^ toggled)
+    atoms = sorted(blocks.values())
+    edit = draw(st.sampled_from(("none", "drop", "add", "swap", "alter")))
+    if edit == "drop":
+        del atoms[draw(st.integers(0, len(atoms) - 1))]
+    elif edit == "add":
+        atoms.insert(draw(st.integers(0, len(atoms))), draw(st.integers(0, (1 << n) - 1)))
+    elif edit == "swap" and len(atoms) > 1:
+        i = draw(st.integers(0, len(atoms) - 2))
+        atoms[i], atoms[i + 1] = atoms[i + 1], atoms[i]
+    elif edit == "alter":
+        atoms[draw(st.integers(0, len(atoms) - 1))] ^= 1 << draw(st.integers(0, n - 1))
+    return GroundSet(tuple(str(i + 1) for i in range(n))), tuple(atoms)
 
 
 @settings(max_examples=300)
-@given(near_algebras())
-def test_size_check_agrees_with_pairwise_closure(case):
-    n, bits = case
-    ground = GroundSet(tuple(str(i + 1) for i in range(n)))
-    closed = bool(bits) and is_pairwise_closed(ground, bits)
-    assert (len(bits) == 1 << len(_atom_bits(n, bits))) == closed
-    members = tuple(ground.mask(b) for b in bits)
-    if closed:
-        AlgebraFamily(ground, members)
-    else:
+@given(atom_tuples())
+def test_atom_check_accepts_exactly_partitions_in_mask_order(case):
+    ground, atoms = case
+    union = 0
+    for atom in atoms:
+        union |= atom
+    partition = (all(a > 0 for a in atoms) and sum(atoms) == union == ground.full_bits
+                 and list(atoms) == sorted(atoms))
+    if not partition:
         with pytest.raises(ValueError):
-            AlgebraFamily(ground, members)
+            AlgebraFamily(ground, atoms)
+        return
+    bits = AlgebraFamily(ground, atoms).bits
+    assert list(bits) == sorted(fixpoint_closure(ground, atoms) | {0})
+    assert is_pairwise_closed(ground, bits) and _atom_bits(ground.n, bits) == list(atoms)
 
 
 def eager_refine(coat):
-    """Oracle: the refinement as it was built before provenance became lazy.
+    """Oracle: the refinement with every derivation of each member.
 
-    Returns the members and the provenance dict, both built in one pass over
-    the coat pairs with a ``Derivation`` for every pair and kind.
+    Returns the members in first-seen order and a dict from each member to
+    its derivations ``(i, j, kind)``, in coat-pair order with the meet
+    ``S_i & S_j`` before the difference ``S_i & ~S_j``.
     """
     ground = coat.ground
     masks = coat.member_bits()
-    order = []
     prov = {}
     for i, x in enumerate(masks):
         for j, y in enumerate(masks):
             for kind, bits in (("meet", x & y), ("diff", x & ~y)):
-                if bits not in prov:
-                    prov[bits] = []
-                    order.append(bits)
-                prov[bits].append(Derivation(i, j, kind))
-    members = tuple(ground.mask(b) for b in order)
-    return members, {m: tuple(prov[m.bits]) for m in members}
+                prov.setdefault(bits, []).append((i, j, kind))
+    return tuple(ground.mask(b) for b in prov), {ground.mask(b): tuple(d) for b, d in prov.items()}
 
 
 @st.composite
@@ -426,22 +432,20 @@ def test_refine_matches_eager_refinement(coat):
     for bits in range(1 << coat.ground.n):
         mask = coat.ground.mask(bits)
         assert (mask in refinement) == (mask in provenance)
-    assert "provenance" not in refinement.__dict__
-    assert list(refinement.provenance.items()) == list(provenance.items())
 
 
-def test_refine_builds_no_derivation_until_provenance_is_read(monkeypatch):
-    built = []
-    original = Derivation.__post_init__
-    monkeypatch.setattr(Derivation, "__post_init__", lambda self: built.append(original(self)))
-    coat = random_instance(3, n=16, coat_size=22)[1]
-    refinement = refine(coat)
-    assert len(refinement.members) > 100 and not built
-    assert refinement.members[5] in refinement and not built
-    refinement.provenance
-    assert len(built) == 2 * 22 * 22
-    refinement.provenance
-    assert len(built) == 2 * 22 * 22
+@settings(max_examples=200)
+@given(coats())
+def test_instance_spec_names_each_member_by_its_first_derivation(coat):
+    spec = instance_spec_from(induce(TrueMeasure.uniform(coat.ground), coat))
+    names = spec.coat_names
+    own = dict(zip(coat.members, names))
+    members, provenance = eager_refine(coat)
+    want = []
+    for member in members:
+        i, j, kind = provenance[member][0]
+        want.append(own.get(member, f"{names[i]}&{'' if kind == 'meet' else '!'}{names[j]}"))
+    assert [expression for expression, _ in spec.values] == want
 
 
 def test_refinement_contains_only_its_own_members(ground4):
@@ -453,51 +457,3 @@ def test_refinement_contains_only_its_own_members(ground4):
     assert other.mask(0b0011) not in refinement
     assert ground4.subset(["1", "3"]) not in refinement
     assert 0b0011 not in refinement and None not in refinement
-
-
-def reference_algebra_check(ground, members):
-    """Oracle: the closure check by atom count, as ``AlgebraFamily`` made it before.
-
-    Returns the ``ValueError`` message it raised, or None for a closed family.
-    """
-    bits = [m.bits for m in members]
-    present = set(bits)
-    if len(present) != len(bits) or bits != sorted(bits):
-        return "algebra members must be distinct and in mask order"
-    if 0 not in present or ground.full_bits not in present:
-        return "algebra must contain empty and omega"
-    atoms = len(_atom_bits(ground.n, bits))
-    if len(bits) != 1 << atoms:
-        return (f"algebra not closed under complement and union: {len(bits)} members"
-                f" generate {1 << atoms}")
-    return None
-
-
-@st.composite
-def broken_algebras(draw):
-    """A generated algebra on n <= 6 elements, intact or with one member dropped, added or altered."""
-    coat = draw(coats())
-    ground = coat.ground
-    bits = [m.bits for m in generate_algebra(coat).members]
-    edit = draw(st.sampled_from(("none", "drop", "add", "alter")))
-    if edit in ("drop", "alter"):  # mostly an inner member, so the closure check decides
-        inner = len(bits) > 2 and draw(st.integers(0, 9)) > 0
-        del bits[draw(st.integers(1, len(bits) - 2) if inner else st.integers(0, len(bits) - 1))]
-    if edit in ("add", "alter"):
-        bits.append(draw(st.integers(0, ground.full_bits)))
-    if draw(st.integers(0, 9)) > 0:
-        bits.sort()
-    return ground, tuple(ground.mask(b) for b in bits)
-
-
-@settings(max_examples=400)
-@given(broken_algebras())
-def test_closure_check_agrees_with_atom_count(case):
-    ground, members = case
-    want = reference_algebra_check(ground, members)
-    if want is None:
-        assert len(AlgebraFamily(ground, members)) == len(members)
-    else:
-        with pytest.raises(ValueError) as info:
-            AlgebraFamily(ground, members)
-        assert str(info.value) == want
