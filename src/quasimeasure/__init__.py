@@ -10,7 +10,7 @@ hold.  Every definition and claim in that chain is backed by a mechanical
 check with exact arithmetic and auditable failure witnesses.
 """
 
-from .cover import CoverSolution, OuterMeasureCache, check_outer_properties, outer, outer_exhaustive
+from .cover import CoverSolution, check_outer_properties, outer, outer_exhaustive
 from .extension import (
     MeasurabilityReport,
     MeasureTable,
@@ -30,7 +30,7 @@ from .intervals import (
     survival_weight,
     verify_example_axioms,
 )
-from .quasi import QuasiMeasure, check_alt_conditions, check_axioms, check_coat_monotonicity
+from .quasi import QuasiMeasure, check_alt_conditions, check_axioms
 from .report import AxiomReport, CheckResult, Witness
 from .sets import (
     AlgebraFamily,
@@ -66,7 +66,6 @@ __all__ = [
     "IntervalSet",
     "MeasurabilityReport",
     "MeasureTable",
-    "OuterMeasureCache",
     "ParseError",
     "QuasiMeasure",
     "Refinement",
@@ -77,7 +76,6 @@ __all__ = [
     "canonical_negative_instance",
     "check_alt_conditions",
     "check_axioms",
-    "check_coat_monotonicity",
     "check_outer_properties",
     "exp_eval",
     "extend",

@@ -10,8 +10,9 @@ smallest index list.
 Two independent routes compute the same quantity: a memoized branch-and-bound
 (`CoverSolver`, reached through `outer`) and a full enumeration of all
 subcollections (`outer_exhaustive`).  Tests hold them to exact cost equality.
-Both work on int masks and int costs (numerators over ``qm.scale``), and the
-solver keeps the only cover memo; ``Fraction``, `SubsetMask` and
+Both work on int masks and int costs (numerators over ``qm.scale``).  Each
+call builds its own solver through `coat_solver`, so the only cover memo
+lives as long as that call; ``Fraction``, `SubsetMask` and
 `CoverSolution` are built only for results and witnesses.  Checks that
 quantify over all 2**n subsets solve the list of 2**n exterior values once
 and index it, instead of calling the solver per lookup.
@@ -99,44 +100,19 @@ class CoverSolver(Generic[W]):
         return best
 
 
-class OuterMeasureCache:
-    """Binds one quasi-measure to its ``CoverSolver``, whose int-keyed memo
-    holds every exterior value solved through the cache.
-
-    Single writer per cache instance; use independent caches for parallel
-    workers.  A cache is bound to the first quasi-measure it serves and
-    refuses any other, even one on the same ground set.
-    """
-
-    def __init__(self) -> None:
-        self._qm: QuasiMeasure | None = None
-        self._solver: CoverSolver[int] | None = None
-
-    def bind(self, qm: QuasiMeasure) -> CoverSolver[int]:
-        if self._solver is None:
-            self._qm, self._solver = qm, _make_solver(qm)
-        elif self._qm is not qm:
-            raise ValueError("cache already bound to a different quasi-measure")
-        return self._solver
-
-
-def _make_solver(qm: QuasiMeasure) -> CoverSolver[int]:
+def coat_solver(qm: QuasiMeasure) -> CoverSolver[int]:
+    """A fresh solver over the coat of ``qm``, weighted by value numerators."""
     return CoverSolver([(i, b, qm.numerator(b)) for i, b in enumerate(qm.coat.member_bits())], 0)
 
 
-def outer(
-    qm: QuasiMeasure,
-    a: SubsetMask,
-    cache: OuterMeasureCache | None = None,
-) -> tuple[Fraction, CoverSolution]:
+def outer(qm: QuasiMeasure, a: SubsetMask) -> tuple[Fraction, CoverSolution]:
     """Exact exterior value of ``a`` with an optimal cover witness.
 
     Always defined: the full set belongs to every coat, so a cover exists
     and the result is at most 1.  The empty subcollection covers only the
     empty set, which therefore gets cost 0.
     """
-    solver = _make_solver(qm) if cache is None else cache.bind(qm)
-    cost, chosen = solver.solve(a.bits)
+    cost, chosen = coat_solver(qm).solve(a.bits)
     value = Fraction(cost, qm.scale)
     return value, CoverSolution(chosen, value)
 
@@ -212,7 +188,7 @@ def check_outer_properties(
     ground = qm.ground
     n = ground.n
     total = 1 << n
-    solver = _make_solver(qm)
+    solver = coat_solver(qm)
 
     exhaustive = total <= subset_budget
     v: Sequence[int] | SolvedValues

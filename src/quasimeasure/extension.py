@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .cover import CoverSolution, OuterMeasureCache, SolvedValues
+from .cover import CoverSolution, SolvedValues, coat_solver
 from .quasi import ONE, QuasiMeasure
 from .report import AxiomReport, ReportBuilder, Witness
 from .sets import DEFAULT_EXHAUSTIVE_LIMIT, AlgebraFamily, BudgetExceeded, SubsetMask, generate_algebra
@@ -35,40 +35,32 @@ SPLIT_BUDGET = 1 << 24  # (algebra members + audit candidates) * 2**n lookups in
 TRIPLE_BUDGET = 1 << 18  # disjoint-triple candidates checked before sampling
 
 
-def is_caratheodory_measurable(
-    qm: QuasiMeasure,
-    w: SubsetMask,
-    cache: OuterMeasureCache | None = None,
-    subset_budget: int = DEFAULT_EXHAUSTIVE_LIMIT,
-) -> tuple[bool, SubsetMask | None]:
+def is_caratheodory_measurable(qm: QuasiMeasure, w: SubsetMask) -> tuple[bool, SubsetMask | None]:
     """Exhaustive splitting test on the list of all 2**n exterior values.
 
     Returns the first violating A in mask order.
     """
-    values = _all_values(qm, cache, subset_budget)
+    values = _all_values(qm)
     return _first_split_failure(qm, w, values, range(len(values)))
 
 
 def sample_measurability(
-    qm: QuasiMeasure,
-    w: SubsetMask,
-    sample_count: int,
-    seed: int,
-    cache: OuterMeasureCache | None = None,
+    qm: QuasiMeasure, w: SubsetMask, sample_count: int, seed: int
 ) -> tuple[bool, SubsetMask | None]:
     """Randomized splitting test: True means "not falsified", never "measurable"."""
     rng = random.Random(seed)
     candidates = (rng.randrange(1 << qm.ground.n) for _ in range(sample_count))
-    values = SolvedValues((OuterMeasureCache() if cache is None else cache).bind(qm))
+    values = SolvedValues(coat_solver(qm))
     return _first_split_failure(qm, w, values, candidates)
 
 
-def _all_values(qm: QuasiMeasure, cache: OuterMeasureCache | None, subset_budget: int) -> list[int]:
+def _all_values(qm: QuasiMeasure) -> list[int]:
     """The exterior value of every subset as int numerators, indexed by mask."""
     n = qm.ground.n
-    if (1 << n) > subset_budget:
-        raise BudgetExceeded(f"2**{n} subsets exceed budget {subset_budget}; use sample_measurability")
-    solve = (OuterMeasureCache() if cache is None else cache).bind(qm).solve
+    if (1 << n) > DEFAULT_EXHAUSTIVE_LIMIT:
+        raise BudgetExceeded(
+            f"2**{n} subsets exceed budget {DEFAULT_EXHAUSTIVE_LIMIT}; use sample_measurability")
+    solve = coat_solver(qm).solve
     return [solve(a)[0] for a in range(1 << n)]
 
 
@@ -110,11 +102,11 @@ class MeasurabilityReport:
         return all(r.measurable for r in self.algebra)
 
 
-def measurable_family(qm: QuasiMeasure, cache: OuterMeasureCache | None = None) -> MeasurabilityReport:
+def measurable_family(qm: QuasiMeasure) -> MeasurabilityReport:
     """Exhaustive splitting tests of every algebra member and audit candidate.
 
-    The 2**n exterior values are solved once, through ``cache`` when given,
-    and every test indexes that list.  The tests together read
+    The 2**n exterior values are solved once, on one solver, and every test
+    indexes that list.  The tests together read
     (members + audit candidates) * 2**n values; past ``SPLIT_BUDGET`` the
     call refuses with ``BudgetExceeded`` before solving anything.
     """
@@ -126,7 +118,7 @@ def measurable_family(qm: QuasiMeasure, cache: OuterMeasureCache | None = None) 
         raise BudgetExceeded(
             f"{len(algebra)} algebra members and {len(audit)} audit candidates by 2**{n} subsets"
             f" make {work} splitting lookups, over SPLIT_BUDGET={SPLIT_BUDGET}")
-    values = _all_values(qm, cache, DEFAULT_EXHAUSTIVE_LIMIT)
+    values = _all_values(qm)
     subsets = range(1 << n)
 
     def records(candidates: Iterable[SubsetMask]) -> tuple[MeasurabilityRecord, ...]:
@@ -183,13 +175,13 @@ class MeasureTable:
                      for m, v, chosen in zip(self.algebra.members, self.values, self.covers))
 
 
-def extend(qm: QuasiMeasure, cache: OuterMeasureCache | None = None) -> MeasureTable:
+def extend(qm: QuasiMeasure) -> MeasureTable:
     """Tabulate the exterior value on every generated-algebra member.
 
     Never refuses axiom-failing inputs; negative instances are first-class
     material and verification is a separate step.
     """
-    solve = (OuterMeasureCache() if cache is None else cache).bind(qm).solve
+    solve = coat_solver(qm).solve
     algebra = generate_algebra(qm.coat)
     solved = [solve(b) for b in algebra.bits]
     divisor = math.gcd(qm.scale, *(cost for cost, _ in solved))

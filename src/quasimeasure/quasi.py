@@ -62,7 +62,11 @@ class QuasiMeasure:
             raise ValueError("value of the empty set must be 0")
         if values[ground.full()] != ONE:
             raise ValueError("value of omega must be 1")
-        scale = math.lcm(*(v.denominator for v in values.values()))
+        try:
+            scale = math.lcm(*(v.denominator for v in values.values()))
+        except AttributeError:
+            mask, value = next((m, v) for m, v in values.items() if not hasattr(v, "denominator"))
+            raise ValueError(f"value of {mask} is not an int or a Fraction: {value!r}") from None
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "_numerators", {
             m.bits: v.numerator * (scale // v.denominator) for m, v in values.items()
@@ -143,8 +147,8 @@ def cover_bound_violations(
     k = len(qm.coat)
     if max_cover_size is None:
         max_cover_size = k
-    if max_cover_size > k:
-        raise ValueError("max_cover_size exceeds the coat size")
+    if not 1 <= max_cover_size <= k:
+        raise ValueError(f"max_cover_size must be between 1 and the coat size {k}")
     bits = qm.coat.member_bits()
     values = tuple(qm.numerator(b) for b in bits)
     violations: list[Witness] = []
@@ -212,17 +216,6 @@ def _checked_pairs(rb: ReportBuilder, qm: QuasiMeasure) -> list[tuple[int, int, 
                 ))
             pairs.append((x, y, meet, diff, vmeet, vdiff))
     return pairs
-
-
-def _check_monotone(rb: ReportBuilder, qm: QuasiMeasure, outer_role: str) -> None:
-    """Fail "monotone" for every coat member inside another of smaller value."""
-    bits = qm.coat.member_bits()
-    num = qm.numerator
-    for x in bits:
-        vx = num(x)
-        for y in bits:
-            if x & ~y == 0 and vx > num(y):
-                rb.fail("monotone", qm.witness((("X", x), (outer_role, y)), vx, num(y), "le"))
 
 
 def _envelope_lookup(qm: QuasiMeasure, pool: Iterable[int]) -> Callable[[int, int], bool]:
@@ -294,9 +287,13 @@ def check_alt_conditions(qm: QuasiMeasure) -> AxiomReport:
     rb = ReportBuilder("alt-conditions")
     rb.declare(*ALT_CHECKS)
 
-    _check_monotone(rb, qm, "Y")
     bits = qm.coat.member_bits()
     num = qm.numerator
+    for x in bits:
+        vx = num(x)
+        for y in bits:
+            if x & ~y == 0 and vx > num(y):
+                rb.fail("monotone", qm.witness((("X", x), ("Y", y)), vx, num(y), "le"))
     has_envelope = _envelope_lookup(qm, bits)
     for x, y, meet, diff, vmeet, vdiff in _checked_pairs(rb, qm):
         inner_ok = any(k & ~meet == 0 and num(k) == vmeet for k in bits)
@@ -307,17 +304,4 @@ def check_alt_conditions(qm: QuasiMeasure) -> AxiomReport:
             ))
         if not has_envelope(diff, vdiff):
             rb.fail("diff-envelope", _envelope_fail(qm, "difference", x, y, diff, vdiff, "coat"))
-    return rb.build()
-
-
-def check_coat_monotonicity(qm: QuasiMeasure) -> AxiomReport:
-    """Check that nested coat members carry nondecreasing values.
-
-    This is the cover bound specialised to singleton covers: X inside S
-    forces value(X) <= value(S).  Monotonicity on the coat is what makes
-    one-member covers sound, so it gets its own named check.
-    """
-    rb = ReportBuilder("coat-monotonicity")
-    rb.declare("monotone")
-    _check_monotone(rb, qm, "S")
     return rb.build()

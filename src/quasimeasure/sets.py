@@ -190,14 +190,6 @@ class Refinement:
     def __iter__(self) -> Iterator[SubsetMask]:
         return iter(self.members)
 
-    def __contains__(self, mask: object) -> bool:
-        return (isinstance(mask, SubsetMask) and mask.ground == self.ground
-                and mask.bits in self._member_bits)
-
-    @cached_property
-    def _member_bits(self) -> frozenset[int]:
-        return frozenset(m.bits for m in self.members)
-
 
 def refine(c: Coat) -> Refinement:
     """All sets X & Y and X & ~Y for X, Y in the coat, in first-seen order."""

@@ -14,7 +14,6 @@ from quasimeasure import (
     GroundSet,
     Interval,
     IntervalSet,
-    OuterMeasureCache,
     canonical_negative_instance,
     check_alt_conditions,
     check_axioms,
@@ -105,14 +104,13 @@ def test_criterion_4_negative_instance_detection():
         assert witness.lhs == Fraction(1, 4)
 
         # (b) extension additivity failure: 1/2 + 1/2 = 1 != 1/2
-        cache = OuterMeasureCache()
-        one = outer(qm, ground.subset(["1"]), cache)[0]
-        two = outer(qm, ground.subset(["2"]), cache)[0]
-        both = outer(qm, a_mask, cache)[0]
+        one = outer(qm, ground.subset(["1"]))[0]
+        two = outer(qm, ground.subset(["2"]))[0]
+        both = outer(qm, a_mask)[0]
         assert one + two == Fraction(1)
         assert both == Fraction(1, 2)
         assert one + two != both
-        ver = verify_premeasure(extend(qm, OuterMeasureCache()))
+        ver = verify_premeasure(extend(qm))
         pair = ver.result("pair-additivity").witnesses[0]
         assert {pair.set_named("E1"), pair.set_named("E2")} == {
             ground.subset(["1"]), ground.subset(["2"])
@@ -122,13 +120,13 @@ def test_criterion_4_negative_instance_detection():
         # The violating pairing puts the 1/2 + 1/2 = 1 sum against 1/2:
         # splitting A={2,3} through W={1,2} (equivalently A={1,2} through
         # W={2,3}); the identity does hold at A=W={1,2} itself.
-        measurable, counterexample = is_caratheodory_measurable(qm, a_mask, cache)
+        measurable, counterexample = is_caratheodory_measurable(qm, a_mask)
         assert not measurable and counterexample == b_mask
-        measurable, counterexample = is_caratheodory_measurable(qm, b_mask, cache)
+        measurable, counterexample = is_caratheodory_measurable(qm, b_mask)
         assert not measurable and counterexample == a_mask
-        split = outer(qm, a_mask & b_mask, cache)[0] + outer(qm, a_mask.difference(b_mask), cache)[0]
+        split = outer(qm, a_mask & b_mask)[0] + outer(qm, a_mask.difference(b_mask))[0]
         assert split == Fraction(1)
-        assert outer(qm, a_mask, cache)[0] == Fraction(1, 2)
+        assert outer(qm, a_mask)[0] == Fraction(1, 2)
 
 
 def test_criterion_5_outer_property_suite():
@@ -166,10 +164,9 @@ def test_criterion_7_oracle_equivalence():
             n = 3 + seed % 3
             _, _, qm = random_instance(seed, n=n, coat_size=10)
             assert len(qm.coat) <= 10
-            cache = OuterMeasureCache()
             for bits in range(1 << n):
                 target = qm.ground.mask(bits)
-                fast = outer(qm, target, cache)[0]
+                fast = outer(qm, target)[0]
                 slow = outer_exhaustive(qm, target)[0]
                 assert fast == slow, f"seed {seed}, target {target}"
 

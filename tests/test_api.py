@@ -1,0 +1,22 @@
+"""The package's public names: ``__all__`` resolves, is sorted, and lists every re-export."""
+
+import ast
+from pathlib import Path
+
+import quasimeasure
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in quasimeasure.__all__ if not hasattr(quasimeasure, name)] == []
+
+
+def test_exported_names_are_sorted_without_duplicates():
+    assert quasimeasure.__all__ == sorted(set(quasimeasure.__all__))
+
+
+def test_every_public_import_is_exported():
+    tree = ast.parse(Path(quasimeasure.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    assert sorted(name for name in imported - set(quasimeasure.__all__) if not name.startswith("_")) == []

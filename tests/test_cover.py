@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from quasimeasure import (
     Coat,
-    OuterMeasureCache,
     TrueMeasure,
     check_outer_properties,
     induce,
@@ -17,7 +16,7 @@ from quasimeasure import (
     random_algebra_instance,
     random_instance,
 )
-from quasimeasure.cover import TRIPLE_BUDGET, CoverSolver, _make_solver
+from quasimeasure.cover import TRIPLE_BUDGET, CoverSolver, coat_solver
 from quasimeasure.quasi import cover_bound_violations
 from quasimeasure.report import ReportBuilder
 
@@ -66,10 +65,9 @@ class TestOuterExhaustive:
         # witnesses line up as well, which this pins down.
         for seed in range(25):
             _, _, qm = random_instance(seed, n=5, coat_size=8)
-            cache = OuterMeasureCache()
             for bits in range(1 << 5):
                 target = qm.ground.mask(bits)
-                fast, fast_sol = outer(qm, target, cache)
+                fast, fast_sol = outer(qm, target)
                 slow, slow_sol = outer_exhaustive(qm, target)
                 assert fast == slow
                 assert fast_sol.chosen == slow_sol.chosen
@@ -83,10 +81,9 @@ class TestOuterExhaustive:
         for seed in (1, 4, 9):
             _, _, qm = random_instance(seed, n=5, coat_size=12)
             assert len(qm.coat) == 12
-            cache = OuterMeasureCache()
             for bits in range(1 << 5):
                 target = qm.ground.mask(bits)
-                assert outer(qm, target, cache)[0] == outer_exhaustive(qm, target)[0]
+                assert outer(qm, target)[0] == outer_exhaustive(qm, target)[0]
 
     def test_coat_member_recovers_value_for_induced(self):
         for seed in range(15):
@@ -112,39 +109,6 @@ class TestCoverSolver:
         assert not solver.feasible(0b1000)
         with pytest.raises(ValueError, match="not coverable"):
             solver.solve(0b1000)
-
-
-class TestCache:
-    def test_cache_hits_reverify_against_fresh_solves(self, negative_instance):
-        # The second pass over the 16 masks is served from the cache.
-        _, _, qm = negative_instance
-        cache = OuterMeasureCache()
-        for _ in range(2):
-            for bits in range(1 << 4):
-                mask = qm.ground.mask(bits)
-                value, solution = outer(qm, mask, cache)
-                assert (value, solution) == outer(qm, mask)
-                assert solution.verify(qm, mask)
-
-    def test_cache_bound_to_one_instance(self, negative_instance, power_set_instance):
-        _, _, qm1 = negative_instance
-        _, _, qm2 = power_set_instance
-        cache = OuterMeasureCache()
-        outer(qm1, qm1.ground.empty(), cache)
-        with pytest.raises(ValueError, match="bound"):
-            outer(qm2, qm2.ground.empty(), cache)
-
-    def test_cache_refuses_another_instance_on_the_same_ground(self, negative_instance):
-        # Same ground and coat, different values: {1,2} costs 1/2 under qm1
-        # and 1 under qm2, so a cache that answered for qm2 would be wrong.
-        _, coat, qm1 = negative_instance
-        qm2 = induce(TrueMeasure.from_weights(coat.ground, "1/2", "1/2", 0, 0), coat)
-        target = coat.ground.subset(["1", "2"])
-        cache = OuterMeasureCache()
-        assert outer(qm1, target, cache)[0] == Fraction(1, 2)
-        assert outer(qm2, target)[0] == 1
-        with pytest.raises(ValueError, match="bound"):
-            outer(qm2, target, cache)
 
 
 class TestOptimizerMonotonicity:
@@ -244,7 +208,7 @@ def reference_check_outer_properties(qm, subset_budget=1 << 12, seed=0):
     ground = qm.ground
     n = ground.n
     total = 1 << n
-    solver = _make_solver(qm)
+    solver = coat_solver(qm)
 
     def value_of(bits):
         return solver.solve(bits)[0]

@@ -14,7 +14,6 @@ from quasimeasure import (
     GroundSet,
     MeasurabilityReport,
     MeasureTable,
-    OuterMeasureCache,
     TrueMeasure,
     check_axioms,
     extend,
@@ -25,10 +24,11 @@ from quasimeasure import (
     measurable_family,
     outer_exhaustive,
     perturb,
+    random_algebra_instance,
     sample_measurability,
     verify_premeasure,
 )
-from quasimeasure.cover import CoverSolver
+from quasimeasure.cover import CoverSolver, coat_solver
 from quasimeasure.extension import AUDIT_LIMIT, SPLIT_BUDGET, TRIPLE_BUDGET, MeasurabilityRecord
 from quasimeasure.quasi import ONE, ZERO, cover_bound_violations
 from quasimeasure.report import ReportBuilder, Witness
@@ -47,16 +47,15 @@ class TestMeasurability:
         # direct cover cost 1/2, and symmetrically for {1,2} through {2,3}.
         _, _, qm = negative_instance
         ground = qm.ground
-        cache = OuterMeasureCache()
-        measurable, counterexample = is_caratheodory_measurable(qm, ground.subset(["1", "2"]), cache)
+        measurable, counterexample = is_caratheodory_measurable(qm, ground.subset(["1", "2"]))
         assert not measurable and counterexample == ground.subset(["2", "3"])
-        measurable, counterexample = is_caratheodory_measurable(qm, ground.subset(["2", "3"]), cache)
+        measurable, counterexample = is_caratheodory_measurable(qm, ground.subset(["2", "3"]))
         assert not measurable and counterexample == ground.subset(["1", "2"])
         from quasimeasure import outer
 
-        assert outer(qm, ground.subset(["1"]), cache)[0] == Fraction(1, 2)
-        assert outer(qm, ground.subset(["2"]), cache)[0] == Fraction(1, 2)
-        assert outer(qm, ground.subset(["1", "2"]), cache)[0] == Fraction(1, 2)
+        assert outer(qm, ground.subset(["1"]))[0] == Fraction(1, 2)
+        assert outer(qm, ground.subset(["2"]))[0] == Fraction(1, 2)
+        assert outer(qm, ground.subset(["1", "2"]))[0] == Fraction(1, 2)
 
     def test_counterexample_reevaluates(self, negative_instance):
         _, _, qm = negative_instance
@@ -65,16 +64,23 @@ class TestMeasurability:
         _, a = is_caratheodory_measurable(qm, w)
         from quasimeasure import outer
 
-        cache = OuterMeasureCache()
-        whole = outer(qm, a, cache)[0]
-        split = outer(qm, a & w, cache)[0] + outer(qm, a & w.complement(), cache)[0]
+        whole = outer(qm, a)[0]
+        split = outer(qm, a & w)[0] + outer(qm, a & w.complement())[0]
         assert whole != split
 
-    def test_budget_guard_and_sampling_fallback(self, negative_instance):
+    def test_budget_guard_and_sampling_fallback(self, negative_instance, monkeypatch):
+        # 2**17 subsets are past the exhaustive limit: refused before any solve.
+        big = singleton_coat_instance(17)
+
+        def refuse(self, bits):
+            raise AssertionError("solved past the budget")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CoverSolver, "solve", refuse)
+            with pytest.raises(BudgetExceeded, match="use sample_measurability"):
+                is_caratheodory_measurable(big, big.ground.full())
         _, _, qm = negative_instance
         w = qm.ground.subset(["1", "2"])
-        with pytest.raises(BudgetExceeded):
-            is_caratheodory_measurable(qm, w, subset_budget=8)
         not_falsified, counterexample = sample_measurability(qm, w, sample_count=200, seed=1)
         assert not not_falsified
         assert counterexample is not None
@@ -118,9 +124,8 @@ class TestMeasurability:
             qm = instance_for_seed(seed, n_max=4)
             if not check_axioms(qm, variant="restricted").passed:
                 continue
-            cache = OuterMeasureCache()
             for member in qm.coat.members:
-                assert is_caratheodory_measurable(qm, member, cache)[0]
+                assert is_caratheodory_measurable(qm, member)[0]
 
     def test_generated_algebra_measurable_when_restricted_axioms_hold(self):
         # The whole generated algebra, not just the coat, must pass the
@@ -160,26 +165,24 @@ class TestMeasurabilityOracle:
             qm = random_instance(seed, n=n, coat_size=3 + seed % 6)[2]
             if seed % 2:
                 qm = perturb(qm, seed + 900, max_changes=3)
-            solve = OuterMeasureCache().bind(qm).solve
+            solve = coat_solver(qm).solve
             subsets = range(1 << n)
 
             def want(candidates):
                 return tuple(MeasurabilityRecord(w, *reference_split_failure(qm, w, solve, subsets))
                              for w in candidates)
 
-            cache = OuterMeasureCache()
-            report = measurable_family(qm, cache)
+            report = measurable_family(qm)
             assert n <= AUDIT_LIMIT
             assert report == MeasurabilityReport(want(generate_algebra(qm.coat)),
                                                  want(qm.ground.all_subsets()))
-            assert set(subsets) <= set(cache.bind(qm)._memo)  # the caller's cache filled
             non_measurable += sum(not r.measurable for r in report.algebra)
             for record in report.audit:
                 w = record.candidate
                 assert is_caratheodory_measurable(qm, w) == (record.measurable, record.counterexample)
                 draws = random.Random(seed)
                 sampled = [draws.randrange(1 << n) for _ in range(12)]
-                assert (sample_measurability(qm, w, 12, seed, cache)
+                assert (sample_measurability(qm, w, 12, seed)
                         == reference_split_failure(qm, w, solve, sampled))
         assert non_measurable > 0
 
@@ -528,3 +531,28 @@ def test_failing_table_builds_witnesses_on_access(monkeypatch):
     assert pairs != eager[:-1] and eager[1:] != pairs
     assert hash(pairs) == hash(eager)
     assert repr(pairs) == repr(eager)
+
+
+@st.composite
+def perturbed_instances(draw):
+    """Random or partition-algebra instances with n <= 6, some values overwritten."""
+    seed, n = draw(st.integers(0, 10**6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        qm = random_instance(seed, n=n, coat_size=draw(st.integers(2, 10)))[2]
+    else:
+        qm = random_algebra_instance(seed, n=n, max_blocks=draw(st.integers(1, 4)))[2]
+    return perturb(qm, draw(st.integers(0, 10**6)), max_changes=draw(st.integers(1, 6)))
+
+
+@settings(max_examples=200)
+@given(perturbed_instances())
+def test_exterior_value_is_the_table_value_of_the_hull(qm):
+    # Every coat member is a union of atoms, so a cover of A covers each atom
+    # that A meets: A has the exterior value of its hull, the union of those
+    # atoms, which is algebra member i with bit j set iff atom j meets A.
+    table = extend(qm)
+    atoms = table.algebra.atoms
+    solve = coat_solver(qm).solve
+    for a in range(1 << qm.ground.n):
+        hull = sum(1 << j for j, atom in enumerate(atoms) if atom & a)
+        assert Fraction(solve(a)[0], qm.scale) == table.values[hull], qm.ground.mask(a)

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from quasimeasure import (
     GroundSet,
-    OuterMeasureCache,
     QuasiMeasure,
     check_alt_conditions,
     check_axioms,
-    check_coat_monotonicity,
     outer,
     outer_exhaustive,
     perturb,
@@ -92,7 +90,7 @@ class TestQuasiMeasureValidation:
         with pytest.raises(ValueError, match=re.escape("value of {2} outside [0,1]: 1.5")):
             QuasiMeasure(coat, qm.refinement, values)
         values[qm.ground.subset(["2"])] = 0.25
-        with pytest.raises(AttributeError, match="denominator"):
+        with pytest.raises(ValueError, match=re.escape("value of {2} is not an int or a Fraction: 0.25")):
             QuasiMeasure(coat, qm.refinement, values)
         values[qm.ground.empty()] = 0.5
         with pytest.raises(ValueError, match="value of the empty set must be 0"):
@@ -163,6 +161,12 @@ class TestCheckAxioms:
         assert report.result("cover-bound").passed
         with pytest.raises(ValueError, match="max_cover_size"):
             check_axioms(qm, max_cover_size=len(coat) + 1)
+        # Size 0 checks no subcollection, so it would pass vacuously.
+        mutated = perturb(random_instance(0, n=4, coat_size=6)[2], 0)
+        assert len(cover_bound_violations(mutated)) == 6
+        for size in (0, -1):
+            with pytest.raises(ValueError, match="max_cover_size"):
+                check_axioms(mutated, max_cover_size=size)
 
     def test_combination_path_matches_table_path(self, monkeypatch):
         import quasimeasure.quasi as quasi
@@ -240,11 +244,11 @@ class TestAltConditions:
 class TestCoatMonotonicity:
     def test_power_set_instance(self, power_set_instance):
         _, _, qm = power_set_instance
-        assert check_coat_monotonicity(qm).passed
+        assert check_alt_conditions(qm).result("monotone").passed
 
     def test_trivial_coat(self, trivial_instance):
         _, _, qm = trivial_instance
-        assert check_coat_monotonicity(qm).passed
+        assert check_alt_conditions(qm).result("monotone").passed
 
     def test_adversarial_values_fail_with_witness_pair(self):
         # A nested pair with value({1}) = 3/4 above value({1,2}) = 1/2.
@@ -265,11 +269,11 @@ class TestCoatMonotonicity:
         values[ground.subset(["2", "3"])] = Fraction(1, 4)
         values[ground.subset(["3"])] = Fraction(1, 2)
         qm = QuasiMeasure(coat, refinement, values)
-        report = check_coat_monotonicity(qm)
-        assert not report.passed
-        witness = report.result("monotone").witnesses[0]
+        monotone = check_alt_conditions(qm).result("monotone")
+        assert not monotone.passed
+        witness = monotone.witnesses[0]
         assert witness.set_named("X") == ground.subset(["1"])
-        assert witness.set_named("S") == ground.subset(["1", "2"])
+        assert witness.set_named("Y") == ground.subset(["1", "2"])
         assert (witness.lhs, witness.rhs) == (Fraction(3, 4), Fraction(1, 2))
 
 
@@ -332,11 +336,11 @@ def reference_pairs(rb, qm):
     return pairs
 
 
-def reference_monotone(rb, qm, outer_role):
+def reference_monotone(rb, qm):
     for x in qm.coat.members:
         for y in qm.coat.members:
             if x.issubset(y) and qm.value(x) > qm.value(y):
-                rb.fail("monotone", Witness((("X", x), (outer_role, y)), qm.value(x), qm.value(y), "le"))
+                rb.fail("monotone", Witness((("X", x), ("Y", y)), qm.value(x), qm.value(y), "le"))
 
 
 def reference_envelope_fail(kind, x, y, target, value, pool_name):
@@ -368,7 +372,7 @@ def reference_check_axioms(qm, variant, cover_mode, max_cover_size=None):
 def reference_check_alt_conditions(qm):
     rb = ReportBuilder("alt-conditions")
     rb.declare(*ALT_CHECKS)
-    reference_monotone(rb, qm, "Y")
+    reference_monotone(rb, qm)
     members = qm.coat.members
     for x, y, meet, diff, vmeet, vdiff in reference_pairs(rb, qm):
         inner_ok = any(k.issubset(meet) and qm.value(k) == vmeet for k in members)
@@ -435,8 +439,7 @@ def test_cover_bound_holds_iff_coat_members_have_their_own_exterior_value(qm):
     # A member covers itself, so its exterior value is at most its value, and
     # a violating subcollection is a cheaper cover of some member.  The
     # disjoint-only mode and max_cover_size only remove subcollections.
-    cache = OuterMeasureCache()
-    certified = all(outer(qm, x, cache)[0] == qm.value(x) for x in qm.coat.members)
+    certified = all(outer(qm, x)[0] == qm.value(x) for x in qm.coat.members)
     assert (cover_bound_violations(qm, "all") == []) == certified
     if certified:
         for cover_mode in ("all", "disjoint-only"):
@@ -461,10 +464,9 @@ def test_large_denominators_agree_with_references():
     assert qm.scale.bit_length() > 30_000
     assert not check_axioms(qm).passed
     assert_matches_references(qm, sizes=(None,))
-    cache = OuterMeasureCache()
     for bits in range(1 << qm.ground.n):
         target = qm.ground.mask(bits)
-        assert outer(qm, target, cache) == outer_exhaustive(qm, target)
+        assert outer(qm, target) == outer_exhaustive(qm, target)
 
 
 def test_fraction_reuses_stored_values_and_builds_sums():

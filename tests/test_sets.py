@@ -446,14 +446,3 @@ def test_instance_spec_names_each_member_by_its_first_derivation(coat):
         i, j, kind = provenance[member][0]
         want.append(own.get(member, f"{names[i]}&{'' if kind == 'meet' else '!'}{names[j]}"))
     assert [expression for expression, _ in spec.values] == want
-
-
-def test_refinement_contains_only_its_own_members(ground4):
-    coat = Coat(ground4, (ground4.empty(), ground4.full(), ground4.subset(["1", "2"])))
-    refinement = refine(coat)
-    twin = GroundSet(("1", "2", "3", "4"))
-    other = GroundSet(("a", "b", "c", "d"))
-    assert twin.subset(["1", "2"]) in refinement
-    assert other.mask(0b0011) not in refinement
-    assert ground4.subset(["1", "3"]) not in refinement
-    assert 0b0011 not in refinement and None not in refinement
