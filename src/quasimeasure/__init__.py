@@ -17,7 +17,6 @@ from .extension import (
     extend,
     is_caratheodory_measurable,
     measurable_family,
-    sample_measurability,
     verify_premeasure,
 )
 from .instance_io import InstanceSpec, ParseError, instance_spec_from, parse_instance, render_instance
@@ -94,7 +93,6 @@ __all__ = [
     "random_instance",
     "refine",
     "render_instance",
-    "sample_measurability",
     "search_instances",
     "survival_weight",
     "verify_example_axioms",

@@ -13,9 +13,10 @@ subcollections (`outer_exhaustive`).  Tests hold them to exact cost equality.
 Both work on int masks and int costs (numerators over ``qm.scale``).  Each
 call builds its own solver through `coat_solver`, so the only cover memo
 lives as long as that call; ``Fraction``, `SubsetMask` and
-`CoverSolution` are built only for results and witnesses.  Checks that
-quantify over all 2**n subsets solve the list of 2**n exterior values once
-and index it, instead of calling the solver per lookup.
+`CoverSolution` are built only for results and witnesses.
+`exterior_values` is the one builder of the list of all 2**n exterior
+values: every check that quantifies over all subsets indexes it instead of
+calling the solver per lookup.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from typing import Generic, Sequence, TypeVar
 
 from .quasi import COVER_ENUMERATION_LIMIT, ZERO, QuasiMeasure, subcollection_table
 from .report import AxiomReport, ReportBuilder
-from .sets import SubsetMask
+from .sets import DEFAULT_EXHAUSTIVE_LIMIT, BudgetExceeded, SubsetMask
 
 W = TypeVar("W")
+SUBSET_BUDGET = 1 << 12  # subsets check_outer_properties checks before sampling
+SAMPLE_SEED = 0  # seed of the sampled subsets; the sampled triples use SAMPLE_SEED + 1
 TRIPLE_BUDGET = 1 << 18  # subadditivity triples checked before sampling
 
 
@@ -105,6 +108,19 @@ def coat_solver(qm: QuasiMeasure) -> CoverSolver[int]:
     return CoverSolver([(i, b, qm.numerator(b)) for i, b in enumerate(qm.coat.member_bits())], 0)
 
 
+def exterior_values(qm: QuasiMeasure) -> list[int]:
+    """The exterior value of every subset as int numerators, indexed by mask.
+
+    All 2**n subsets are solved on one solver; past
+    ``DEFAULT_EXHAUSTIVE_LIMIT`` subsets the call refuses before solving.
+    """
+    n = qm.ground.n
+    if (1 << n) > DEFAULT_EXHAUSTIVE_LIMIT:
+        raise BudgetExceeded(f"2**{n} subsets exceed budget {DEFAULT_EXHAUSTIVE_LIMIT}")
+    solve = coat_solver(qm).solve
+    return [solve(a)[0] for a in range(1 << n)]
+
+
 def outer(qm: QuasiMeasure, a: SubsetMask) -> tuple[Fraction, CoverSolution]:
     """Exact exterior value of ``a`` with an optimal cover witness.
 
@@ -169,38 +185,33 @@ class SolvedValues(dict):
         return value
 
 
-def check_outer_properties(
-    qm: QuasiMeasure,
-    subset_budget: int = 1 << 12,
-    seed: int = 0,
-) -> AxiomReport:
+def check_outer_properties(qm: QuasiMeasure) -> AxiomReport:
     """Exact checks of the exterior value's structural properties.
 
-    Quantification is exhaustive over all 2**n subsets while that fits the
-    budget, otherwise over a deterministic sample drawn from the recorded
-    seed.  Exhaustive checks solve the list of all 2**n exterior values once
-    and index it; sampled checks index a ``SolvedValues`` instead.  Agreement
-    with the assigned coat values holds only when the cover bound does, so
-    that precondition is evaluated and recorded.
+    Quantification is exhaustive over all 2**n subsets while they fit
+    ``SUBSET_BUDGET``, on the list ``exterior_values`` builds; otherwise it
+    runs over ``SUBSET_BUDGET`` subsets drawn from ``SAMPLE_SEED``, solved on
+    first lookup through ``SolvedValues``, and can only report "not
+    falsified".  Agreement with the assigned coat values holds only when the
+    cover bound does, so that precondition is evaluated and recorded.
     """
     rb = ReportBuilder("outer-properties")
     rb.declare("endpoints", "nonnegative", "monotone", "coat-agreement", "subadditive")
     ground = qm.ground
     n = ground.n
     total = 1 << n
-    solver = coat_solver(qm)
 
-    exhaustive = total <= subset_budget
+    exhaustive = total <= SUBSET_BUDGET
     v: Sequence[int] | SolvedValues
     if exhaustive:
-        targets = list(range(total))
-        v = [solver.solve(bits)[0] for bits in targets]
+        targets: Sequence[int] = range(total)
+        v = exterior_values(qm)
         rb.note(f"subsets=exhaustive n={n}")
     else:
-        rng = random.Random(seed)
-        targets = sorted({0, ground.full_bits, *rng.sample(range(total), subset_budget)})
-        v = SolvedValues(solver)
-        rb.note(f"subsets=sampled count={len(targets)} seed={seed}")
+        rng = random.Random(SAMPLE_SEED)
+        targets = sorted({0, ground.full_bits, *rng.sample(range(total), SUBSET_BUDGET)})
+        v = SolvedValues(coat_solver(qm))
+        rb.note(f"subsets=sampled count={len(targets)} seed={SAMPLE_SEED}")
 
     for endpoint, want in ((0, 0), (ground.full_bits, qm.scale)):
         if v[endpoint] != want:
@@ -254,9 +265,9 @@ def check_outer_properties(
                         rb.fail("subadditive", qm.witness(
                             (("A1", a), ("A2", b), ("A3", c)), v[ab | c], vab + v[c], "le"))
     else:
-        rng = random.Random(seed + 1)
+        rng = random.Random(SAMPLE_SEED + 1)
         count = TRIPLE_BUDGET // 64
-        rb.note(f"triples=sampled count={count} seed={seed + 1}")
+        rb.note(f"triples=sampled count={count} seed={SAMPLE_SEED + 1}")
         for _ in range(count):
             a, b, c = rng.choice(targets), rng.choice(targets), rng.choice(targets)
             bound = v[a] + v[b] + v[c]

@@ -8,8 +8,9 @@ algebra generated by the coat; verifying the table means checking exact
 finite additivity on disjoint members.
 
 Measurability is certified only by exhaustive quantification over all
-subsets.  The sampling variant can only report "not falsified", never
-"measurable", and the two are kept as separate functions.
+subsets, on the list of exterior values `cover.exterior_values` builds.
+Past that list's budget the tests refuse instead of sampling, so a result
+is always "measurable" or a counterexample, never "not falsified".
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .cover import CoverSolution, SolvedValues, coat_solver
+from .cover import CoverSolution, coat_solver, exterior_values
 from .quasi import ONE, QuasiMeasure
 from .report import AxiomReport, ReportBuilder, Witness
-from .sets import DEFAULT_EXHAUSTIVE_LIMIT, AlgebraFamily, BudgetExceeded, SubsetMask, generate_algebra
+from .sets import AlgebraFamily, BudgetExceeded, SubsetMask, generate_algebra
 
 AUDIT_LIMIT = 5  # ground sets up to this size get the all-subsets audit
 SPLIT_BUDGET = 1 << 24  # (algebra members + audit candidates) * 2**n lookups in measurable_family
@@ -40,39 +41,18 @@ def is_caratheodory_measurable(qm: QuasiMeasure, w: SubsetMask) -> tuple[bool, S
 
     Returns the first violating A in mask order.
     """
-    values = _all_values(qm)
-    return _first_split_failure(qm, w, values, range(len(values)))
-
-
-def sample_measurability(
-    qm: QuasiMeasure, w: SubsetMask, sample_count: int, seed: int
-) -> tuple[bool, SubsetMask | None]:
-    """Randomized splitting test: True means "not falsified", never "measurable"."""
-    rng = random.Random(seed)
-    candidates = (rng.randrange(1 << qm.ground.n) for _ in range(sample_count))
-    values = SolvedValues(coat_solver(qm))
-    return _first_split_failure(qm, w, values, candidates)
-
-
-def _all_values(qm: QuasiMeasure) -> list[int]:
-    """The exterior value of every subset as int numerators, indexed by mask."""
-    n = qm.ground.n
-    if (1 << n) > DEFAULT_EXHAUSTIVE_LIMIT:
-        raise BudgetExceeded(
-            f"2**{n} subsets exceed budget {DEFAULT_EXHAUSTIVE_LIMIT}; use sample_measurability")
-    solve = coat_solver(qm).solve
-    return [solve(a)[0] for a in range(1 << n)]
+    if w.ground != qm.ground:
+        raise ValueError("candidate set belongs to a different ground set")
+    return _first_split_failure(qm, w, exterior_values(qm))
 
 
 def _first_split_failure(
-    qm: QuasiMeasure, w: SubsetMask, values: Sequence[int] | SolvedValues, candidates: Iterable[int]
+    qm: QuasiMeasure, w: SubsetMask, values: Sequence[int]
 ) -> tuple[bool, SubsetMask | None]:
-    """Splitting test of ``w`` over int candidates A on exterior values indexed by mask."""
-    if w.ground != qm.ground:
-        raise ValueError("candidate set belongs to a different ground set")
+    """Splitting test of ``w`` over every subset A, on exterior values indexed by mask."""
     inside, outside = w.bits, w.bits ^ qm.ground.full_bits
-    for a in candidates:
-        if values[a] != values[a & inside] + values[a & outside]:
+    for a, value in enumerate(values):
+        if value != values[a & inside] + values[a & outside]:
             return False, qm.ground.mask(a)
     return True, None
 
@@ -118,12 +98,10 @@ def measurable_family(qm: QuasiMeasure) -> MeasurabilityReport:
         raise BudgetExceeded(
             f"{len(algebra)} algebra members and {len(audit)} audit candidates by 2**{n} subsets"
             f" make {work} splitting lookups, over SPLIT_BUDGET={SPLIT_BUDGET}")
-    values = _all_values(qm)
-    subsets = range(1 << n)
+    values = exterior_values(qm)
 
     def records(candidates: Iterable[SubsetMask]) -> tuple[MeasurabilityRecord, ...]:
-        return tuple(MeasurabilityRecord(w, *_first_split_failure(qm, w, values, subsets))
-                     for w in candidates)
+        return tuple(MeasurabilityRecord(w, *_first_split_failure(qm, w, values)) for w in candidates)
 
     return MeasurabilityReport(records(algebra), records(audit))
 

@@ -267,6 +267,8 @@ def verify_example_axioms(
     pairwise-disjoint covers (where some single cover member must already
     contain the target).
     """
+    if sample_count < 1:
+        raise ValueError("sample_count must be at least 1")
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     rb = ReportBuilder("exponential")

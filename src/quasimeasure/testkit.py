@@ -75,8 +75,8 @@ def induce(tm: TrueMeasure, c: Coat) -> QuasiMeasure:
     return QuasiMeasure(c, refinement, dict(zip(refinement.members, masses)))
 
 
-def _random_weights(rng: random.Random, n: int, denominator_bound: int) -> tuple[Fraction, ...]:
-    d = rng.randint(1, denominator_bound)
+def _random_weights(rng: random.Random, n: int) -> tuple[Fraction, ...]:
+    d = rng.randint(1, DEFAULT_DENOMINATOR_BOUND)
     cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
     edges = [0, *cuts, d]
     return tuple(Fraction(edges[i + 1] - edges[i], d) for i in range(n))
@@ -87,12 +87,7 @@ def _ordered_coat(ground: GroundSet, bits: set[int]) -> Coat:
     return Coat.from_bits(ground, [0, ground.full_bits, *rest])
 
 
-def random_instance(
-    seed: int,
-    n: int = 4,
-    coat_size: int = 4,
-    weight_denominator_bound: int = DEFAULT_DENOMINATOR_BOUND,
-) -> tuple[TrueMeasure, Coat, QuasiMeasure]:
+def random_instance(seed: int, n: int = 4, coat_size: int = 4) -> tuple[TrueMeasure, Coat, QuasiMeasure]:
     """Deterministic pseudo-random ground set, weights, coat, and induced values.
 
     The coat always contains the empty and full sets; with n = 1 nothing
@@ -100,7 +95,7 @@ def random_instance(
     """
     rng = random.Random(seed)
     ground = GroundSet(tuple(str(i + 1) for i in range(n)))
-    tm = TrueMeasure(ground, _random_weights(rng, n, weight_denominator_bound))
+    tm = TrueMeasure(ground, _random_weights(rng, n))
     size = min(coat_size, 1 << n)
     bits = {0, ground.full_bits}
     while len(bits) < size:
@@ -110,10 +105,7 @@ def random_instance(
 
 
 def random_algebra_instance(
-    seed: int,
-    n: int = 4,
-    max_blocks: int = 3,
-    weight_denominator_bound: int = DEFAULT_DENOMINATOR_BOUND,
+    seed: int, n: int = 4, max_blocks: int = 3
 ) -> tuple[TrueMeasure, Coat, QuasiMeasure]:
     """An induced instance whose coat is the algebra of a random partition.
 
@@ -123,7 +115,7 @@ def random_algebra_instance(
     """
     rng = random.Random(seed)
     ground = GroundSet(tuple(str(i + 1) for i in range(n)))
-    tm = TrueMeasure(ground, _random_weights(rng, n, weight_denominator_bound))
+    tm = TrueMeasure(ground, _random_weights(rng, n))
     k = rng.randint(1, min(max_blocks, n))
     order = list(range(n))
     rng.shuffle(order)
@@ -134,8 +126,7 @@ def random_algebra_instance(
     return tm, coat, induce(tm, coat)
 
 
-def perturb(qm: QuasiMeasure, seed: int, max_changes: int = 2,
-            denominator_bound: int = DEFAULT_DENOMINATOR_BOUND) -> QuasiMeasure:
+def perturb(qm: QuasiMeasure, seed: int, max_changes: int = 2) -> QuasiMeasure:
     """Overwrite a few non-endpoint values at random; endpoints stay fixed."""
     rng = random.Random(seed)
     candidates = [m for m in qm.refinement.members if not m.is_empty() and not m.is_full()]
@@ -144,7 +135,7 @@ def perturb(qm: QuasiMeasure, seed: int, max_changes: int = 2,
     values = dict(qm.values)
     for _ in range(rng.randint(1, max_changes)):
         member = rng.choice(candidates)
-        d = rng.randint(1, denominator_bound)
+        d = rng.randint(1, DEFAULT_DENOMINATOR_BOUND)
         values[member] = Fraction(rng.randint(0, d), d)
     return QuasiMeasure(qm.coat, qm.refinement, values)
 
@@ -168,12 +159,7 @@ def canonical_negative_instance() -> tuple[TrueMeasure, Coat, QuasiMeasure]:
     return tm, coat, induce(tm, coat)
 
 
-def instance_for_seed(
-    seed: int,
-    n_max: int = 5,
-    coat_max: int = 8,
-    weight_denominator_bound: int = DEFAULT_DENOMINATOR_BOUND,
-) -> QuasiMeasure:
+def instance_for_seed(seed: int, n_max: int = 5, coat_max: int = 8) -> QuasiMeasure:
     """The seed-indexed instance corpus used by the search harness.
 
     Seeds cycle through three styles: partition-algebra coats (style 0,
@@ -184,11 +170,9 @@ def instance_for_seed(
     n = rng.randint(2, n_max)
     style = seed % 3
     if style == 0:
-        return random_algebra_instance(seed, n=n,
-                                       weight_denominator_bound=weight_denominator_bound)[2]
+        return random_algebra_instance(seed, n=n)[2]
     coat_size = rng.randint(3, coat_max)
-    qm = random_instance(seed, n=n, coat_size=coat_size,
-                         weight_denominator_bound=weight_denominator_bound)[2]
+    qm = random_instance(seed, n=n, coat_size=coat_size)[2]
     if style == 2:
         qm = perturb(qm, seed + 104729)
     return qm

@@ -20,3 +20,12 @@ def test_every_public_import_is_exported():
                 if isinstance(node, ast.ImportFrom) and node.module != "__future__"
                 for alias in node.names}
     assert sorted(name for name in imported - set(quasimeasure.__all__) if not name.startswith("_")) == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    package = Path(quasimeasure.__file__).parent
+    private = [f"{path.name}: {alias.name}" for path in sorted(package.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("quasimeasure"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

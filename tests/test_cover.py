@@ -16,7 +16,8 @@ from quasimeasure import (
     random_algebra_instance,
     random_instance,
 )
-from quasimeasure.cover import TRIPLE_BUDGET, CoverSolver, coat_solver
+from quasimeasure import cover
+from quasimeasure.cover import SAMPLE_SEED, SUBSET_BUDGET, TRIPLE_BUDGET, CoverSolver, coat_solver
 from quasimeasure.quasi import cover_bound_violations
 from quasimeasure.report import ReportBuilder
 
@@ -157,9 +158,11 @@ class TestOuterProperties:
             _, _, qm = random_instance(seed, n=4, coat_size=6)
             assert check_outer_properties(qm).passed
 
-    def test_sampling_mode_engages_beyond_budget(self):
+    def test_sampling_mode_engages_beyond_budget(self, monkeypatch):
         _, _, qm = random_instance(2, n=6, coat_size=6)
-        report = check_outer_properties(qm, subset_budget=16, seed=5)
+        monkeypatch.setattr(cover, "SUBSET_BUDGET", 16)
+        monkeypatch.setattr(cover, "SAMPLE_SEED", 5)
+        report = check_outer_properties(qm)
         assert report.passed
         assert any("sampled" in note and "seed=5" in note for note in report.notes)
 
@@ -201,7 +204,7 @@ class TestOuterProperties:
         assert found
 
 
-def reference_check_outer_properties(qm, subset_budget=1 << 12, seed=0):
+def reference_check_outer_properties(qm, subset_budget=SUBSET_BUDGET, seed=SAMPLE_SEED):
     """``check_outer_properties`` with one solver call per value lookup, kept as its oracle."""
     rb = ReportBuilder("outer-properties")
     rb.declare("endpoints", "nonnegative", "monotone", "coat-agreement", "subadditive")
@@ -298,11 +301,14 @@ def report_lines(report):
     return lines
 
 
-def assert_outer_properties_match(qm, **kwargs):
+def assert_outer_properties_match(qm, subset_budget=SUBSET_BUDGET, seed=SAMPLE_SEED):
     # Compared as lists of lines: a failing comparison of two long reprs would
     # make pytest diff them character by character.
-    got = check_outer_properties(qm, **kwargs)
-    assert report_lines(got) == report_lines(reference_check_outer_properties(qm, **kwargs))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cover, "SUBSET_BUDGET", subset_budget)
+        patch.setattr(cover, "SAMPLE_SEED", seed)
+        got = check_outer_properties(qm)
+    assert report_lines(got) == report_lines(reference_check_outer_properties(qm, subset_budget, seed))
     return got
 
 

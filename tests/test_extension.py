@@ -25,7 +25,6 @@ from quasimeasure import (
     outer_exhaustive,
     perturb,
     random_algebra_instance,
-    sample_measurability,
     verify_premeasure,
 )
 from quasimeasure.cover import CoverSolver, coat_solver
@@ -68,22 +67,19 @@ class TestMeasurability:
         split = outer(qm, a & w)[0] + outer(qm, a & w.complement())[0]
         assert whole != split
 
-    def test_budget_guard_and_sampling_fallback(self, negative_instance, monkeypatch):
+    def test_budget_guard_refuses_before_solving(self, monkeypatch):
         # 2**17 subsets are past the exhaustive limit: refused before any solve.
         big = singleton_coat_instance(17)
+        monkeypatch.setattr(CoverSolver, "solve", refuse_to_solve)
+        with pytest.raises(BudgetExceeded, match=r"2\*\*17 subsets exceed budget"):
+            is_caratheodory_measurable(big, big.ground.full())
 
-        def refuse(self, bits):
-            raise AssertionError("solved past the budget")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(CoverSolver, "solve", refuse)
-            with pytest.raises(BudgetExceeded, match="use sample_measurability"):
-                is_caratheodory_measurable(big, big.ground.full())
+    def test_foreign_candidate_refused_before_solving(self, negative_instance, monkeypatch):
         _, _, qm = negative_instance
-        w = qm.ground.subset(["1", "2"])
-        not_falsified, counterexample = sample_measurability(qm, w, sample_count=200, seed=1)
-        assert not not_falsified
-        assert counterexample is not None
+        other = GroundSet(("1", "2", "3", "5"))
+        monkeypatch.setattr(CoverSolver, "solve", refuse_to_solve)
+        with pytest.raises(ValueError, match="different ground set"):
+            is_caratheodory_measurable(qm, other.subset(["1", "2"]))
 
     def test_power_set_family_all_measurable(self, power_set_instance):
         _, _, qm = power_set_instance
@@ -141,6 +137,10 @@ class TestMeasurability:
         assert checked >= 20
 
 
+def refuse_to_solve(self, bits):
+    raise AssertionError("solved before the refusal")
+
+
 def reference_split_failure(qm, w, solve, candidates):
     """The splitting test with one solver call per value lookup, kept as the oracle."""
     inside, outside = w.bits, w.bits ^ qm.ground.full_bits
@@ -180,10 +180,6 @@ class TestMeasurabilityOracle:
             for record in report.audit:
                 w = record.candidate
                 assert is_caratheodory_measurable(qm, w) == (record.measurable, record.counterexample)
-                draws = random.Random(seed)
-                sampled = [draws.randrange(1 << n) for _ in range(12)]
-                assert (sample_measurability(qm, w, 12, seed)
-                        == reference_split_failure(qm, w, solve, sampled))
         assert non_measurable > 0
 
     def test_split_budget_admits_an_n10_singleton_coat(self):
@@ -193,11 +189,7 @@ class TestMeasurabilityOracle:
 
     def test_split_budget_refuses_an_n16_singleton_coat_before_solving(self, monkeypatch):
         qm = singleton_coat_instance(16)
-
-        def refuse(self, bits):
-            raise AssertionError("solved past the budget")
-
-        monkeypatch.setattr(CoverSolver, "solve", refuse)
+        monkeypatch.setattr(CoverSolver, "solve", refuse_to_solve)
         with pytest.raises(BudgetExceeded, match=f"SPLIT_BUDGET={SPLIT_BUDGET}"):
             measurable_family(qm)
 

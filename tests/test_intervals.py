@@ -1,5 +1,7 @@
 import math
 import random
+from collections import Counter, defaultdict
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from quasimeasure import (
     verify_example_axioms,
 )
 from quasimeasure.intervals import (
+    HALF_LINE,
     complement,
     difference,
     intersect,
@@ -214,6 +217,10 @@ class TestExampleSuite:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             verify_example_axioms(sample_count=1, seed=0, tol=0.0)
+        # Without samples only the two endpoint checks would run and pass.
+        for count in (0, -5):
+            with pytest.raises(ValueError, match="sample_count"):
+                verify_example_axioms(sample_count=count, seed=0)
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_rejects_non_finite_tolerance(self, tol):
@@ -237,6 +244,103 @@ class TestExampleSuite:
         assert isinstance(witness.lhs, float) and isinstance(witness.rhs, float)
         assert abs(witness.lhs - witness.rhs) > 1e-18
         assert witness.render()
+
+
+def exp_eval_exact(shape):
+    """The value of a family shape as its coefficient map ``{p: c_p}`` of Σ c_p·e^{-p}.
+
+    Each component from l to r adds e^{-l} - e^{-r}, with e^{-inf} = 0, and
+    ``Fraction(float)`` makes each endpoint an exact rational.  Exponentials of
+    distinct rationals are linearly independent over Q (Lindemann-Weierstrass),
+    so two such sums are equal as reals iff their coefficient maps are equal.
+    """
+    terms = Counter()
+    for c in shape.components:
+        terms[Fraction(c.left)] += 1
+        if c.right != math.inf:
+            terms[Fraction(c.right)] -= 1
+    return {p: k for p, k in terms.items() if k}
+
+
+def exact_sum(maps):
+    """The coefficient map of a sum of coefficient maps, without zero terms."""
+    total = Counter()
+    for terms in maps:
+        total.update(terms)
+    return {p: c for p, c in total.items() if c}
+
+
+def exactly_at_most(small, large):
+    """A sufficient exact test of Σ small ≤ Σ large on coefficient maps.
+
+    Over the endpoints p_1 < ... < p_m of the difference, Abel summation gives
+    Σ S_k·(e^{-p_k} - e^{-p_{k+1}}) with e^{-p_{m+1}} = 0 and S_k the sum of the
+    first k coefficients; every bracket is positive, so S_k >= 0 suffices.
+    """
+    difference_map = exact_sum([large, {p: -c for p, c in small.items()}])
+    partial = 0
+    for p in sorted(difference_map):
+        partial += difference_map[p]
+        if partial < 0:
+            return False
+    return True
+
+
+def example_suite_checks(sample_count, seed):
+    """The checks ``verify_example_axioms`` makes after the endpoints, replayed from its seed.
+
+    Yields ``(check, lhs, rhs)`` where each side is a list of shapes whose
+    values add up to it: "cover-bound" claims lhs <= rhs, every other check
+    lhs == rhs.  The draws match the suite's one for one.
+    """
+    rng = random.Random(seed)
+    for _ in range(sample_count):
+        u, a, b, v = sorted(rng.uniform(0.0, 4.0) for _ in range(4))
+        x, y = closed(u, v), closed(a, b)
+        for p, q in ((x, y), (y, x), (closed(u, a), closed(b, v))):
+            yield "splitting", [p], [intersect(p, q), difference(p, q)]
+        meet = intersect(x, y)
+        if not meet.is_empty():
+            yield "meet-envelope", [meet], [closed(meet.components[0].left, meet.components[0].right)]
+        if a < b:
+            for kind in (Interval.closed_open, Interval.open_closed):
+                yield "meet-envelope", [IntervalSet.of(kind(a, b))], [closed(a, b)]
+        diff = difference(x, y)
+        if not diff.is_empty():
+            yield "diff-envelope", [diff], [closed(c.left, c.right) for c in diff.components]
+        pieces = [closed(u, v)]
+        cursor = v
+        for _ in range(rng.randrange(3)):
+            gap, width = rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)
+            pieces.append(closed(cursor + gap, cursor + gap + width))
+            cursor += gap + width
+        yield "cover-bound", [closed(a, b)], pieces
+
+
+def test_example_identities_hold_exactly_and_floats_stay_far_below_tol():
+    assert exp_eval_exact(IntervalSet.empty()) == {} and exp_eval_exact(HALF_LINE) == {0: 1}
+    worst = 0.0
+    for check, lhs, rhs in example_suite_checks(1000, 0):
+        exact_lhs = exact_sum(map(exp_eval_exact, lhs))
+        exact_rhs = exact_sum(map(exp_eval_exact, rhs))
+        if check == "cover-bound":
+            assert exactly_at_most(exact_lhs, exact_rhs), (lhs, rhs)
+        else:
+            assert exact_lhs == exact_rhs, (check, lhs, rhs)
+            worst = max(worst, abs(sum(map(exp_eval, lhs)) - sum(map(exp_eval, rhs))))
+    assert 0 < worst < TOL / 1000
+
+
+def test_replay_draws_the_example_suite_samples():
+    # Every sample makes the same draws, so agreeing on the first 200 samples'
+    # floats, down to the discrepancies above 1e-16, means agreeing on all.
+    above = defaultdict(list)
+    for check, lhs, rhs in example_suite_checks(200, 0):
+        float_lhs, float_rhs = sum(map(exp_eval, lhs)), sum(map(exp_eval, rhs))
+        if check != "cover-bound" and abs(float_lhs - float_rhs) > 1e-16:
+            above[check].append((float_lhs, float_rhs))
+    suite = verify_example_axioms(sample_count=200, seed=0, tol=1e-16)
+    assert above and above == {r.name: [(w.lhs, w.rhs) for w in r.witnesses] for r in suite.failures()}
 
 
 class TestOuterInterval:
