@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .quasi import QuasiMeasure
 from .sets import MAX_GROUND_SIZE, Coat, GroundSet, SubsetMask, refine
@@ -33,18 +33,18 @@ _LABEL = re.compile(r"[^\s#]+")
 
 
 class ParseError(ValueError):
-    """Instance-format rejection, with the offending line (and column)."""
+    """Instance-format rejection, with the offending line and column when known.
+
+    An expression's column counts from the expression's first character.
+    """
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
         self.column = column
-        where = ""
-        if line is not None:
-            where = f"line {line}"
-            if column is not None:
-                where += f", column {column}"
-            where += ": "
-        super().__init__(where + message)
+        where = [f"line {line}"] if line is not None else []
+        if column is not None:
+            where.append(f"column {column}")
+        super().__init__(", ".join(where) + ": " + message if where else message)
 
 
 def parse_rational(text: str, line: int | None = None) -> Fraction:
@@ -66,23 +66,16 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def resolve_expression(
-    text: str,
-    names: Mapping[str, SubsetMask],
-    ground: GroundSet,
-    line: int | None = None,
-) -> SubsetMask:
-    """Intersect named sets and complements: ``A&!B`` is A minus B."""
-    if any(mask.ground != ground for mask in names.values()):
-        raise ValueError("masks belong to different ground sets")
-    bits = {name: mask.bits for name, mask in names.items()}
-    return ground.mask(_expression_bits(text, bits, ground.full_bits, line))
-
-
 def _expression_bits(text: str, names: Mapping[str, int], full: int, line: int | None) -> int:
-    """``resolve_expression`` on int masks: ``names`` maps set names to their bits."""
+    """Intersect named sets and complements on int masks: ``A&!B`` is A minus B.
+
+    ``names`` maps set names to their bits and ``full`` is the ground set's.
+    """
+    if not text:
+        raise ParseError("empty expression", line)
     result = full
-    for offset, part in _split_expression(text, line):
+    offset = 0
+    for part in text.split("&"):
         negate = part.startswith("!")
         name = part[1:] if negate else part
         if not name:
@@ -90,18 +83,8 @@ def _expression_bits(text: str, names: Mapping[str, int], full: int, line: int |
         if name not in names:
             raise ParseError(f"unknown set name {name!r}", line, offset + 1)
         result &= names[name] ^ full if negate else names[name]
-    return result
-
-
-def _split_expression(text: str, line: int | None) -> list[tuple[int, str]]:
-    if not text:
-        raise ParseError("empty expression", line)
-    parts: list[tuple[int, str]] = []
-    offset = 0
-    for part in text.split("&"):
-        parts.append((offset, part))
         offset += len(part) + 1
-    return parts
+    return result
 
 
 def resolve_target(text: str, names: Mapping[str, SubsetMask], ground: GroundSet) -> SubsetMask:
@@ -112,8 +95,9 @@ def resolve_target(text: str, names: Mapping[str, SubsetMask], ground: GroundSet
     ``"1 3"``) builds the set of those elements directly.
     """
     stripped = text.strip()
+    bits = {name: mask.bits for name, mask in names.items()}
     try:
-        return resolve_expression(stripped, names, ground)
+        return ground.mask(_expression_bits(stripped, bits, ground.full_bits, None))
     except ParseError:
         labels = stripped.replace(",", " ").split()
         if labels and all(label in ground.elements for label in labels):
@@ -149,24 +133,29 @@ class InstanceSpec:
 
     def build(self) -> tuple[GroundSet, Coat, QuasiMeasure]:
         """The instance this spec denotes, built on the first call and shared after it."""
-        built = self.__dict__.get("_built")
-        if built is not None:
-            return built
+        return self.__dict__.get("_built") or self._build(None, [None] * len(self.values))
+
+    def _build(self, coat_line: int | None,
+               value_lines: Sequence[int | None]) -> tuple[GroundSet, Coat, QuasiMeasure]:
+        """``build``, with refusals naming the coat's line and each value's line."""
         ground = self.ground()
         names = self.names()
-        coat = Coat(ground, tuple(names[n] for n in self.coat_names))
+        try:
+            coat = Coat(ground, tuple(names[n] for n in self.coat_names))
+        except ValueError as exc:
+            raise ParseError(str(exc), coat_line) from None
         refinement = refine(coat)
         member_of = {m.bits: m for m in refinement.members}
         name_bits = {name: mask.bits for name, mask in names.items()}
         by_bits: dict[int, Fraction] = {}
-        for expr, value in self.values:
-            bits = _expression_bits(expr, name_bits, ground.full_bits, None)
+        for line, (expr, value) in zip(value_lines, self.values):
+            bits = _expression_bits(expr, name_bits, ground.full_bits, line)
             if bits not in member_of:
-                raise ParseError(f"value assigned to a set outside the refinement: {expr!r}")
+                raise ParseError(f"value assigned to a set outside the refinement: {expr!r}", line)
             if bits in by_bits and by_bits[bits] != value:
                 raise ParseError(
                     f"conflicting values for {expr!r}: {format_rational(by_bits[bits])}"
-                    f" vs {format_rational(value)}"
+                    f" vs {format_rational(value)}", line
                 )
             by_bits[bits] = value
         missing = [m for m in refinement.members if m.bits not in by_bits]
@@ -186,6 +175,7 @@ def parse_instance(document: str) -> InstanceSpec:
     set_defs: list[tuple[str, tuple[str, ...]]] = []
     set_names: set[str] = set()
     coat_names: tuple[str, ...] | None = None
+    coat_line: int | None = None
     value_lines: list[tuple[int, str, str]] = []
     seed: int | None = None
 
@@ -252,7 +242,7 @@ def parse_instance(document: str) -> InstanceSpec:
                 raise ParseError("coat must contain empty", lineno)
             if "omega" not in names:
                 raise ParseError("coat must contain omega", lineno)
-            coat_names = names
+            coat_names, coat_line = names, lineno
         elif keyword == "value":
             if len(keyword_tokens) != 2:
                 raise ParseError("value directive needs exactly one expression", lineno,
@@ -276,10 +266,12 @@ def parse_instance(document: str) -> InstanceSpec:
         (expr, parse_rational(text, lineno)) for lineno, expr, text in value_lines
     )
     spec = InstanceSpec(ground_labels, tuple(set_defs), coat_names, values, seed)
-    # Deep validation happens in build(), whose result the spec keeps; its
-    # errors carry no line number, since mask-level problems span several lines.
+    # Deep validation happens as the spec builds its instance, which it keeps; the
+    # checks of the whole value map (missing values, the endpoints) name no line.
     try:
-        spec.build()
+        spec._build(coat_line, [lineno for lineno, _, _ in value_lines])
+    except ParseError:
+        raise
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     return spec

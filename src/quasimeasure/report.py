@@ -97,7 +97,6 @@ class CheckResult:
     name: str
     passed: bool
     witnesses: tuple[Witness, ...] | WitnessRecords = ()
-    details: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.passed and self.witnesses:
@@ -133,7 +132,6 @@ class ReportBuilder:
         self.suite = suite
         self._order: list[str] = []
         self._witnesses: dict[str, list[Witness] | WitnessRecords] = {}
-        self._details: dict[str, list[str]] = {}
         self._notes: list[str] = []
 
     def declare(self, *names: str) -> None:
@@ -141,7 +139,6 @@ class ReportBuilder:
             if name not in self._witnesses:
                 self._order.append(name)
                 self._witnesses[name] = []
-                self._details[name] = []
 
     def fail(self, name: str, witness: Witness) -> None:
         self.declare(name)
@@ -155,10 +152,6 @@ class ReportBuilder:
         if records:
             self._witnesses[name] = WitnessRecords(records, make)
 
-    def detail(self, name: str, text: str) -> None:
-        self.declare(name)
-        self._details[name].append(text)
-
     def note(self, text: str) -> None:
         self._notes.append(text)
 
@@ -168,6 +161,5 @@ class ReportBuilder:
             witnesses = self._witnesses[name]
             if isinstance(witnesses, list):
                 witnesses = tuple(witnesses)
-            results.append(CheckResult(name, passed=not witnesses, witnesses=witnesses,
-                                       details=tuple(self._details[name])))
+            results.append(CheckResult(name, passed=not witnesses, witnesses=witnesses))
         return AxiomReport(self.suite, tuple(results), tuple(self._notes))

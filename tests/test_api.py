@@ -29,3 +29,21 @@ def test_no_module_imports_a_private_name_from_another():
                if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("quasimeasure"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def functools_names(tree):
+    """Every name a module takes from functools: imported ones and ``functools.x`` attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+            yield node.attr
+
+
+def test_no_module_keeps_a_cross_call_cache():
+    # Each call builds its own solver and tables; a per-object cached_property stays allowed.
+    package = Path(quasimeasure.__file__).parent
+    cached = [f"{path.name}: {name}" for path in sorted(package.glob("*.py"))
+              for name in functools_names(ast.parse(path.read_text(encoding="utf-8")))
+              if name in ("lru_cache", "cache")]
+    assert cached == []

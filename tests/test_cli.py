@@ -109,13 +109,15 @@ class TestParsing:
     def test_build_rejections_keep_their_messages(self):
         cases = (
             (UNIFORM_DOC + "set D: 1 3\nvalue D: 1/2\n",
-             "value assigned to a set outside the refinement: 'D'"),
+             "line 16: value assigned to a set outside the refinement: 'D'"),
             (UNIFORM_DOC + "value omega&!A&B: 1/8\n",
-             "conflicting values for 'omega&!A&B': 1/4 vs 1/8"),
+             "line 15: conflicting values for 'omega&!A&B': 1/4 vs 1/8"),
             (UNIFORM_DOC.replace("value B&!A: 1/4\n", "").replace("value omega&!B: 1/2\n", ""),
              "missing values for refinement members: {1,4} {3}"),
-            (UNIFORM_DOC + "value A&!: 1/4\n", "empty operand in expression"),
-            (UNIFORM_DOC + "value A&Z: 1/4\n", "unknown set name 'Z'"),
+            (UNIFORM_DOC + "value A&!: 1/4\n", "line 15, column 3: empty operand in expression"),
+            (UNIFORM_DOC + "value A&Z: 1/4\n", "line 15, column 3: unknown set name 'Z'"),
+            (UNIFORM_DOC.replace("coat: empty omega A B", "set C: 2 1\ncoat: empty omega A B C"),
+             "line 6: duplicate coat member {1,2}"),
         )
         for doc, message in cases:
             with pytest.raises(ParseError) as info:
@@ -426,6 +428,8 @@ class TestRun:
     def test_outer_requires_known_target(self, uniform_path, capsys):
         assert main(["outer", uniform_path, "--set", "frob"]) == 2
         capsys.readouterr()
+        assert main(["outer", uniform_path, "--set", "A&Z"]) == 2
+        assert capsys.readouterr().err == "error: column 3: unknown set name 'Z'\n"
 
     def test_oversized_cover_enumeration_exits_two(self, tmp_path, capsys):
         _, _, qm = random_instance(5, n=5, coat_size=24)
@@ -521,6 +525,7 @@ class TestMachineFormat:
         instance.write_text(UNIFORM_DOC, encoding="utf-8")
         cases = [
             ("uniform_check.jsonl", ["check", str(instance)]),
+            ("uniform_check_literal.jsonl", ["check", str(instance), "--variant", "literal"]),
             ("uniform_outer.jsonl", ["outer", str(instance), "--set", "2"]),
             ("uniform_extend.jsonl", ["extend", str(instance)]),
         ]

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasimeasure import (
+    Coat,
     GroundSet,
     QuasiMeasure,
     check_alt_conditions,
@@ -95,6 +96,16 @@ class TestQuasiMeasureValidation:
         values[qm.ground.empty()] = 0.5
         with pytest.raises(ValueError, match="value of the empty set must be 0"):
             QuasiMeasure(coat, qm.refinement, values)
+
+    def test_refinement_of_another_coat_rejected(self, negative_instance):
+        # Accepted before, check_axioms then failed with a KeyError on the extra member.
+        _, coat, qm = negative_instance
+        other = Coat(coat.ground, (*coat.members, coat.ground.subset(["3", "4"])))
+        with pytest.raises(ValueError, match="^the refinement belongs to another coat$"):
+            QuasiMeasure(other, qm.refinement, dict(qm.values))
+        equal = Coat(coat.ground, coat.members)
+        assert equal is not coat
+        assert QuasiMeasure(equal, qm.refinement, dict(qm.values)).scale == qm.scale
 
     def test_empty_set_value_must_be_zero(self, negative_instance):
         _, coat, qm = negative_instance
