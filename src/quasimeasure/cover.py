@@ -63,8 +63,10 @@ class CoverSolver(Generic[W]):
     ordered, additive type with zero ``zero``: int numerators over ``scale``
     for coats, ``float`` for interval pools.  ``solve`` returns the cost and the
     ascending chosen indices.  Candidates at each node are ordered by
-    decreasing fresh coverage; a candidate whose own weight already exceeds
-    the node's best cost is pruned (it cannot improve or tie).
+    decreasing fresh coverage.  The memo is read before each call; a
+    candidate whose weight, or else whose cover's cost, exceeds the node's
+    best cost is skipped before its residual is solved or its cover tuple
+    built (it cannot improve or tie).
     """
 
     def __init__(self, entries: Sequence[tuple[int, int, W]], zero: W):
@@ -80,25 +82,26 @@ class CoverSolver(Generic[W]):
     def solve(self, target_bits: int) -> tuple[W, tuple[int, ...]]:
         if not self.feasible(target_bits):
             raise ValueError("target not coverable by the available members")
-        return self._solve(target_bits)
+        return self._memo.get(target_bits) or self._solve(target_bits)
 
     def _solve(self, residual: int) -> tuple[W, tuple[int, ...]]:
-        hit = self._memo.get(residual)
-        if hit is not None:
-            return hit
+        memo = self._memo
         candidates = [e for e in self.entries if e[1] & residual]
         candidates.sort(key=lambda e: -(e[1] & residual).bit_count())
         best: tuple[W, tuple[int, ...]] | None = None
         for idx, bits, weight in candidates:
             if best is not None and weight > best[0]:
                 continue
-            sub_cost, sub_chosen = self._solve(residual & ~bits)
+            rest = residual & ~bits
+            sub_cost, sub_chosen = memo.get(rest) or self._solve(rest)
             cost = weight + sub_cost
+            if best is not None and cost > best[0]:
+                continue
             chosen = tuple(sorted(sub_chosen + (idx,)))
             if best is None or (cost, len(chosen), chosen) < (best[0], len(best[1]), best[1]):
                 best = (cost, chosen)
         assert best is not None  # residual != 0 and reach covers it
-        self._memo[residual] = best
+        memo[residual] = best
         return best
 
 

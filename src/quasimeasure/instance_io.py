@@ -30,6 +30,7 @@ RESERVED_NAMES = ("empty", "omega")
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
 _NAME = re.compile(r"^[^\s&!:#]+$")
 _LABEL = re.compile(r"[^\s#]+")
+MAX_LINE_LENGTH = 1 << 16  # characters; fits a rational of two 4,300-digit ints and more
 
 
 class ParseError(ValueError):
@@ -180,6 +181,8 @@ def parse_instance(document: str) -> InstanceSpec:
     seed: int | None = None
 
     for lineno, raw in enumerate(document.splitlines(), start=1):
+        if len(raw) > MAX_LINE_LENGTH:
+            raise ParseError(f"line longer than {MAX_LINE_LENGTH} characters", lineno)
         hash_at = raw.find("#")
         line = (raw if hash_at < 0 else raw[:hash_at]).strip()
         if not line:

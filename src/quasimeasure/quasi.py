@@ -142,7 +142,8 @@ def cover_bound_violations(
     For every coat member X and every subcollection of the coat (of the
     requested size and disjointness) whose union contains X, the value of X
     must not exceed the subcollection's value sum.  Enumerations beyond
-    about a million subcollections are refused rather than attempted.
+    about a million subcollections are refused rather than attempted.  While
+    all 2**k fit, only those whose union holds a dearer member are visited.
     """
     if cover_mode not in ("all", "disjoint-only"):
         raise ValueError(f"unknown cover mode {cover_mode!r}")
@@ -171,8 +172,9 @@ def cover_bound_violations(
 
     if (1 << k) <= COVER_ENUMERATION_LIMIT:
         unions, costs = subcollection_table(bits, values)
+        dearest = {u: max(vx for x, vx in zip(bits, values) if x & ~u == 0) for u in set(unions)}
         for s in range(1, 1 << k):
-            if s.bit_count() <= max_cover_size:
+            if dearest[unions[s]] > costs[s] and s.bit_count() <= max_cover_size:
                 check_cover(s, unions[s], costs[s])
         return violations
 

@@ -35,10 +35,6 @@ class GroundSet:
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("ground set labels must be pairwise distinct")
 
-    @classmethod
-    def of(cls, *labels: str) -> "GroundSet":
-        return cls(tuple(labels))
-
     @property
     def n(self) -> int:
         return len(self.elements)

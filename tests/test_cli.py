@@ -202,6 +202,23 @@ class TestParsing:
             parse_instance(doc)
         assert info.value.line == 8
 
+    def test_overlong_line_reports_line(self):
+        # The limit sits well above a value line of two rationals at int()'s digit limit.
+        limit = instance_io.MAX_LINE_LENGTH
+        assert limit > 2 * sys.get_int_max_str_digits() + 100
+        parse_instance(UNIFORM_DOC + "#" * limit + "\n")
+        doc = UNIFORM_DOC.replace("value A: 1/2", "value A: 1/2" + " " * limit)
+        with pytest.raises(ParseError, match=f"^line 8: line longer than {limit} characters$") as info:
+            parse_instance(doc)
+        assert info.value.line == 8
+
+    def test_overlong_line_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "long.qm"
+        limit = instance_io.MAX_LINE_LENGTH
+        path.write_text(UNIFORM_DOC + "#" * (limit + 1) + "\n", encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert f"line 15: line longer than {limit} characters" in capsys.readouterr().err
+
     def test_non_utf8_input_reports_line(self, tmp_path, capsys):
         path = tmp_path / "latin.qm"
         path.write_bytes(UNIFORM_DOC.replace("set B: 2 3", "set B: 2 \xff3").encode("latin-1"))

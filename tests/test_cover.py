@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quasimeasure import (
     Coat,
+    QuasiMeasure,
     TrueMeasure,
     check_outer_properties,
     induce,
@@ -117,6 +118,33 @@ class TestCoverSolver:
         assert not solver.feasible(0b1000)
         with pytest.raises(ValueError, match="not coverable"):
             solver.solve(0b1000)
+
+
+QUARTERS = tuple(Fraction(q, 4) for q in range(5))
+
+
+@st.composite
+def quarter_valued_instances(draw):
+    """Random coats with n <= 5 and k <= 10, every inner value redrawn from {0, 1/4, ..., 1}.
+
+    Zero-weight members and covers of equal cost are common, so the
+    (cost, size, indices) tie-break decides many witnesses.
+    """
+    _, coat, qm = random_instance(draw(st.integers(0, 10**6)), n=draw(st.integers(1, 5)),
+                                  coat_size=draw(st.integers(2, 10)))
+    values = {m: v if m.is_empty() or m.is_full() else draw(st.sampled_from(QUARTERS))
+              for m, v in qm.values.items()}
+    return QuasiMeasure(coat, qm.refinement, values)
+
+
+@settings(max_examples=150)
+@given(quarter_valued_instances())
+def test_solver_breaks_ties_like_the_enumeration(qm):
+    # Equal tuples pin the cost and the chosen indices: a dearer candidate may
+    # be skipped unbuilt, but a tie must still be compared.
+    for bits in range(1 << qm.ground.n):
+        target = qm.ground.mask(bits)
+        assert outer(qm, target) == outer_exhaustive(qm, target), target
 
 
 class TestOptimizerMonotonicity:

@@ -446,6 +446,56 @@ def test_verify_premeasure_agrees_with_pairwise_reference(table):
     assert_same_report(table)
 
 
+@st.composite
+def atom_sum_tables(draw):
+    """On the algebra of a ``quarter_tables`` draw, an additive table, or one with a value changed.
+
+    In an additive table each member's value is the sum of its atoms' values.
+    """
+    algebra = draw(quarter_tables()).algebra
+    size = len(algebra)
+    atoms = [draw(st.integers(0, 4)) for _ in range(size.bit_length() - 1)]
+    nums = [sum(v for j, v in enumerate(atoms) if i >> j & 1) for i in range(size)]
+    scale = max(nums[-1], 1)
+    if draw(st.booleans()):
+        i = draw(st.integers(1, size - 1))
+        nums[i] = (nums[i] + draw(st.integers(1, scale))) % (scale + 1)
+    return MeasureTable(algebra, scale, tuple(nums), ((),) * size)
+
+
+@settings(max_examples=80)
+@given(atom_sum_tables())
+def test_atom_sums_keep_the_pair_walk_report(table):
+    # Additivity holds iff every member is the sum of its atoms, so the pair
+    # walk may run only on a disagreement; its report must not change.  The
+    # drawn quarter tables themselves are compared above.
+    assert_same_report(table)
+    nums = table.numerators
+    sums_agree = all(v == sum(nums[1 << j] for j in range(i.bit_length()) if i >> j & 1)
+                     for i, v in enumerate(nums))
+    assert verify_premeasure(table).result("pair-additivity").passed == sums_agree
+
+
+def test_additive_table_reads_each_numerator_a_few_times():
+    # The atom sums certify an additive table in one peel pass; the pair walk
+    # alone would read 3 numerators for each of the ~3**10 / 2 disjoint pairs.
+    class CountingTuple(tuple):
+        reads = 0
+
+        def __getitem__(self, index):
+            self.reads += 1
+            return super().__getitem__(index)
+
+    n = 10
+    algebra = generate_algebra(singleton_coat_instance(n).coat)
+    nums = CountingTuple(m.size for m in algebra)
+    table = MeasureTable(algebra, n, nums, ((),) * len(algebra))
+    nums.reads = 0
+    report = verify_premeasure(table)
+    assert report.passed and len(algebra) == 2 ** n
+    assert 0 < nums.reads <= 4 * 2 ** n
+
+
 def test_verify_premeasure_agrees_with_reference_on_sampled_triples():
     rng = random.Random(7)
     for n in (7, 8):

@@ -375,6 +375,17 @@ class TestOuterInterval:
             assert abs(result.cost - result.analytic) <= TOL
             assert abs(result.analytic - survival_weight(target)) == 0.0
 
+    def test_equal_weight_members_tie_on_the_lowest_indices(self):
+        # (1,3] and [1,3] weigh the same, so {0, 1} and {1, 2} tie on cost and
+        # size.  [1,3] also covers the point 1, so {1, 2} is found first; the
+        # tie must still be compared for the lower indices {0, 1} to win.
+        pool = [Interval.open_closed(1.0, 3.0), Interval.closed(0.0, 1.0), Interval.closed(1.0, 3.0)]
+        assert pool[0].weight() == pool[2].weight()
+        target = IntervalSet.of(Interval.closed(0.0, 1.0), Interval.closed(2.0, 3.0))
+        result = outer_interval(target, pool)
+        assert result.chosen == (0, 1)
+        assert result.cost == pool[0].weight() + pool[1].weight()
+
     def test_infeasible_pool_is_an_error(self):
         with pytest.raises(ValueError, match="cover"):
             outer_interval(closed(0.0, 3.0), [Interval.closed(0.0, 1.0)])

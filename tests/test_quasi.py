@@ -10,8 +10,10 @@ from quasimeasure import (
     Coat,
     GroundSet,
     QuasiMeasure,
+    TrueMeasure,
     check_alt_conditions,
     check_axioms,
+    induce,
     outer,
     outer_exhaustive,
     perturb,
@@ -456,6 +458,23 @@ def test_cover_bound_holds_iff_coat_members_have_their_own_exterior_value(qm):
         for cover_mode in ("all", "disjoint-only"):
             for size in range(1, len(qm.coat) + 1):
                 assert cover_bound_violations(qm, cover_mode, size) == []
+
+
+def test_cover_bound_filter_agrees_with_the_reference_at_the_benchmark_size():
+    # At k = 10 and 12 the filter skips nearly every subcollection, since few
+    # unions hold a member dearer than their value sum.  Witnesses of at most
+    # 3 covering sets are the reference's witnesses of max_cover_size=3.
+    ground = GroundSet(tuple(str(i + 1) for i in range(8)))
+    singleton = Coat.from_bits(ground, [0, ground.full_bits, *(1 << i for i in range(8))])
+    coats = [induce(TrueMeasure.uniform(ground), singleton)]
+    coats += [perturb(random_instance(seed, n=8, coat_size=12)[2], seed, max_changes=4) for seed in (7, 9)]
+    for qm in coats:
+        for cover_mode in ("all", "disjoint-only"):
+            want = reference_cover_bound_violations(qm, cover_mode)
+            for size, kept in ((None, want), (3, [w for w in want if len(w.sets) <= 4])):
+                got = cover_bound_violations(qm, cover_mode, size)
+                assert exact_witnesses(got) == exact_witnesses(kept) and got == kept
+                assert bool(got) == (qm is not coats[0])
 
 
 def large_denominator_instance(seed, bits=3000):
