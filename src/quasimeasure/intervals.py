@@ -261,11 +261,14 @@ def verify_example_axioms(
     """Spot-check the quasi-measure axioms on the exponential interval coat.
 
     Draws endpoint tuples u <= a <= b <= v from the given seed and checks,
-    within ``tol``: the splitting identity for overlapping, nested, and
-    disjoint closed intervals; envelope witnesses built from component
-    closures; and the cover bound on connected targets under sampled
-    pairwise-disjoint covers (where some single cover member must already
-    contain the target).
+    within ``tol``: the splitting identity for the pairs it names
+    "overlapping", "nested" and "disjoint"; envelope witnesses built from
+    component closures; and the cover bound on connected targets under
+    sampled pairwise-disjoint covers (where some single cover member must
+    already contain the target).  Because of that draw order the
+    "overlapping" pair [u, v], [a, b] is nested too, so truly overlapping
+    intervals are never split, and the cover starts with [u, v], which
+    already contains the target [a, b].
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
