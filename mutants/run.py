@@ -1,0 +1,118 @@
+"""Mutation check of the exact fast paths: every mutant must fail its tests.
+
+Each mutant replaces one piece of text, which must occur exactly once, in one
+source file of a temporary copy of the repository, then runs ``pytest -x`` on
+the test files that must catch it.  Hypothesis runs under the ``mutants``
+profile from ``tests/conftest.py``, which skips shrinking, so a caught
+mutant stops at its first failing example.  The unmutated copy runs first
+on every listed test file, so a kill never comes from a test that already
+fails.
+
+Usage: python mutants/run.py
+
+Exit status: 0 when every mutant is killed, 1 when one survives, 2 when the
+baseline fails, a replacement does not match, or pytest errors out.
+Only the standard library is needed to run it; the tests need pytest and
+hypothesis.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+COVER = "src/quasimeasure/cover.py"
+MUTANTS = (
+    Mutant("solver-weight-skip-ties", COVER,
+           "if best is not None and weight > best[0]:",
+           "if best is not None and weight >= best[0]:",
+           ("tests/test_cover.py",)),
+    Mutant("solver-cost-skip-ties", COVER,
+           "if best is not None and cost > best[0]:",
+           "if best is not None and cost >= best[0]:",
+           ("tests/test_cover.py",)),
+    Mutant("solver-tie-key-drops-indices", COVER,
+           "(cost, len(chosen), chosen) < (best[0], len(best[1]), best[1])",
+           "(cost, len(chosen)) < (best[0], len(best[1]))",
+           ("tests/test_cover.py",)),
+    Mutant("solver-skips-memo-read", COVER,
+           "return self._memo.get(target_bits) or self._solve(target_bits)",
+           "return self._solve(target_bits)",
+           ("tests/test_cover.py",)),
+    Mutant("dearest-filter-takes-min", "src/quasimeasure/quasi.py",
+           "dearest = {u: max(vx",
+           "dearest = {u: min(vx",
+           ("tests/test_quasi.py",)),
+    Mutant("atom-sum-gate-checks-omega-only", "src/quasimeasure/extension.py",
+           "for i in range(size) if sums != list(nums) else ():",
+           "for i in range(size) if sums[-1] != nums[-1] else ():",
+           ("tests/test_extension.py",)),
+    Mutant("coat-agreement-one-sided", COVER,
+           "if v != qm.numerator(x)]",
+           "if v > qm.numerator(x)]",
+           ("tests/test_cover.py",)),
+    Mutant("overlapping-split-one-sided", "src/quasimeasure/intervals.py",
+           "if abs(lhs - rhs) > tol:",
+           "if lhs - rhs > tol:",
+           ("tests/test_intervals.py",)),
+)
+
+
+def pytest_in_copy(tests: tuple[str, ...], mutant: Mutant | None = None) -> int:
+    """Run ``pytest -x`` on ``tests`` in a fresh copy, with ``mutant`` applied; -1 if it does not match."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        shutil.copytree(ROOT / "src", copy / "src", ignore=skip)
+        shutil.copytree(ROOT / "tests", copy / "tests", ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        if mutant is not None:
+            source = copy / mutant.path
+            text = source.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                return -1
+            source.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                   "--hypothesis-profile", "mutants", *tests]
+        return subprocess.run(command, cwd=copy, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    started = time.perf_counter()
+    tests = tuple(sorted({t for m in MUTANTS for t in m.tests}))
+    if pytest_in_copy(tests) != 0:
+        print(f"baseline: the unmutated tests fail: {' '.join(tests)}", file=sys.stderr)
+        return 2
+    outcomes = []
+    for mutant in MUTANTS:
+        code = pytest_in_copy(mutant.tests, mutant)
+        outcome = {-1: "unmatched", 0: "SURVIVED", 1: "killed"}.get(code, f"error (pytest exit {code})")
+        outcomes.append(outcome)
+        print(f"{outcome:<10} {mutant.name}", flush=True)
+    print(f"{outcomes.count('killed')}/{len(MUTANTS)} killed in {time.perf_counter() - started:.0f} s")
+    if all(o == "killed" for o in outcomes):
+        return 0
+    return 1 if "SURVIVED" in outcomes else 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

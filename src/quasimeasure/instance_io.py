@@ -180,7 +180,9 @@ def parse_instance(document: str) -> InstanceSpec:
     value_lines: list[tuple[int, str, str]] = []
     seed: int | None = None
 
-    for lineno, raw in enumerate(document.splitlines(), start=1):
+    # Only "\r\n", "\r" and "\n" end a line; str.splitlines also splits at U+2028 and others.
+    lines = document.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         if len(raw) > MAX_LINE_LENGTH:
             raise ParseError(f"line longer than {MAX_LINE_LENGTH} characters", lineno)
         hash_at = raw.find("#")

@@ -260,15 +260,25 @@ def verify_example_axioms(
 ) -> AxiomReport:
     """Spot-check the quasi-measure axioms on the exponential interval coat.
 
-    Draws endpoint tuples u <= a <= b <= v from the given seed and checks,
-    within ``tol``: the splitting identity for the pairs it names
-    "overlapping", "nested" and "disjoint"; envelope witnesses built from
-    component closures; and the cover bound on connected targets under
-    sampled pairwise-disjoint covers (where some single cover member must
-    already contain the target).  Because of that draw order the
-    "overlapping" pair [u, v], [a, b] is nested too, so truly overlapping
-    intervals are never split, and the cover starts with [u, v], which
-    already contains the target [a, b].
+    Draws endpoint tuples u <= a <= b <= v from the given seed and runs the
+    two comparisons whose float sides can differ, within ``tol``: the
+    "overlapping" split of [u, v] through [a, b], and the cover bound of the
+    target [a, b] under [u, v] plus up to two disjoint pieces beyond v (its
+    pass rests on ``math.exp`` being monotone in floating point).  Because of
+    that draw order the "overlapping" pair is nested too, so truly
+    overlapping intervals are never split.  The other declared identities
+    hold bit for bit by construction, so they are not computed:
+
+    - "nested" split of [a, b] through [u, v]: the difference is empty, so
+      the right side is the left side plus 0.0;
+    - "disjoint" split of [u, a] through [b, v]: the meet is empty or the
+      closed singleton {a} of weight 0.0, and the difference has the
+      endpoints of [u, a];
+    - "meet-envelope": the meet is [a, b] itself, and a half-open member
+      and its closure share endpoints, which is all ``Interval.weight`` reads;
+    - "diff-envelope": summing the closures of the difference's components
+      gives 0 + w1 (+ w2), the float ``exp_eval`` computes for it;
+    - "cover-bound" that some piece contains the target: [u, v] holds [a, b].
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -279,8 +289,10 @@ def verify_example_axioms(
     rb.note(f"samples={sample_count} seed={seed} tol={tol!r}")
     # "endpoints" always passes: exp_eval returns the literal 0.0 for the empty set, 1.0 for HALF_LINE.
     rng = random.Random(seed)
-
-    def check_split(name: str, x: IntervalSet, y: IntervalSet) -> None:
+    for _ in range(sample_count):
+        u, a, b, v = sorted(rng.uniform(0.0, 4.0) for _ in range(4))
+        x = IntervalSet.of(Interval.closed(u, v))
+        y = IntervalSet.of(Interval.closed(a, b))
         meet = intersect(x, y)
         diff = difference(x, y)
         lhs = exp_eval(x)
@@ -288,49 +300,9 @@ def verify_example_axioms(
         if abs(lhs - rhs) > tol:
             rb.fail("splitting", Witness(
                 (("X", x), ("Y", y), ("meet", meet), ("difference", diff)),
-                lhs, rhs, "eq", note=name,
+                lhs, rhs, "eq", note="overlapping",
             ))
 
-    for _ in range(sample_count):
-        u, a, b, v = sorted(rng.uniform(0.0, 4.0) for _ in range(4))
-        x = IntervalSet.of(Interval.closed(u, v))
-        y = IntervalSet.of(Interval.closed(a, b))
-
-        check_split("overlapping", x, y)
-        check_split("nested", y, x)  # y inside x: meet is y, difference is empty
-        lo = IntervalSet.of(Interval.closed(u, a))
-        hi = IntervalSet.of(Interval.closed(b, v))
-        check_split("disjoint", lo, hi)
-
-        # Envelope witnesses: the closure of a meet is a coat interval of
-        # equal value; each difference component closes to one as well.
-        meet = intersect(x, y)
-        if not meet.is_empty():
-            closure = IntervalSet.of(Interval.closed(meet.components[0].left, meet.components[0].right))
-            if abs(exp_eval(meet) - exp_eval(closure)) > tol:
-                rb.fail("meet-envelope", Witness(
-                    (("meet", meet), ("W", closure)), exp_eval(meet), exp_eval(closure), "eq"))
-        for kind in (Interval.closed_open, Interval.open_closed):
-            if a < b:
-                half = IntervalSet.of(kind(a, b))
-                closure = IntervalSet.of(Interval.closed(a, b))
-                if abs(exp_eval(half) - exp_eval(closure)) > tol:
-                    rb.fail("meet-envelope", Witness(
-                        (("member", half), ("W", closure)), exp_eval(half), exp_eval(closure), "eq"))
-        diff = difference(x, y)
-        if not diff.is_empty():
-            closures = [Interval.closed(c.left, c.right) for c in diff.components]
-            total = sum(exp_eval(IntervalSet.of(c)) for c in closures)
-            if abs(exp_eval(diff) - total) > tol:
-                rb.fail("diff-envelope", Witness(
-                    (("difference", diff), ("Z", IntervalSet.of(*closures))),
-                    exp_eval(diff), total, "eq",
-                    note="component closures do not reproduce the value",
-                ))
-
-        # Cover bound on a connected target: one disjoint cover member must
-        # already contain it, and the value sum must dominate.
-        target = IntervalSet.of(Interval.closed(a, b))
         pieces = [Interval.closed(u, v)]
         cursor = v
         for _ in range(rng.randrange(3)):
@@ -338,16 +310,11 @@ def verify_example_axioms(
             width = rng.uniform(0.1, 1.0)
             pieces.append(Interval.closed(cursor + gap, cursor + gap + width))
             cursor += gap + width
-        if not any(issubset(target, IntervalSet.of(p)) for p in pieces):
-            rb.fail("cover-bound", Witness(
-                (("X", target),), exp_eval(target), None, "exists",
-                note="no single disjoint cover member contains the connected target",
-            ))
         bound = sum(exp_eval(IntervalSet.of(p)) for p in pieces)
-        if exp_eval(target) > bound + tol:
+        if exp_eval(y) > bound + tol:
             rb.fail("cover-bound", Witness(
-                (("X", target),) + tuple((f"S{n+1}", IntervalSet.of(p)) for n, p in enumerate(pieces)),
-                exp_eval(target), bound, "le",
+                (("X", y),) + tuple((f"S{n+1}", IntervalSet.of(p)) for n, p in enumerate(pieces)),
+                exp_eval(y), bound, "le",
             ))
 
     return rb.build()

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from quasimeasure import (
     Coat,
@@ -16,6 +16,10 @@ from quasimeasure import (
 # run draws the same examples; each test sets only ``max_examples``.
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
 settings.load_profile("tier1")
+# The same draws without shrinking, for ``--hypothesis-profile mutants``
+# (mutants/run.py): a caught mutant fails at its first failing example.
+settings.register_profile("mutants", settings.get_profile("tier1"),
+                          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
 @pytest.fixture

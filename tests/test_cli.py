@@ -106,6 +106,18 @@ class TestParsing:
         with pytest.raises(ParseError, match=re.escape("line 8: value outside [0,1]: -1/2")):
             parse_instance(doc)
 
+    def test_only_cr_and_lf_end_a_line(self):
+        # str.splitlines also breaks at these; a comment may hold them, and
+        # line numbers count "\n" like the CLI's UTF-8 error does.
+        breaks = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+        doc = UNIFORM_DOC.replace("ground: 1 2 3 4", f"ground: 1 2 3 4  # note{breaks}more")
+        assert parse_instance(doc) == parse_instance(UNIFORM_DOC)
+        with pytest.raises(ParseError, match=re.escape("line 8: value outside [0,1]: -1/2")):
+            parse_instance(doc.replace("value A: 1/2", "value A: -1/2"))
+        crlf = UNIFORM_DOC.replace("value A: 1/2", "value A: -1/2").replace("\n", "\r\n")
+        with pytest.raises(ParseError, match=re.escape("line 8: value outside [0,1]: -1/2")):
+            parse_instance(crlf)
+
     def test_build_rejections_keep_their_messages(self):
         cases = (
             (UNIFORM_DOC + "set D: 1 3\nvalue D: 1/2\n",

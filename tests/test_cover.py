@@ -156,6 +156,41 @@ def test_solver_breaks_ties_like_the_enumeration(qm):
         assert outer(qm, target) == outer_exhaustive(qm, target), target
 
 
+def zero_heavy_solver_case(seed):
+    """Entries on n <= 6 elements with int weights drawn mostly from 0, and the full set.
+
+    The full set, at a positive weight, keeps every target coverable.  Zero
+    weights make many covers tie on cost, so the (cost, size, indices) key
+    decides most answers.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    full = (1 << n) - 1
+    members = [(rng.randint(1, full), rng.choice((0, 0, 0, 1, 2))) for _ in range(rng.randint(1, 7))]
+    members.insert(rng.randint(0, len(members)), (full, rng.randint(1, 3)))
+    return n, [(i, bits, weight) for i, (bits, weight) in enumerate(members)]
+
+
+def enumerated_covers(n, entries):
+    """For each target mask, the first subcollection in (cost, size, indices) order that covers it."""
+    subcollections = [(0, 0, (), 0)]
+    for i, bits, weight in entries:
+        subcollections += [(cost + weight, size + 1, chosen + (i,), union | bits)
+                           for cost, size, chosen, union in subcollections]
+    subcollections.sort()
+    return [next((cost, chosen) for cost, _, chosen, union in subcollections if target & ~union == 0)
+            for target in range(1 << n)]
+
+
+@settings(max_examples=600)
+@given(st.integers(0, 2**32))
+def test_solver_answers_like_the_enumeration_under_zero_weight_ties(seed):
+    # One solver answers every target in turn, so later targets read its memo.
+    n, entries = zero_heavy_solver_case(seed)
+    solver = CoverSolver(entries, 0)
+    assert [solver.solve(target) for target in range(1 << n)] == enumerated_covers(n, entries)
+
+
 class TestOptimizerMonotonicity:
     def test_adding_a_member_never_raises_costs(self):
         for seed in range(12):

@@ -23,6 +23,7 @@ from quasimeasure.intervals import (
     issubset,
     union,
 )
+from quasimeasure.report import ReportBuilder, Witness
 
 TOL = 1e-12
 
@@ -286,8 +287,89 @@ def exactly_at_most(small, large):
     return True
 
 
+def reference_verify_example_axioms(sample_count=1000, seed=0, tol=1e-12):
+    """The example suite as it was before it dropped the checks that pass by construction.
+
+    Same draws, declared checks and notes as ``verify_example_axioms``; it also
+    computes the "nested" and "disjoint" splits, the envelope checks and the
+    cover-exists test, so its report pins that dropping them changes nothing.
+    """
+    rb = ReportBuilder("exponential")
+    rb.declare("endpoints", "splitting", "meet-envelope", "diff-envelope", "cover-bound")
+    rb.note(f"samples={sample_count} seed={seed} tol={tol!r}")
+    rng = random.Random(seed)
+
+    def check_split(name, x, y):
+        meet = intersect(x, y)
+        diff = difference(x, y)
+        lhs = exp_eval(x)
+        rhs = exp_eval(meet) + exp_eval(diff)
+        if abs(lhs - rhs) > tol:
+            rb.fail("splitting", Witness(
+                (("X", x), ("Y", y), ("meet", meet), ("difference", diff)),
+                lhs, rhs, "eq", note=name,
+            ))
+
+    for _ in range(sample_count):
+        u, a, b, v = sorted(rng.uniform(0.0, 4.0) for _ in range(4))
+        x = IntervalSet.of(Interval.closed(u, v))
+        y = IntervalSet.of(Interval.closed(a, b))
+
+        check_split("overlapping", x, y)
+        check_split("nested", y, x)
+        lo = IntervalSet.of(Interval.closed(u, a))
+        hi = IntervalSet.of(Interval.closed(b, v))
+        check_split("disjoint", lo, hi)
+
+        meet = intersect(x, y)
+        if not meet.is_empty():
+            closure = IntervalSet.of(Interval.closed(meet.components[0].left, meet.components[0].right))
+            if abs(exp_eval(meet) - exp_eval(closure)) > tol:
+                rb.fail("meet-envelope", Witness(
+                    (("meet", meet), ("W", closure)), exp_eval(meet), exp_eval(closure), "eq"))
+        for kind in (Interval.closed_open, Interval.open_closed):
+            if a < b:
+                half = IntervalSet.of(kind(a, b))
+                closure = IntervalSet.of(Interval.closed(a, b))
+                if abs(exp_eval(half) - exp_eval(closure)) > tol:
+                    rb.fail("meet-envelope", Witness(
+                        (("member", half), ("W", closure)), exp_eval(half), exp_eval(closure), "eq"))
+        diff = difference(x, y)
+        if not diff.is_empty():
+            closures = [Interval.closed(c.left, c.right) for c in diff.components]
+            total = sum(exp_eval(IntervalSet.of(c)) for c in closures)
+            if abs(exp_eval(diff) - total) > tol:
+                rb.fail("diff-envelope", Witness(
+                    (("difference", diff), ("Z", IntervalSet.of(*closures))),
+                    exp_eval(diff), total, "eq",
+                    note="component closures do not reproduce the value",
+                ))
+
+        target = IntervalSet.of(Interval.closed(a, b))
+        pieces = [Interval.closed(u, v)]
+        cursor = v
+        for _ in range(rng.randrange(3)):
+            gap = rng.uniform(0.1, 1.0)
+            width = rng.uniform(0.1, 1.0)
+            pieces.append(Interval.closed(cursor + gap, cursor + gap + width))
+            cursor += gap + width
+        if not any(issubset(target, IntervalSet.of(p)) for p in pieces):
+            rb.fail("cover-bound", Witness(
+                (("X", target),), exp_eval(target), None, "exists",
+                note="no single disjoint cover member contains the connected target",
+            ))
+        bound = sum(exp_eval(IntervalSet.of(p)) for p in pieces)
+        if exp_eval(target) > bound + tol:
+            rb.fail("cover-bound", Witness(
+                (("X", target),) + tuple((f"S{n+1}", IntervalSet.of(p)) for n, p in enumerate(pieces)),
+                exp_eval(target), bound, "le",
+            ))
+
+    return rb.build()
+
+
 def example_suite_checks(sample_count, seed):
-    """The checks ``verify_example_axioms`` makes after the endpoints, replayed from its seed.
+    """The checks ``reference_verify_example_axioms`` makes after the endpoints, replayed from its seed.
 
     Yields ``(check, lhs, rhs)`` where each side is a list of shapes whose
     values add up to it: "cover-bound" claims lhs <= rhs, every other check
@@ -343,6 +425,34 @@ def test_replay_draws_the_example_suite_samples():
     assert above and above == {r.name: [(w.lhs, w.rhs) for w in r.witnesses] for r in suite.failures()}
 
 
+@pytest.mark.parametrize("tol", [1e-12, 1e-16, 1e-17, 1e-300, 5e-324, 1.0])
+def test_suite_reports_what_the_reference_reports(tol):
+    # Only the "overlapping" split and the cover-bound value can differ from
+    # the reference; small tolerances make the split's last-ulp gaps witnesses.
+    for seed in range(6):
+        expected = reference_verify_example_axioms(40, seed, tol)
+        assert repr(verify_example_axioms(40, seed, tol)) == repr(expected)
+    if tol == 1e-17:
+        for seed in (0, 7):
+            expected = reference_verify_example_axioms(500, seed, tol)
+            assert not expected.passed
+            assert repr(verify_example_axioms(500, seed, tol)) == repr(expected)
+
+
+def test_suite_evaluates_only_the_comparisons_that_can_fail(monkeypatch):
+    # Three evaluations for the split, one per cover piece (one to three) and
+    # one for the target: the reference made about 21 per sample.
+    calls = Counter()
+
+    def counting_exp_eval(shape):
+        calls["exp_eval"] += 1
+        return exp_eval(shape)
+
+    monkeypatch.setattr("quasimeasure.intervals.exp_eval", counting_exp_eval)
+    assert verify_example_axioms(sample_count=200, seed=0).passed
+    assert calls["exp_eval"] <= 7 * 200
+
+
 class TestOuterInterval:
     def test_prefers_exact_fit(self):
         pool = [Interval.closed(0.0, 1.0), Interval.closed(0.0, 2.0)]
@@ -372,8 +482,9 @@ class TestOuterInterval:
             target = IntervalSet.of(Interval.closed_open(u, a), Interval.open_closed(b, v))
             pool = [Interval.closed(u, a), Interval.closed(b, v), Interval.closed(u, v)]
             result = outer_interval(target, pool)
-            assert abs(result.cost - result.analytic) <= TOL
-            assert abs(result.analytic - survival_weight(target)) == 0.0
+            chosen = exact_sum(exp_eval_exact(IntervalSet.of(pool[i])) for i in result.chosen)
+            assert chosen == exp_eval_exact(target), (target, result.chosen)
+            assert result.analytic == survival_weight(target)
 
     def test_equal_weight_members_tie_on_the_lowest_indices(self):
         # (1,3] and [1,3] weigh the same, so {0, 1} and {1, 2} tie on cost and
