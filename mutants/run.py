@@ -39,33 +39,45 @@ class Mutant:
     tests: tuple[str, ...]
 
 
-COVER = "src/quasimeasure/cover.py"
+QUASI = "src/quasimeasure/quasi.py"
 MUTANTS = (
-    Mutant("solver-weight-skip-ties", COVER,
+    Mutant("solver-weight-skip-ties", QUASI,
            "if best is not None and weight > best[0]:",
            "if best is not None and weight >= best[0]:",
            ("tests/test_cover.py",)),
-    Mutant("solver-cost-skip-ties", COVER,
+    Mutant("solver-cost-skip-ties", QUASI,
            "if best is not None and cost > best[0]:",
            "if best is not None and cost >= best[0]:",
            ("tests/test_cover.py",)),
-    Mutant("solver-tie-key-drops-indices", COVER,
+    Mutant("solver-tie-key-drops-indices", QUASI,
            "(cost, len(chosen), chosen) < (best[0], len(best[1]), best[1])",
            "(cost, len(chosen)) < (best[0], len(best[1]))",
            ("tests/test_cover.py",)),
-    Mutant("solver-skips-memo-read", COVER,
+    Mutant("solver-skips-memo-read", QUASI,
            "return self._memo.get(target_bits) or self._solve(target_bits)",
            "return self._solve(target_bits)",
            ("tests/test_cover.py",)),
-    Mutant("dearest-filter-takes-min", "src/quasimeasure/quasi.py",
-           "dearest = {u: max(vx",
-           "dearest = {u: min(vx",
+    Mutant("solver-exact-weights-try-every-meeting-entry", QUASI,
+           "branch = residual & -residual if self._lowest_only else residual",
+           "branch = residual",
+           ("tests/test_cover.py",)),
+    Mutant("solver-float-weights-branch-on-lowest", QUASI,
+           "self._lowest_only = not isinstance(zero, float)",
+           "self._lowest_only = True",
+           ("tests/test_intervals.py",)),
+    Mutant("cover-bound-gate-needs-two-undercut", QUASI,
+           "if not undercut:",
+           "if len(undercut) < 2:",
+           ("tests/test_quasi.py",)),
+    Mutant("cover-bound-cost-gate-takes-min", QUASI,
+           "top = max(qm.numerator(x)",
+           "top = min(qm.numerator(x)",
            ("tests/test_quasi.py",)),
     Mutant("atom-sum-gate-checks-omega-only", "src/quasimeasure/extension.py",
            "for i in range(size) if sums != list(nums) else ():",
            "for i in range(size) if sums[-1] != nums[-1] else ():",
            ("tests/test_extension.py",)),
-    Mutant("coat-agreement-one-sided", COVER,
+    Mutant("coat-agreement-one-sided", QUASI,
            "if v != qm.numerator(x)]",
            "if v > qm.numerator(x)]",
            ("tests/test_cover.py",)),

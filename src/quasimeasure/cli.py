@@ -132,7 +132,8 @@ def _load_instance(args: argparse.Namespace) -> tuple[InstanceSpec, QuasiMeasure
     try:
         document = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError("input is not UTF-8", data.count(b"\n", 0, exc.start) + 1) from None
+        head = data[:exc.start].replace(b"\r\n", b"\n")  # "\r\n", "\r" and "\n" each end a line
+        raise ParseError("input is not UTF-8", head.count(b"\n") + head.count(b"\r") + 1) from None
     spec = parse_instance(document)
     return spec, spec.build()[2]
 

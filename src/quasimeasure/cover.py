@@ -7,12 +7,12 @@ exact cost and an optimal witness.  Ties between optimal covers are broken
 deterministically: lowest cost, then fewest members, then lexicographically
 smallest index list.
 
-Two independent routes compute the same quantity: a memoized branch-and-bound
-(`CoverSolver`, reached through `outer`) and a full enumeration of all
-subcollections (`outer_exhaustive`).  Tests hold them to exact cost equality.
-Both work on int masks and int costs (numerators over ``qm.scale``).  Each
-call builds its own solver through `coat_solver`, so the only cover memo
-lives as long as that call; ``Fraction``, `SubsetMask` and
+Two independent routes compute the same quantity: `outer`, on the one cover
+engine `quasi.CoverSolver` (below this module, so the cover bound shares it),
+and a full enumeration of all subcollections (`outer_exhaustive`).  Tests hold
+them to exact cost equality.  Both work on int masks and int costs (numerators
+over ``qm.scale``).  Each call builds its own solver through `coat_solver`, so
+the only cover memo lives as long as that call; ``Fraction``, `SubsetMask` and
 `CoverSolution` are built only for results and witnesses.
 `exterior_values` is the one builder of the list of all 2**n exterior
 values: every check that quantifies over all subsets indexes it instead of
@@ -23,16 +23,15 @@ solves only omega and the coat members.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Generic, Sequence, TypeVar
 
-from .quasi import COVER_ENUMERATION_LIMIT, ZERO, QuasiMeasure, subcollection_table
+from .quasi import COVER_ENUMERATION_LIMIT, ZERO, QuasiMeasure, coat_solver, undercut_members
 from .report import AxiomReport, ReportBuilder
-from .sets import DEFAULT_EXHAUSTIVE_LIMIT, BudgetExceeded, SubsetMask
+from .sets import DEFAULT_EXHAUSTIVE_LIMIT, BudgetExceeded, SubsetMask, subset_table
 
-W = TypeVar("W")
 # What check_outer_properties' notes name: all subsets up to SUBSET_BUDGET, else a sample
 # drawn from SAMPLE_SEED; all triples of those up to TRIPLE_BUDGET, else a sample (SAMPLE_SEED + 1).
 SUBSET_BUDGET = 1 << 12
@@ -62,60 +61,6 @@ class CoverSolution:
             union |= member.bits
             total += qm.value(member)
         return target.bits & ~union == 0 and total == self.cost
-
-
-class CoverSolver(Generic[W]):
-    """Minimum-weight cover search on int masks, memoized on the uncovered mask.
-
-    ``entries`` are ``(index, bits, weight)``; weights are any nonnegative,
-    ordered, additive type with zero ``zero``: int numerators over ``scale``
-    for coats, ``float`` for interval pools.  ``solve`` returns the cost and the
-    ascending chosen indices.  Candidates at each node are ordered by
-    decreasing fresh coverage.  The memo is read before each call; a
-    candidate whose weight, or else whose cover's cost, exceeds the node's
-    best cost is skipped before its residual is solved or its cover tuple
-    built (it cannot improve or tie).
-    """
-
-    def __init__(self, entries: Sequence[tuple[int, int, W]], zero: W):
-        self.entries = entries
-        self.reach = 0
-        for _, bits, _ in entries:
-            self.reach |= bits
-        self._memo: dict[int, tuple[W, tuple[int, ...]]] = {0: (zero, ())}
-
-    def feasible(self, target_bits: int) -> bool:
-        return target_bits & ~self.reach == 0
-
-    def solve(self, target_bits: int) -> tuple[W, tuple[int, ...]]:
-        if not self.feasible(target_bits):
-            raise ValueError("target not coverable by the available members")
-        return self._memo.get(target_bits) or self._solve(target_bits)
-
-    def _solve(self, residual: int) -> tuple[W, tuple[int, ...]]:
-        memo = self._memo
-        candidates = [e for e in self.entries if e[1] & residual]
-        candidates.sort(key=lambda e: -(e[1] & residual).bit_count())
-        best: tuple[W, tuple[int, ...]] | None = None
-        for idx, bits, weight in candidates:
-            if best is not None and weight > best[0]:
-                continue
-            rest = residual & ~bits
-            sub_cost, sub_chosen = memo.get(rest) or self._solve(rest)
-            cost = weight + sub_cost
-            if best is not None and cost > best[0]:
-                continue
-            chosen = tuple(sorted(sub_chosen + (idx,)))
-            if best is None or (cost, len(chosen), chosen) < (best[0], len(best[1]), best[1]):
-                best = (cost, chosen)
-        assert best is not None  # residual != 0 and reach covers it
-        memo[residual] = best
-        return best
-
-
-def coat_solver(qm: QuasiMeasure) -> CoverSolver[int]:
-    """A fresh solver over the coat of ``qm``, weighted by value numerators."""
-    return CoverSolver([(i, b, qm.numerator(b)) for i, b in enumerate(qm.coat.member_bits())], 0)
 
 
 def exterior_values(qm: QuasiMeasure) -> list[int]:
@@ -152,7 +97,8 @@ def outer_exhaustive(qm: QuasiMeasure, a: SubsetMask) -> tuple[Fraction, CoverSo
     if (1 << k) > COVER_ENUMERATION_LIMIT:
         raise ValueError(f"coat too large for enumeration (2**{k} > {COVER_ENUMERATION_LIMIT})")
     member_bits = qm.coat.member_bits()
-    unions, costs = subcollection_table(member_bits, tuple(qm.numerator(b) for b in member_bits))
+    unions = subset_table(member_bits)
+    costs = subset_table(map(qm.numerator, member_bits), operator.add)
 
     def indices(s: int) -> tuple[int, ...]:
         return tuple(i for i in range(k) if s >> i & 1)
@@ -202,10 +148,7 @@ def check_outer_properties(qm: QuasiMeasure) -> AxiomReport:
     if full != qm.scale:
         rb.fail("endpoints", qm.witness((("set", ground.full_bits),), full, qm.scale, "eq"))
 
-    # A member covers itself, so its exterior value never exceeds its own;
-    # the cover bound holds iff every member's exterior value equals it.
-    values = [(x, solve(x)[0]) for x in qm.coat.member_bits()]
-    disagree = [(x, v) for x, v in values if v != qm.numerator(x)]
+    disagree = undercut_members(qm, solve)
     rb.note(f"coat-agreement precondition (cover bound): {'fail' if disagree else 'pass'}")
     for x, v in disagree:
         rb.fail("coat-agreement", qm.witness((("X", x),), v, qm.numerator(x), "eq"))

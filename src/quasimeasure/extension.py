@@ -20,6 +20,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import random
 from array import array
 from dataclasses import dataclass
@@ -27,10 +28,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .cover import CoverSolution, coat_solver, exterior_values
-from .quasi import ONE, QuasiMeasure
+from .cover import CoverSolution, exterior_values
+from .quasi import ONE, QuasiMeasure, coat_solver
 from .report import AxiomReport, ReportBuilder, Witness
-from .sets import AlgebraFamily, BudgetExceeded, SubsetMask, generate_algebra
+from .sets import AlgebraFamily, BudgetExceeded, SubsetMask, generate_algebra, subset_table
 
 AUDIT_LIMIT = 5  # ground sets up to this size get the all-subsets audit
 SPLIT_BUDGET = 1 << 24  # (algebra members + audit candidates) * 2**n lookups in measurable_family
@@ -194,9 +195,7 @@ def verify_premeasure(table: MeasureTable) -> AxiomReport:
     size = len(nums)
     shift = (size - 1).bit_length()  # a finite algebra has 2**shift members
     low = size - 1
-    sums = [0] * size  # the sum of the atom values of each member, peeling the lowest atom
-    for i in range(1, size):
-        sums[i] = sums[i & (i - 1)] + nums[i & -i]
+    sums = subset_table((nums[1 << a] for a in range(shift)), operator.add)  # atom-value sums
     pairs = array("q")
     for i in range(size) if sums != list(nums) else ():
         # j runs in ascending order over the members above i and disjoint from
@@ -208,7 +207,7 @@ def verify_premeasure(table: MeasureTable) -> AxiomReport:
             if nums[i | j] != nums[i] + nums[j]:
                 pairs.append(high | j)
             j = (j - rest) & rest
-    rb.fail_each("pair-additivity", pairs, functools.partial(_pair_witness, table))
+    rb.fail_each("pair-additivity", pairs, functools.partial(_packed_witness, table, 2))
 
     # Additive pairs make additive triples, since i | j is a member disjoint
     # from k, so only a failed pair can leave a triple to report.
@@ -226,28 +225,20 @@ def verify_premeasure(table: MeasureTable) -> AxiomReport:
             continue
         if nums[i | j | k] != nums[i] + nums[j] + nums[k]:
             failed.append((i << shift | j) << shift | k)
-    rb.fail_each("triple-additivity", failed, functools.partial(_triple_witness, table))
+    rb.fail_each("triple-additivity", failed, functools.partial(_packed_witness, table, 3))
     return rb.build()
 
 
-def _pair_witness(table: MeasureTable, record: int) -> Witness:
-    """The witness of the failed pair ``verify_premeasure`` packed as ``i << shift | j``."""
-    shift = (len(table.numerators) - 1).bit_length()
-    i, j = record >> shift, record & ((1 << shift) - 1)
-    mask, bits, nums = table.algebra.ground.mask, table.algebra.bits, table.numerators
-    return Witness((("E1", mask(bits[i])), ("E2", mask(bits[j]))), table.values[i | j],
-                   Fraction(nums[i] + nums[j], table.scale), "eq")
-
-
-def _triple_witness(table: MeasureTable, record: int) -> Witness:
-    """The witness of the failed triple packed as ``(i << shift | j) << shift | k``."""
+def _packed_witness(table: MeasureTable, parts: int, record: int) -> Witness:
+    """The witness of ``parts`` disjoint members that ``verify_premeasure`` packed
+    into ``record``, ``shift`` bits each, the first member highest."""
     shift = (len(table.numerators) - 1).bit_length()
     low = (1 << shift) - 1
-    i, j, k = record >> 2 * shift, record >> shift & low, record & low
+    indices = [record >> shift * p & low for p in reversed(range(parts))]
     mask, bits, nums = table.algebra.ground.mask, table.algebra.bits, table.numerators
-    return Witness((("E1", mask(bits[i])), ("E2", mask(bits[j])), ("E3", mask(bits[k]))),
-                   table.values[i | j | k],
-                   Fraction(nums[i] + nums[j] + nums[k], table.scale), "eq")
+    return Witness(tuple((f"E{p + 1}", mask(bits[i])) for p, i in enumerate(indices)),
+                   table.values[functools.reduce(operator.or_, indices)],
+                   Fraction(sum(nums[i] for i in indices), table.scale), "eq")
 
 
 def _sampled_triples(rng: random.Random, size: int, count: int) -> Iterator[tuple[int, int, int]]:

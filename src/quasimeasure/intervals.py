@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cover import CoverSolver
+from .quasi import CoverSolver
 from .report import AxiomReport, ReportBuilder, Witness
 
 INF = math.inf

@@ -2,11 +2,11 @@
 
 A quasi-measure assigns an exact rational in [0,1] to every member of a
 coat's refinement, sending the empty set to 0 and the full set to 1.  The
-checkers below quantify exhaustively over coat pairs and coat subcollections
-and compare exact values; there is no tolerance anywhere in this module.
-They compute on int masks and on integer numerators over one ``scale``, which
-keeps equality and order; ``Fraction`` and ``SubsetMask`` are built only for
-witnesses.
+checkers below quantify exactly over coat pairs and coat subcollections, the
+latter through the one cover engine, `CoverSolver`, which `cover` and
+`intervals` share; there is no tolerance anywhere in this module.  Checks
+compute on int masks and integer numerators over one ``scale``, which keeps
+equality and order; ``Fraction`` and ``SubsetMask`` are built only for witnesses.
 
 Values are keyed by mask, so two expressions denoting the same set cannot
 receive different values; well-definedness is structural, not checked.
@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 from .report import AxiomReport, ReportBuilder, Witness
-from .sets import BudgetExceeded, Coat, Refinement, SubsetMask
+from .sets import BudgetExceeded, Coat, Refinement, SubsetMask, subset_table
 
+W = TypeVar("W")
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -109,24 +111,73 @@ class QuasiMeasure:
                        None if rhs is None else self.fraction(rhs), relation, note)
 
 
-def subcollection_table(
-    member_bits: tuple[int, ...], values: tuple[int, ...]
-) -> tuple[list[int], list[int]]:
-    """Union and value sum of every subcollection of the coat.
+class CoverSolver(Generic[W]):
+    """Minimum-weight cover search on int masks, memoized on the uncovered mask.
 
-    Entry s describes the subcollection containing coat member i iff bit i
-    of s is set.  Values are int numerators over one scale.  Built by
-    peeling the lowest set bit, so the whole table is linear in 2**|coat|.
+    ``entries`` are ``(index, bits, weight)``; weights are any nonnegative,
+    ordered, additive type with zero ``zero``: int numerators over ``scale``
+    for coats, ``float`` for interval pools.  ``solve`` returns the cost and the
+    ascending chosen indices, least in (cost, size, indices).  The memo is read
+    before each call; a candidate whose weight, or else whose cover's cost,
+    exceeds the node's best cost is skipped before its residual is solved or
+    its cover tuple built (it cannot improve or tie).
+    With non-float weights a node tries only the entries that hold the lowest
+    uncovered element, as Knuth's Algorithm X does ("Dancing Links", 2000):
+    every cover of the residual contains one, so the answer stays exact.
+    Float costs are summed along the recursion path, and a cover summed in
+    another order can move in the last ulp, so float weights keep trying
+    every entry that meets the residual.
     """
-    k = len(member_bits)
-    unions = [0] * (1 << k)
-    costs = [0] * (1 << k)
-    for s in range(1, 1 << k):
-        low = (s & -s).bit_length() - 1
-        rest = s & (s - 1)
-        unions[s] = unions[rest] | member_bits[low]
-        costs[s] = costs[rest] + values[low]
-    return unions, costs
+
+    def __init__(self, entries: Sequence[tuple[int, int, W]], zero: W):
+        self.entries = entries
+        self.reach = 0
+        for _, bits, _ in entries:
+            self.reach |= bits
+        self._lowest_only = not isinstance(zero, float)
+        self._memo: dict[int, tuple[W, tuple[int, ...]]] = {0: (zero, ())}
+
+    def feasible(self, target_bits: int) -> bool:
+        return target_bits & ~self.reach == 0
+
+    def solve(self, target_bits: int) -> tuple[W, tuple[int, ...]]:
+        if not self.feasible(target_bits):
+            raise ValueError("target not coverable by the available members")
+        return self._memo.get(target_bits) or self._solve(target_bits)
+
+    def _solve(self, residual: int) -> tuple[W, tuple[int, ...]]:
+        memo = self._memo
+        branch = residual & -residual if self._lowest_only else residual
+        candidates = [e for e in self.entries if e[1] & branch]
+        best: tuple[W, tuple[int, ...]] | None = None
+        for idx, bits, weight in candidates:
+            if best is not None and weight > best[0]:
+                continue
+            rest = residual & ~bits
+            sub_cost, sub_chosen = memo.get(rest) or self._solve(rest)
+            cost = weight + sub_cost
+            if best is not None and cost > best[0]:
+                continue
+            chosen = tuple(sorted(sub_chosen + (idx,)))
+            if best is None or (cost, len(chosen), chosen) < (best[0], len(best[1]), best[1]):
+                best = (cost, chosen)
+        assert best is not None  # residual != 0 and reach covers it
+        memo[residual] = best
+        return best
+
+
+def coat_solver(qm: QuasiMeasure) -> CoverSolver[int]:
+    """A fresh solver over the coat of ``qm``, weighted by value numerators."""
+    return CoverSolver([(i, b, qm.numerator(b)) for i, b in enumerate(qm.coat.member_bits())], 0)
+
+
+def undercut_members(qm: QuasiMeasure, solve: Callable[[int], tuple]) -> list[tuple[int, int]]:
+    """The coat members whose exterior value on ``solve`` differs from their own, with that value.
+
+    A member covers itself, so these are the members a cheaper cover undercuts:
+    the cover bound holds iff there are none, in every cover mode and size."""
+    values = [(x, solve(x)[0]) for x in qm.coat.member_bits()]
+    return [(x, v) for x, v in values if v != qm.numerator(x)]
 
 
 COVER_ENUMERATION_LIMIT = 1 << 20
@@ -137,13 +188,14 @@ def cover_bound_violations(
     cover_mode: str = "all",
     max_cover_size: int | None = None,
 ) -> list[Witness]:
-    """Violations of the finite-cover upper bound, exhaustively enumerated.
+    """Violations of the finite-cover upper bound, with every violating subcollection.
 
     For every coat member X and every subcollection of the coat (of the
     requested size and disjointness) whose union contains X, the value of X
-    must not exceed the subcollection's value sum.  Enumerations beyond
-    about a million subcollections are refused rather than attempted.  While
-    all 2**k fit, only those whose union holds a dearer member are visited.
+    must not exceed the subcollection's value sum.  One solve per member finds
+    the undercut members; only if there are any are the subcollections
+    enumerated, to list their witnesses.  Enumerations beyond about a million
+    subcollections are refused rather than attempted.
     """
     if cover_mode not in ("all", "disjoint-only"):
         raise ValueError(f"unknown cover mode {cover_mode!r}")
@@ -152,13 +204,17 @@ def cover_bound_violations(
         max_cover_size = k
     if not 1 <= max_cover_size <= k:
         raise ValueError(f"max_cover_size must be between 1 and the coat size {k}")
+    undercut = undercut_members(qm, coat_solver(qm).solve)
+    if not undercut:
+        return []
     bits = qm.coat.member_bits()
     values = tuple(qm.numerator(b) for b in bits)
+    top = max(qm.numerator(x) for x, _ in undercut)  # no subcollection costing this or more violates
     violations: list[Witness] = []
 
     def check_cover(chosen: int, union: int, cost: int) -> None:
         """Witness each member that the subcollection ``chosen`` covers below its value."""
-        violated = [(x, vx) for x, vx in zip(bits, values) if x & ~union == 0 and vx > cost]
+        violated = [x for x, _ in undercut if x & ~union == 0 and qm.numerator(x) > cost]
         if not violated:
             return
         indices = [i for i in range(k) if chosen >> i & 1]
@@ -166,15 +222,14 @@ def cover_bound_violations(
                 and sum(bits[i].bit_count() for i in indices) != union.bit_count()):
             return
         roles = tuple((f"S{n + 1}", bits[i]) for n, i in enumerate(indices))
-        for x, vx in violated:
-            violations.append(qm.witness((("X", x), *roles), vx, cost, "le",
+        for x in violated:
+            violations.append(qm.witness((("X", x), *roles), qm.numerator(x), cost, "le",
                                          "cover value sum below the covered member"))
 
     if (1 << k) <= COVER_ENUMERATION_LIMIT:
-        unions, costs = subcollection_table(bits, values)
-        dearest = {u: max(vx for x, vx in zip(bits, values) if x & ~u == 0) for u in set(unions)}
+        unions, costs = subset_table(bits), subset_table(values, operator.add)
         for s in range(1, 1 << k):
-            if dearest[unions[s]] > costs[s] and s.bit_count() <= max_cover_size:
+            if costs[s] < top and s.bit_count() <= max_cover_size:
                 check_cover(s, unions[s], costs[s])
         return violations
 

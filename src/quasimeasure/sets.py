@@ -9,9 +9,11 @@ is safe to share across threads without coordination.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_GROUND_SIZE = 24
 
@@ -194,6 +196,17 @@ def refine(c: Coat) -> Refinement:
     return Refinement(c, tuple(SubsetMask(c.ground, b) for b in seen))
 
 
+def subset_table(items: Iterable[int], combine: Callable[[int, int], int] = operator.or_) -> list[int]:
+    """Entry s combines (unions, or sums with ``operator.add``) the items in the bits of s.
+
+    Item i doubles the table: entries 2**i to 2**(i+1) - 1 are the entries
+    below, each combined with item i, so the table is linear in its length."""
+    table = [0]
+    for item in items:
+        table += map(combine, table, repeat(item, len(table)))  # stops at the old length
+    return table
+
+
 def _atom_bits(n: int, masks: Sequence[int]) -> list[int]:
     """The classes of elements that belong to the same members, in mask order.
 
@@ -236,10 +249,7 @@ class AlgebraFamily:
 
     @cached_property
     def bits(self) -> tuple[int, ...]:
-        unions = [0] * (1 << len(self.atoms))
-        for s in range(1, len(unions)):  # member s adds its lowest atom to member s & (s - 1)
-            unions[s] = unions[s & (s - 1)] | self.atoms[(s & -s).bit_length() - 1]
-        return tuple(unions)
+        return tuple(subset_table(self.atoms))
 
     @cached_property
     def members(self) -> tuple[SubsetMask, ...]:

@@ -237,6 +237,16 @@ class TestParsing:
         assert main(["check", str(path)]) == 2
         assert "line 4: input is not UTF-8" in capsys.readouterr().err
 
+    def test_non_utf8_line_counts_lone_carriage_returns(self, tmp_path, capsys):
+        # The parser ends lines at "\r\n", "\r" and "\n"; the UTF-8 error counts the same way.
+        path = tmp_path / "cr.qm"
+        cases = ((b"set B: \xff2", "line 3: input is not UTF-8"),
+                 (b"frob: 2", "line 3, column 1: unknown directive"))
+        for third, message in cases:
+            path.write_bytes(b"ground: 1 2\rset A: 1\r" + third + b"\r")
+            assert main(["check", str(path)]) == 2
+            assert message in capsys.readouterr().err
+
     def test_seed_line_roundtrips(self):
         doc = UNIFORM_DOC + "seed: 42\n"
         spec = parse_instance(doc)
@@ -461,16 +471,20 @@ class TestRun:
         assert capsys.readouterr().err == "error: column 3: unknown set name 'Z'\n"
 
     def test_oversized_cover_enumeration_exits_two(self, tmp_path, capsys):
+        # A coat that fails the cover bound would list witnesses from 2**24
+        # subcollections; a passing one is certified without enumerating.
         _, _, qm = random_instance(5, n=5, coat_size=24)
         assert len(qm.coat) > 20
-        doc = render_instance(instance_spec_from(qm))
         path = tmp_path / "big.qm"
-        path.write_text(doc, encoding="utf-8")
+        path.write_text(render_instance(instance_spec_from(perturb(qm, 0, max_changes=4))), encoding="utf-8")
         assert main(["check", str(path)]) == 2
         assert "enumeration" in capsys.readouterr().err
         # a bounded cover size keeps the run feasible
         assert main(["check", str(path), "--max-cover", "2"]) in (0, 1)
         capsys.readouterr()
+        path.write_text(render_instance(instance_spec_from(qm)), encoding="utf-8")
+        assert main(["check", str(path)]) in (0, 1)
+        assert "[PASS] axioms/cover-bound" in capsys.readouterr().out
 
 
 class TestFlags:

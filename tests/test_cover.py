@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quasimeasure import (
     Coat,
+    GroundSet,
     QuasiMeasure,
     TrueMeasure,
     check_outer_properties,
@@ -18,15 +19,8 @@ from quasimeasure import (
     random_instance,
 )
 from quasimeasure import cover
-from quasimeasure.cover import (
-    SAMPLE_SEED,
-    SUBSET_BUDGET,
-    TRIPLE_BUDGET,
-    CoverSolution,
-    CoverSolver,
-    coat_solver,
-)
-from quasimeasure.quasi import cover_bound_violations
+from quasimeasure.cover import SAMPLE_SEED, SUBSET_BUDGET, TRIPLE_BUDGET, CoverSolution
+from quasimeasure.quasi import CoverSolver, coat_solver, cover_bound_violations
 from quasimeasure.report import ReportBuilder
 
 
@@ -127,6 +121,18 @@ class TestCoverSolver:
         assert not solver.feasible(0b1000)
         with pytest.raises(ValueError, match="not coverable"):
             solver.solve(0b1000)
+
+    def test_branches_on_the_lowest_uncovered_element(self):
+        # Omega's residuals under the singleton coat are the suffixes left after
+        # each lowest element, so n + 1 memo entries; trying every member that
+        # meets a residual would visit all 2**n of them.
+        n = 12
+        ground = GroundSet(tuple(str(i + 1) for i in range(n)))
+        singleton = Coat.from_bits(ground, [0, ground.full_bits, *(1 << i for i in range(n))])
+        qm = induce(TrueMeasure.uniform(ground), singleton)
+        solver = coat_solver(qm)
+        assert solver.solve(ground.full_bits) == (qm.scale, (1,))
+        assert len(solver._memo) <= n + 1
 
 
 QUARTERS = tuple(Fraction(q, 4) for q in range(5))

@@ -27,9 +27,8 @@ from quasimeasure import (
     random_algebra_instance,
     verify_premeasure,
 )
-from quasimeasure.cover import CoverSolver, coat_solver
 from quasimeasure.extension import AUDIT_LIMIT, SPLIT_BUDGET, TRIPLE_BUDGET, MeasurabilityRecord
-from quasimeasure.quasi import ONE, ZERO, cover_bound_violations
+from quasimeasure.quasi import ONE, ZERO, CoverSolver, coat_solver, cover_bound_violations
 from quasimeasure.report import ReportBuilder, Witness
 from quasimeasure.sets import BudgetExceeded
 from quasimeasure.testkit import instance_for_seed, random_instance

@@ -23,6 +23,7 @@ from quasimeasure.intervals import (
     issubset,
     union,
 )
+from quasimeasure.quasi import CoverSolver
 from quasimeasure.report import ReportBuilder, Witness
 
 TOL = 1e-12
@@ -517,3 +518,77 @@ class TestOuterInterval:
         result = outer_interval(closed(0.0, 3.0), [Interval(0.0, math.inf, True, False)])
         assert result.chosen == (0,)
         assert result.cost == 1.0
+
+
+def all_candidates_cover(entries, target, lowest_only=False):
+    """The (cost, indices) of the least (cost, size, indices) cover of ``target``, unpruned.
+
+    Each residual tries every entry that meets it, or with ``lowest_only``
+    only those that hold its lowest element; a cost is the entry's weight
+    plus the cost of the best cover of what it leaves, summed along the path.
+    """
+    memo = {0: (0.0, ())}
+
+    def best(residual):
+        if residual not in memo:
+            branch = residual & -residual if lowest_only else residual
+            options = []
+            for idx, bits, weight in entries:
+                if bits & branch:
+                    cost, chosen = best(residual & ~bits)
+                    chosen = tuple(sorted((*chosen, idx)))
+                    options.append((weight + cost, len(chosen), chosen))
+            cost, _, chosen = min(options)
+            memo[residual] = cost, chosen
+        return memo[residual]
+
+    return best(target)
+
+
+def benchmark_interval_queries(seed=0):
+    """The (target, pool) of the 96 interval queries of perfbench's cover-queries workload.
+
+    Its random stream first draws half the ground set for each of 256 coats
+    (n = 16, 17, 18 in turn), then 20-member pools on [0, 6] and targets.
+    """
+    rng = random.Random(seed)
+    for j in range(256):
+        n = 16 + j % 3
+        rng.sample(range(n), n // 2)
+    for _ in range(96):
+        pool = [HALF_LINE.components[0]]
+        while len(pool) < 20:
+            a, b = sorted(rng.uniform(0.0, 6.0) for _ in range(2))
+            if a < b:
+                pool.append(Interval.closed(a, b))
+        u, a, b, v = sorted(rng.uniform(0.0, 6.0) for _ in range(4))
+        if rng.random() < 0.5 or u == a or b == v:
+            target = IntervalSet.of(Interval.closed(a, b))
+        else:
+            target = IntervalSet.of(Interval.closed_open(u, a), Interval.open_closed(b, v))
+        yield target, pool
+
+
+def test_interval_costs_are_those_of_the_all_candidates_search(monkeypatch):
+    # Float costs depend on the order they are summed in, so interval pools
+    # keep trying every entry that meets the residual.  On queries 22, 23 and
+    # 71 branching on the lowest element alone finds the same intervals at a
+    # cost 1 ulp away, so those pin the rule.
+    searches = []
+
+    class RecordingSolver(CoverSolver):
+        def solve(self, target_bits):
+            searches.append((self.entries, target_bits))
+            return super().solve(target_bits)
+
+    monkeypatch.setattr("quasimeasure.intervals.CoverSolver", RecordingSolver)
+    moved = []
+    for j, (target, pool) in enumerate(benchmark_interval_queries()):
+        result = outer_interval(target, pool)
+        entries, target_bits = searches[-1]
+        assert (result.cost, result.chosen) == all_candidates_cover(entries, target_bits), j
+        lowest = all_candidates_cover(entries, target_bits, lowest_only=True)
+        assert lowest[1] == result.chosen and math.isclose(lowest[0], result.cost, rel_tol=1e-15)
+        if lowest[0] != result.cost:
+            moved.append(j)
+    assert moved == [22, 23, 71]

@@ -197,11 +197,15 @@ class TestCheckAxioms:
     def test_oversized_enumeration_refused(self):
         from quasimeasure.sets import BudgetExceeded
 
+        # Only a coat that fails the bound enumerates its 2**24 subcollections
+        # to list witnesses; a passing one is certified by one solve per member.
         _, _, qm = random_instance(5, n=5, coat_size=24)
-        if len(qm.coat) > 20:
-            with pytest.raises(BudgetExceeded):
-                cover_bound_violations(qm, "all")
-            assert cover_bound_violations(qm, "all", max_cover_size=2) == []
+        assert len(qm.coat) == 24
+        assert cover_bound_violations(qm, "all") == []
+        failing = perturb(qm, 0, max_changes=4)
+        with pytest.raises(BudgetExceeded):
+            cover_bound_violations(failing, "all")
+        assert len(cover_bound_violations(failing, "all", max_cover_size=2)) == 73
 
     def test_splitting_fails_after_perturbation(self, power_set_instance):
         _, _, qm = power_set_instance
