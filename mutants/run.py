@@ -40,6 +40,7 @@ class Mutant:
 
 
 QUASI = "src/quasimeasure/quasi.py"
+EXTENSION = "src/quasimeasure/extension.py"
 MUTANTS = (
     Mutant("solver-weight-skip-ties", QUASI,
            "if best is not None and weight > best[0]:",
@@ -73,9 +74,17 @@ MUTANTS = (
            "top = max(qm.numerator(x)",
            "top = min(qm.numerator(x)",
            ("tests/test_quasi.py",)),
-    Mutant("atom-sum-gate-checks-omega-only", "src/quasimeasure/extension.py",
-           "for i in range(size) if sums != list(nums) else ():",
-           "for i in range(size) if sums[-1] != nums[-1] else ():",
+    Mutant("atom-sum-gate-checks-omega-only", EXTENSION,
+           "return subset_table(atom_values, operator.add) == list(nums)",
+           "return subset_table(atom_values, operator.add)[-1] == nums[-1]",
+           ("tests/test_extension.py",)),
+    Mutant("measurable-family-certifies-every-table", EXTENSION,
+           "certified = _atom_sums_agree(table)",
+           "certified = True",
+           ("tests/test_extension.py",)),
+    Mutant("hull-maps-an-element-to-its-neighbours-atom", EXTENSION,
+           "if atom >> i & 1)",
+           "if atom >> (i ^ 1) & 1)",
            ("tests/test_extension.py",)),
     Mutant("coat-agreement-one-sided", QUASI,
            "if v != qm.numerator(x)]",

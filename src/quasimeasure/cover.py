@@ -14,11 +14,10 @@ them to exact cost equality.  Both work on int masks and int costs (numerators
 over ``qm.scale``).  Each call builds its own solver through `coat_solver`, so
 the only cover memo lives as long as that call; ``Fraction``, `SubsetMask` and
 `CoverSolution` are built only for results and witnesses.
-`exterior_values` is the one builder of the list of all 2**n exterior
-values: every check that quantifies over all subsets indexes it instead of
-calling the solver per lookup.  `check_outer_properties` needs no such
-list: a minimum cover is monotone and subadditive by construction, so it
-solves only omega and the coat members.
+`check_outer_properties` solves only omega and the coat members: a minimum
+cover is monotone and subadditive by construction.  No 2**n loop lives
+here: `extension` reads the exterior value of every subset from the table
+`extension.extend` builds on the generated algebra.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from fractions import Fraction
 
 from .quasi import COVER_ENUMERATION_LIMIT, ZERO, QuasiMeasure, coat_solver, undercut_members
 from .report import AxiomReport, ReportBuilder
-from .sets import DEFAULT_EXHAUSTIVE_LIMIT, BudgetExceeded, SubsetMask, subset_table
+from .sets import SubsetMask, subset_table
 
 # What check_outer_properties' notes name: all subsets up to SUBSET_BUDGET, else a sample
 # drawn from SAMPLE_SEED; all triples of those up to TRIPLE_BUDGET, else a sample (SAMPLE_SEED + 1).
@@ -61,19 +60,6 @@ class CoverSolution:
             union |= member.bits
             total += qm.value(member)
         return target.bits & ~union == 0 and total == self.cost
-
-
-def exterior_values(qm: QuasiMeasure) -> list[int]:
-    """The exterior value of every subset as int numerators, indexed by mask.
-
-    All 2**n subsets are solved on one solver; past
-    ``DEFAULT_EXHAUSTIVE_LIMIT`` subsets the call refuses before solving.
-    """
-    n = qm.ground.n
-    if (1 << n) > DEFAULT_EXHAUSTIVE_LIMIT:
-        raise BudgetExceeded(f"2**{n} subsets exceed budget {DEFAULT_EXHAUSTIVE_LIMIT}")
-    solve = coat_solver(qm).solve
-    return [solve(a)[0] for a in range(1 << n)]
 
 
 def outer(qm: QuasiMeasure, a: SubsetMask) -> tuple[Fraction, CoverSolution]:

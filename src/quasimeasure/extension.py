@@ -8,10 +8,10 @@ algebra generated by the coat; verifying the table means checking exact
 finite additivity, certified by the sums of each member's atom values: the
 disjoint pairs are walked only when some member disagrees with its sum.
 
-Measurability is certified only by exhaustive quantification over all
-subsets, on the list of exterior values `cover.exterior_values` builds.
-Past that list's budget the tests refuse instead of sampling, so a result
-is always "measurable" or a counterexample, never "not falsified".
+Each subset's exterior value is read from that table at its hull.  The
+atom sums decide the algebra's measurability; splitting tests over all
+subsets run only on the audit and on tables the sums do not certify, and
+past the budgets they refuse instead of sampling.
 """
 
 from __future__ import annotations
@@ -28,29 +28,40 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .cover import CoverSolution, exterior_values
+from .cover import CoverSolution
 from .quasi import ONE, QuasiMeasure, coat_solver
 from .report import AxiomReport, ReportBuilder, Witness
-from .sets import AlgebraFamily, BudgetExceeded, SubsetMask, generate_algebra, subset_table
+from .sets import (DEFAULT_EXHAUSTIVE_LIMIT, AlgebraFamily, BudgetExceeded, SubsetMask, generate_algebra,
+                   subset_table)
 
 AUDIT_LIMIT = 5  # ground sets up to this size get the all-subsets audit
-SPLIT_BUDGET = 1 << 24  # (algebra members + audit candidates) * 2**n lookups in measurable_family
+SPLIT_BUDGET = 1 << 24  # lookups in measurable_family, 2**n per splitting test that runs
 TRIPLE_BUDGET = 1 << 18  # disjoint-triple candidates checked before sampling
 
 
 def is_caratheodory_measurable(qm: QuasiMeasure, w: SubsetMask) -> tuple[bool, SubsetMask | None]:
-    """Exhaustive splitting test on the list of all 2**n exterior values.
-
-    Returns the first violating A in mask order.
-    """
+    """Exhaustive splitting test over all 2**n subsets; returns the first violating A in mask order."""
     if w.ground != qm.ground:
         raise ValueError("candidate set belongs to a different ground set")
-    return _first_split_failure(qm, w, exterior_values(qm))
+    return _first_split_failure(qm, w, _subset_values(qm))
 
 
-def _first_split_failure(
-    qm: QuasiMeasure, w: SubsetMask, values: Sequence[int]
-) -> tuple[bool, SubsetMask | None]:
+def _subset_values(qm: QuasiMeasure, table: MeasureTable | None = None) -> list[int]:
+    """Every subset's exterior value by mask, over the table's scale, up to 2**16 subsets.
+
+    Coat members are unions of atoms, so a cover of A covers each atom A
+    meets: A has the value of its hull, the member of its elements' atoms."""
+    n = qm.ground.n
+    if (1 << n) > DEFAULT_EXHAUSTIVE_LIMIT:
+        raise BudgetExceeded(f"2**{n} subsets exceed budget {DEFAULT_EXHAUSTIVE_LIMIT}")
+    table = extend(qm) if table is None else table
+    atoms = table.algebra.atoms
+    owners = (sum(1 << j for j, atom in enumerate(atoms) if atom >> i & 1) for i in range(n))
+    return [table.numerators[hull] for hull in subset_table(owners)]
+
+
+def _first_split_failure(qm: QuasiMeasure, w: SubsetMask,
+                         values: Sequence[int]) -> tuple[bool, SubsetMask | None]:
     """Splitting test of ``w`` over every subset A, on exterior values indexed by mask."""
     inside, outside = w.bits, w.bits ^ qm.ground.full_bits
     for a, value in enumerate(values):
@@ -85,27 +96,28 @@ class MeasurabilityReport:
 
 
 def measurable_family(qm: QuasiMeasure) -> MeasurabilityReport:
-    """Exhaustive splitting tests of every algebra member and audit candidate.
+    """Splitting tests of every algebra member and audit candidate on ``extend``'s table.
 
-    The 2**n exterior values are solved once, on one solver, and every test
-    indexes that list.  The tests together read
-    (members + audit candidates) * 2**n values; past ``SPLIT_BUDGET`` the
-    call refuses with ``BudgetExceeded`` before solving anything.
+    Every member is measurable iff the table is additive (Folland, *Real
+    Analysis*, 2nd ed., 1999, Prop. 1.13), so its atom sums certify them
+    untested.  Past ``SPLIT_BUDGET`` lookups, 2**n per test that would run,
+    the call refuses with ``BudgetExceeded`` before any test runs.
     """
     n = qm.ground.n
-    algebra = generate_algebra(qm.coat)
+    table = extend(qm)
+    certified = _atom_sums_agree(table)
     audit = list(qm.ground.all_subsets()) if n <= AUDIT_LIMIT else []
-    work = (len(algebra) + len(audit)) << n
-    if work > SPLIT_BUDGET:
-        raise BudgetExceeded(
-            f"{len(algebra)} algebra members and {len(audit)} audit candidates by 2**{n} subsets"
-            f" make {work} splitting lookups, over SPLIT_BUDGET={SPLIT_BUDGET}")
-    values = exterior_values(qm)
+    tested = len(audit) + (0 if certified else len(table.algebra))
+    if tested << n > SPLIT_BUDGET:
+        raise BudgetExceeded(f"{tested} splitting tests by 2**{n} subsets make {tested << n} lookups,"
+                             f" over SPLIT_BUDGET={SPLIT_BUDGET}")
+    values = _subset_values(qm, table) if tested else []
 
-    def records(candidates: Iterable[SubsetMask]) -> tuple[MeasurabilityRecord, ...]:
-        return tuple(MeasurabilityRecord(w, *_first_split_failure(qm, w, values)) for w in candidates)
+    def records(candidates: Iterable[SubsetMask], test: bool = True) -> tuple[MeasurabilityRecord, ...]:
+        return tuple(MeasurabilityRecord(w, *_first_split_failure(qm, w, values)) if test
+                     else MeasurabilityRecord(w, True, None) for w in candidates)
 
-    return MeasurabilityReport(records(algebra), records(audit))
+    return MeasurabilityReport(records(table.algebra, not certified), records(audit))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,9 +184,8 @@ def extend(qm: QuasiMeasure) -> MeasureTable:
 def verify_premeasure(table: MeasureTable) -> AxiomReport:
     """Exact additivity checks on the tabulated algebra values.
 
-    A table is additive iff each member's value is the sum of its atoms'
-    values, so those sums certify it; the disjoint pairs, whose failures the
-    report lists, are walked only when some member disagrees.  When some
+    The atom sums certify an additive table; the disjoint pairs, whose
+    failures the report lists, are walked only when they do not.  When some
     pair fails, disjoint triples are checked too, all of them while they fit
     the budget and a seeded sample otherwise.
     Member i of the algebra is the union of the atoms in the bits of i, so
@@ -195,9 +206,8 @@ def verify_premeasure(table: MeasureTable) -> AxiomReport:
     size = len(nums)
     shift = (size - 1).bit_length()  # a finite algebra has 2**shift members
     low = size - 1
-    sums = subset_table((nums[1 << a] for a in range(shift)), operator.add)  # atom-value sums
     pairs = array("q")
-    for i in range(size) if sums != list(nums) else ():
+    for i in () if _atom_sums_agree(table) else range(size):
         # j runs in ascending order over the members above i and disjoint from
         # it, the submasks of rest from the first bit past i's top bit on.
         rest = low ^ i
@@ -227,6 +237,13 @@ def verify_premeasure(table: MeasureTable) -> AxiomReport:
             failed.append((i << shift | j) << shift | k)
     rb.fail_each("triple-additivity", failed, functools.partial(_packed_witness, table, 3))
     return rb.build()
+
+
+def _atom_sums_agree(table: MeasureTable) -> bool:
+    """Whether each member's value is the sum of its atoms' values: iff the table is additive."""
+    nums = table.numerators
+    atom_values = (nums[1 << a] for a in range(len(table.algebra.atoms)))
+    return subset_table(atom_values, operator.add) == list(nums)
 
 
 def _packed_witness(table: MeasureTable, parts: int, record: int) -> Witness:

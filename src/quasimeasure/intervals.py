@@ -355,8 +355,5 @@ def outer_interval(target: IntervalSet, pool: Sequence[Interval]) -> IntervalCov
             if _contains_atom((p,), atom):
                 bits |= 1 << i
         entries.append((idx, bits, p.weight()))
-    solver = CoverSolver(entries, 0.0)
-    if not solver.feasible(target_bits):
-        raise ValueError("pool cannot cover the target")
-    cost, chosen = solver.solve(target_bits)
+    cost, chosen = CoverSolver(entries, 0.0).solve(target_bits)  # ValueError if the pool cannot cover it
     return IntervalCover(chosen, cost, survival_weight(target))

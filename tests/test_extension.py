@@ -22,6 +22,7 @@ from quasimeasure import (
     induce,
     is_caratheodory_measurable,
     measurable_family,
+    outer,
     outer_exhaustive,
     perturb,
     random_algebra_instance,
@@ -49,8 +50,6 @@ class TestMeasurability:
         assert not measurable and counterexample == ground.subset(["2", "3"])
         measurable, counterexample = is_caratheodory_measurable(qm, ground.subset(["2", "3"]))
         assert not measurable and counterexample == ground.subset(["1", "2"])
-        from quasimeasure import outer
-
         assert outer(qm, ground.subset(["1"]))[0] == Fraction(1, 2)
         assert outer(qm, ground.subset(["2"]))[0] == Fraction(1, 2)
         assert outer(qm, ground.subset(["1", "2"]))[0] == Fraction(1, 2)
@@ -60,8 +59,6 @@ class TestMeasurability:
         ground = qm.ground
         w = ground.subset(["1", "2"])
         _, a = is_caratheodory_measurable(qm, w)
-        from quasimeasure import outer
-
         whole = outer(qm, a)[0]
         split = outer(qm, a & w)[0] + outer(qm, a & w.complement())[0]
         assert whole != split
@@ -186,11 +183,36 @@ class TestMeasurabilityOracle:
         assert len(report.algebra) == 1 << 10 and report.all_algebra_measurable
         assert report.audit == ()
 
-    def test_split_budget_refuses_an_n16_singleton_coat_before_solving(self, monkeypatch):
-        qm = singleton_coat_instance(16)
-        monkeypatch.setattr(CoverSolver, "solve", refuse_to_solve)
+    def test_passing_n10_singleton_coat_runs_no_splitting_test(self, monkeypatch):
+        # The atom sums certify the table, so every member is measurable untested.
+        def no_split_test(*args):
+            raise AssertionError("splitting test on a certified table")
+
+        monkeypatch.setattr(extension, "_first_split_failure", no_split_test)
+        report = measurable_family(singleton_coat_instance(10))
+        assert len(report.algebra) == 1 << 10 and report.all_algebra_measurable
+
+    def test_split_budget_refuses_only_uncertified_tables(self):
+        # Only the splitting tests that run count against the budget: a table
+        # that fails its atom sums tests all 2**13 members, 2**26 lookups, and
+        # is refused; the passing n=16 coat's 65,536 members run no test.
+        qm = perturb(singleton_coat_instance(13), 0, max_changes=2)
         with pytest.raises(BudgetExceeded, match=f"SPLIT_BUDGET={SPLIT_BUDGET}"):
             measurable_family(qm)
+        report = measurable_family(singleton_coat_instance(16))
+        assert len(report.algebra) == 1 << 16 and report.all_algebra_measurable
+        assert report.audit == ()
+
+    def test_certified_coat_past_the_subset_limit_gets_a_report(self):
+        # Past 2**16 subsets there is no audit, so a certified table runs no
+        # test and builds no subset list; an uncertified one is refused.
+        ground = GroundSet(tuple(str(i) for i in range(20)))
+        coat = Coat.from_bits(ground, [0, ground.full_bits, 0x1F, 0x3E0, 0xFC00, 0xF0000])
+        qm = induce(TrueMeasure.uniform(ground), coat)
+        report = measurable_family(qm)
+        assert len(report.algebra) == 16 and report.all_algebra_measurable
+        with pytest.raises(BudgetExceeded, match=r"2\*\*20 subsets exceed budget"):
+            measurable_family(perturb(qm, 0, max_changes=2))
 
 
 class TestExtend:
@@ -597,3 +619,22 @@ def test_exterior_value_is_the_table_value_of_the_hull(qm):
     for a in range(1 << qm.ground.n):
         hull = sum(1 << j for j, atom in enumerate(atoms) if atom & a)
         assert Fraction(solve(a)[0], qm.scale) == table.values[hull], qm.ground.mask(a)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_every_subset_has_the_table_value_of_its_hull(seed):
+    # Seeded random and perturbed instances up to n=8: the exterior value of
+    # each subset is the table value of the union of the atoms it meets, and
+    # the splitting tests read exactly these values.
+    n = 1 + seed % 8
+    qm = random_instance(seed, n=n, coat_size=2 + seed % 9)[2]
+    if seed % 2:
+        qm = perturb(qm, seed + 500, max_changes=1 + seed % 5)
+    table = extend(qm)
+    atoms = table.algebra.atoms
+    want = []
+    for a in qm.ground.all_subsets():
+        hull = sum(atom for atom in atoms if atom & a.bits)
+        want.append(outer(qm, a)[0])
+        assert want[-1] == table.value(qm.ground.mask(hull)), a
+    assert [Fraction(v, table.scale) for v in extension._subset_values(qm)] == want

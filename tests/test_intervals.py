@@ -502,6 +502,12 @@ class TestOuterInterval:
         with pytest.raises(ValueError, match="cover"):
             outer_interval(closed(0.0, 3.0), [Interval.closed(0.0, 1.0)])
 
+    def test_pool_with_a_gap_leaves_the_target_uncoverable(self):
+        # (1, 2) lies in no pool member, so the cover search itself refuses.
+        pool = [Interval.closed(0.0, 1.0), Interval.closed(2.0, 3.0)]
+        with pytest.raises(ValueError, match="target not coverable by the available members"):
+            outer_interval(closed(0.0, 3.0), pool)
+
     def test_open_endpoint_leaves_a_point_uncovered(self):
         # [0,1] is not covered by [0,1): the right endpoint is missing,
         # and endpoint flags are exact, not fuzzy.
