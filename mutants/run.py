@@ -41,6 +41,7 @@ class Mutant:
 
 QUASI = "src/quasimeasure/quasi.py"
 EXTENSION = "src/quasimeasure/extension.py"
+INTERVALS = "src/quasimeasure/intervals.py"
 MUTANTS = (
     Mutant("solver-weight-skip-ties", QUASI,
            "if best is not None and weight > best[0]:",
@@ -90,9 +91,17 @@ MUTANTS = (
            "if v != qm.numerator(x)]",
            "if v > qm.numerator(x)]",
            ("tests/test_cover.py",)),
-    Mutant("overlapping-split-one-sided", "src/quasimeasure/intervals.py",
+    Mutant("overlapping-split-one-sided", INTERVALS,
            "if abs(lhs - rhs) > tol:",
            "if lhs - rhs > tol:",
+           ("tests/test_intervals.py",)),
+    Mutant("interval-mask-drops-open-left-offset", INTERVALS,
+           "lo = 2 * pos[c.left] + (not c.left_closed)",
+           "lo = 2 * pos[c.left]",
+           ("tests/test_intervals.py",)),
+    Mutant("interval-mask-drops-open-right-offset", INTERVALS,
+           "hi = 2 * pos[c.right] - (not c.right_closed)",
+           "hi = 2 * pos[c.right]",
            ("tests/test_intervals.py",)),
 )
 

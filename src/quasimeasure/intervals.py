@@ -8,10 +8,15 @@ in the family evaluates to the sum of s(left) - s(right) over components,
 independent of which endpoints are closed.
 
 Endpoints use explicit closed/open flags, never epsilon perturbation, so
-shapes like [u,a) with (b,v] are represented exactly.  Evaluation is binary
-floating point; identity checks take a tolerance (default 1e-12) because the
-survival function is transcendental even though the identities themselves
-are analytically exact.
+shapes like [u,a) with (b,v] are represented exactly.  Set algebra and cover
+search split the line at the sorted distinct endpoints p_0 < ... < p_{m-1}
+of the shapes involved into atoms: atom 2i is the point p_i and atom 2i+1
+the open gap after it, up to p_{i+1} or infinity.  Every component endpoint
+is one of the points, so a component is one run of consecutive atoms and a
+shape is an int mask of atoms.  Evaluation is binary floating point;
+identity checks take a tolerance (default 1e-12) because the survival
+function is transcendental even though the identities themselves are
+analytically exact.
 """
 
 from __future__ import annotations
@@ -73,42 +78,11 @@ class Interval:
         """s(left) - s(right); the flags do not matter."""
         return survival(self.left) - (0.0 if self.right == INF else survival(self.right))
 
-    def contains_point(self, v: float) -> bool:
-        if v < self.left or (v == self.left and not self.left_closed):
-            return False
-        if v > self.right or (v == self.right and not self.right_closed):
-            return False
-        return True
-
-    def contains_gap(self, a: float, b: float) -> bool:
-        """Whether the open interval (a, b) lies inside this component."""
-        return self.left <= a and b <= self.right
-
     def __str__(self) -> str:
         lb = "[" if self.left_closed else "("
         rb = "]" if self.right_closed else ")"
         right = "inf" if self.right == INF else repr(self.right)
         return f"{lb}{self.left!r},{right}{rb}"
-
-
-# Atoms of the endpoint decomposition: ("point", v) or ("gap", a, b).
-_Atom = tuple
-
-
-def _atoms(points: Sequence[float]) -> list[_Atom]:
-    atoms: list[_Atom] = []
-    for i, p in enumerate(points):
-        atoms.append(("point", p))
-        nxt = points[i + 1] if i + 1 < len(points) else INF
-        if p < nxt:
-            atoms.append(("gap", p, nxt))
-    return atoms
-
-
-def _contains_atom(components: tuple[Interval, ...], atom: _Atom) -> bool:
-    if atom[0] == "point":
-        return any(c.contains_point(atom[1]) for c in components)
-    return any(c.contains_gap(atom[1], atom[2]) for c in components)
 
 
 @dataclass(frozen=True)
@@ -132,10 +106,8 @@ class IntervalSet:
     @classmethod
     def of(cls, *components: Interval) -> "IntervalSet":
         """Canonicalize an arbitrary component list (merging as needed)."""
-        raw = cls(())
-        for c in components:
-            raw = union(raw, cls((c,)))
-        return raw
+        ends, (bits,) = _atom_masks(components)
+        return _rebuild(ends, bits)
 
     @classmethod
     def empty(cls) -> "IntervalSet":
@@ -148,14 +120,6 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self.components
 
-    def endpoints(self) -> set[float]:
-        pts = {0.0}
-        for c in self.components:
-            pts.add(c.left)
-            if c.right != INF:
-                pts.add(c.right)
-        return pts
-
     def __str__(self) -> str:
         if not self.components:
             return "empty"
@@ -165,43 +129,61 @@ class IntervalSet:
 HALF_LINE = IntervalSet.half_line()
 
 
-def _rebuild(atoms: list[_Atom], included: list[bool]) -> IntervalSet:
-    components: list[Interval] = []
-    i = 0
-    while i < len(atoms):
-        if not included[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(atoms) and included[j + 1]:
-            j += 1
-        first, last = atoms[i], atoms[j]
-        left, left_closed = (first[1], True) if first[0] == "point" else (first[1], False)
-        right, right_closed = (last[1], True) if last[0] == "point" else (last[2], False)
-        components.append(Interval(left, right, left_closed, right_closed))
-        i = j + 1
+def _atom_masks(*shapes: Sequence[Interval]) -> tuple[list[float], list[int]]:
+    """The sorted endpoints of ``shapes`` (0 and INF always among them) and each shape's atom mask.
+
+    The component from l to r is the run of atoms from 2·pos[l], or the gap
+    after l when it is open, to 2·pos[r], or the gap before r when it is
+    open; INF sits at position m, one past the last point.
+    """
+    points = {0.0, INF}
+    for shape in shapes:
+        for c in shape:
+            points.add(c.left)
+            points.add(c.right)
+    ends = sorted(points)
+    pos = {p: i for i, p in enumerate(ends)}
+    masks = []
+    for shape in shapes:
+        bits = 0
+        for c in shape:
+            lo = 2 * pos[c.left] + (not c.left_closed)
+            hi = 2 * pos[c.right] - (not c.right_closed)
+            bits |= (2 << hi) - (1 << lo)
+        masks.append(bits)
+    return ends, masks
+
+
+def _rebuild(ends: list[float], bits: int) -> IntervalSet:
+    """The canonical set of the atoms in ``bits``: one component per run of set bits.
+
+    A run that starts or ends on a point atom (even index) has that endpoint
+    closed; on a gap atom, the endpoint is the gap's open end.
+    """
+    components = []
+    while bits:
+        low = bits & -bits
+        lo = low.bit_length() - 1
+        # Adding the lowest bit carries through its run into the bit above it.
+        hi = (bits ^ (bits + low)).bit_length() - 2
+        bits &= bits + low
+        components.append(Interval(ends[lo >> 1], ends[(hi + 1) >> 1], not lo & 1, not hi & 1))
     return IntervalSet(tuple(components))
 
 
-def _combine(x: IntervalSet, y: IntervalSet, op) -> IntervalSet:
-    points = sorted(x.endpoints() | y.endpoints())
-    atoms = _atoms(points)
-    included = [
-        op(_contains_atom(x.components, a), _contains_atom(y.components, a)) for a in atoms
-    ]
-    return _rebuild(atoms, included)
-
-
 def intersect(x: IntervalSet, y: IntervalSet) -> IntervalSet:
-    return _combine(x, y, lambda a, b: a and b)
+    ends, (mx, my) = _atom_masks(x.components, y.components)
+    return _rebuild(ends, mx & my)
 
 
 def union(x: IntervalSet, y: IntervalSet) -> IntervalSet:
-    return _combine(x, y, lambda a, b: a or b)
+    ends, (mx, my) = _atom_masks(x.components, y.components)
+    return _rebuild(ends, mx | my)
 
 
 def difference(x: IntervalSet, y: IntervalSet) -> IntervalSet:
-    return _combine(x, y, lambda a, b: a and not b)
+    ends, (mx, my) = _atom_masks(x.components, y.components)
+    return _rebuild(ends, mx & ~my)
 
 
 def complement(x: IntervalSet) -> IntervalSet:
@@ -210,12 +192,8 @@ def complement(x: IntervalSet) -> IntervalSet:
 
 
 def issubset(x: IntervalSet, y: IntervalSet) -> bool:
-    points = sorted(x.endpoints() | y.endpoints())
-    return all(
-        _contains_atom(y.components, a)
-        for a in _atoms(points)
-        if _contains_atom(x.components, a)
-    )
+    _, (mx, my) = _atom_masks(x.components, y.components)
+    return mx & ~my == 0
 
 
 def survival_weight(shape: IntervalSet) -> float:
@@ -332,28 +310,14 @@ class IntervalCover:
 def outer_interval(target: IntervalSet, pool: Sequence[Interval]) -> IntervalCover:
     """Exact minimum-cost cover of ``target`` by pool members.
 
-    The pool and target are decomposed over their shared endpoints into
-    point and gap atoms; coverage then reduces to the same mask search the
-    finite optimizer uses.  The analytic value is the component sum of
-    survival weights, which matches the search whenever the pool contains
-    the component closures.
+    The pool and target are split at their shared endpoints into atoms,
+    atom 2i the i-th point and atom 2i+1 the open gap after it; a component
+    is the run of atoms between its endpoints, so each shape is an int mask
+    and coverage reduces to the same mask search the finite optimizer uses.
+    The analytic value is the component sum of survival weights, which
+    matches the search whenever the pool contains the component closures.
     """
-    points = set(target.endpoints())
-    for p in pool:
-        points.add(p.left)
-        if p.right != INF:
-            points.add(p.right)
-    atoms = _atoms(sorted(points))
-    target_bits = 0
-    for i, atom in enumerate(atoms):
-        if _contains_atom(target.components, atom):
-            target_bits |= 1 << i
-    entries = []
-    for idx, p in enumerate(pool):
-        bits = 0
-        for i, atom in enumerate(atoms):
-            if _contains_atom((p,), atom):
-                bits |= 1 << i
-        entries.append((idx, bits, p.weight()))
+    _, (target_bits, *pool_bits) = _atom_masks(target.components, *((p,) for p in pool))
+    entries = [(idx, bits, p.weight()) for idx, (p, bits) in enumerate(zip(pool, pool_bits))]
     cost, chosen = CoverSolver(entries, 0.0).solve(target_bits)  # ValueError if the pool cannot cover it
     return IntervalCover(chosen, cost, survival_weight(target))

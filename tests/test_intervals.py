@@ -191,6 +191,78 @@ def test_interval_set_of_is_order_independent_and_canonical(case):
     assert IntervalSet.of(*s.components) == s
 
 
+def holds(components, x):
+    """Whether the point ``x`` lies in some component, read off the endpoint flags."""
+    return any(
+        (c.left < x or (x == c.left and c.left_closed)) and (x < c.right or (x == c.right and c.right_closed))
+        for c in components
+    )
+
+
+def atom_probes(points):
+    """One point inside each atom of the sorted distinct ``points``: each point, then its gap's
+    midpoint, or ``last + 1`` for the final gap."""
+    probes = []
+    for p, q in zip(points, [*points[1:], math.inf]):
+        mid = (p + q) / 2 if q != math.inf else p + 1
+        assert p < mid < q
+        probes += [p, mid]
+    return probes
+
+
+def shape_points(*shapes):
+    """The sorted distinct finite endpoints of the component lists ``shapes``, with 0."""
+    return sorted({0.0}.union(*({c.left, c.right} for shape in shapes for c in shape)) - {math.inf})
+
+
+def oracle_mask(components, points):
+    """The atoms over ``points`` whose probe lies in ``components``: atom 2i the point, 2i+1 the gap after it."""
+    return sum(1 << a for a, x in enumerate(atom_probes(points)) if holds(components, x))
+
+
+@settings(max_examples=150)
+@given(interval_lists, interval_lists)
+def test_interval_set_operations_match_pointwise_membership(xs, ys):
+    x, y = IntervalSet.of(*xs), IntervalSet.of(*ys)
+    probes = atom_probes(shape_points(xs, ys))
+    for z in probes:
+        in_x, in_y = holds(xs, z), holds(ys, z)
+        assert holds(x.components, z) == in_x and holds(y.components, z) == in_y
+        assert holds(union(x, y).components, z) == (in_x or in_y)
+        assert holds(intersect(x, y).components, z) == (in_x and in_y)
+        assert holds(difference(x, y).components, z) == (in_x and not in_y)
+        assert holds(complement(x).components, z) == (not in_x)
+    assert issubset(x, y) == all(holds(ys, z) for z in probes if holds(xs, z))
+
+
+class TestAtomEdgeCases:
+    def test_closed_half_line(self):
+        whole = IntervalSet.of(Interval(0.0, math.inf, True, False))
+        assert whole == HALF_LINE
+        assert IntervalSet.of(Interval.closed(0.0, 1.0), Interval.tail(1.0)) == HALF_LINE
+        assert complement(HALF_LINE).is_empty()
+        assert difference(HALF_LINE, IntervalSet.of(Interval.tail(0.0))) == closed(0.0, 0.0)
+        assert issubset(IntervalSet.of(Interval.tail(3.0)), HALF_LINE)
+        assert not issubset(HALF_LINE, IntervalSet.of(Interval.tail(0.0)))
+
+    def test_negative_zero_left_endpoint_reads_as_zero(self):
+        shape = IntervalSet.of(Interval.closed(-0.0, 1.0))
+        assert shape == closed(0.0, 1.0) and str(shape) == "[0.0,1.0]"
+        assert complement(shape) == IntervalSet.of(Interval.tail(1.0))
+        assert str(union(IntervalSet((Interval.closed(-0.0, 1.0),)), closed(2.0, 3.0))) == "[0.0,1.0] u [2.0,3.0]"
+        result = outer_interval(IntervalSet((Interval.closed(-0.0, 1.0),)), [Interval.closed(0.0, 1.0)])
+        assert result.chosen == (0,)
+
+    def test_punctured_interval(self):
+        punctured = IntervalSet.of(Interval.closed_open(0.0, 1.0), Interval.open_closed(1.0, 2.0))
+        point = closed(1.0, 1.0)
+        assert union(punctured, point) == closed(0.0, 2.0)
+        assert intersect(punctured, point).is_empty()
+        assert complement(punctured) == IntervalSet.of(Interval.closed(1.0, 1.0), Interval.tail(2.0))
+        assert issubset(punctured, closed(0.0, 2.0)) and not issubset(closed(0.0, 2.0), punctured)
+        assert outer_interval(punctured, [Interval.closed(0.0, 2.0)]).chosen == (0,)
+
+
 class TestExampleSuite:
     def test_thousand_samples_pass(self):
         report = verify_example_axioms(sample_count=1000, seed=0, tol=1e-12)
@@ -598,3 +670,20 @@ def test_interval_costs_are_those_of_the_all_candidates_search(monkeypatch):
         if lowest[0] != result.cost:
             moved.append(j)
     assert moved == [22, 23, 71]
+
+
+def test_outer_interval_hands_the_solver_the_pointwise_atom_masks(monkeypatch):
+    searches = []
+
+    class RecordingSolver(CoverSolver):
+        def solve(self, target_bits):
+            searches.append((self.entries, target_bits))
+            return super().solve(target_bits)
+
+    monkeypatch.setattr("quasimeasure.intervals.CoverSolver", RecordingSolver)
+    for target, pool in benchmark_interval_queries():
+        outer_interval(target, pool)
+        points = shape_points(target.components, pool)
+        entries = [(i, oracle_mask((p,), points), p.weight()) for i, p in enumerate(pool)]
+        assert searches[-1] == (entries, oracle_mask(target.components, points))
+    assert len(searches) == 96
