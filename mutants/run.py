@@ -75,6 +75,22 @@ MUTANTS = (
            "top = max(qm.numerator(x)",
            "top = min(qm.numerator(x)",
            ("tests/test_quasi.py",)),
+    Mutant("envelope-containment-swapped", QUASI,
+           "if m & ~w == 0:",
+           "if w & ~m == 0:",
+           ("tests/test_quasi.py",)),
+    Mutant("envelope-equal-value-becomes-ge", QUASI,
+           "if vw == v:",
+           "if vw >= v:",
+           ("tests/test_quasi.py",)),
+    Mutant("meet-squeeze-drops-inner-set", QUASI,
+           "if not (meet in inside and meet in around):",
+           "if meet not in inside:",
+           ("tests/test_quasi.py",)),
+    Mutant("monotone-comparison-flipped", QUASI,
+           "if diff == 0 and num(x) > num(y):",
+           "if diff == 0 and num(x) < num(y):",
+           ("tests/test_quasi.py",)),
     Mutant("atom-sum-gate-checks-omega-only", EXTENSION,
            "return subset_table(atom_values, operator.add) == list(nums)",
            "return subset_table(atom_values, operator.add)[-1] == nums[-1]",

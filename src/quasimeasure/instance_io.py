@@ -258,7 +258,10 @@ def parse_instance(document: str) -> InstanceSpec:
                 raise ParseError("malformed seed directive", lineno)
             if seed is not None:
                 raise ParseError("duplicate seed directive", lineno)
-            seed = int(rest)
+            try:
+                seed = int(rest)
+            except ValueError as exc:  # more digits than int() will convert
+                raise ParseError(f"seed too long: {exc}", lineno) from None
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno, 1)
 

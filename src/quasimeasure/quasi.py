@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Generic, Iterable, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
 
 from .report import AxiomReport, ReportBuilder, Witness
 from .sets import BudgetExceeded, Coat, Refinement, SubsetMask, subset_table
@@ -249,16 +249,11 @@ def cover_bound_violations(
     return violations
 
 
-def _checked_pairs(rb: ReportBuilder, qm: QuasiMeasure) -> list[tuple[int, int, int, int, int, int]]:
-    """Check the splitting of every coat pair; the declared "endpoints" check needs no loop.
-
-    Returns ``(x, y, meet, diff, value of meet, value of diff)`` as bits and
-    numerators for every ordered coat pair, for the pair checks that follow.
-    """
-    # "endpoints" always passes: QuasiMeasure refuses value(empty) != 0 and value(omega) != 1.
+def _checked_pairs(rb: ReportBuilder, qm: QuasiMeasure) -> Iterator[tuple[int, int, int, int]]:
+    """Check the splitting of each ordered coat pair, then yield its ``(x, y, meet, diff)`` bits."""
+    # "endpoints" needs no loop: QuasiMeasure refuses value(empty) != 0 and value(omega) != 1.
     num = qm.numerator
     bits = qm.coat.member_bits()
-    pairs = []
     for x in bits:
         vx = num(x)
         for y in bits:
@@ -270,24 +265,30 @@ def _checked_pairs(rb: ReportBuilder, qm: QuasiMeasure) -> list[tuple[int, int, 
                     f"meet {qm.ground.mask(meet)} has value {qm.fraction(vmeet)},"
                     f" difference {qm.ground.mask(diff)} has value {qm.fraction(vdiff)}",
                 ))
-            pairs.append((x, y, meet, diff, vmeet, vdiff))
-    return pairs
+            yield x, y, meet, diff
 
 
-def _envelope_lookup(qm: QuasiMeasure, pool: Iterable[int]) -> Callable[[int, int], bool]:
-    """``has_envelope(target, value)``: some pool member of that value contains the target."""
-    pool_by_value: dict[int, list[int]] = {}
-    for w in pool:
-        pool_by_value.setdefault(qm.numerator(w), []).append(w)
+def _envelopes(qm: QuasiMeasure) -> tuple[set[int], set[int]]:
+    """The refinement members that lie inside, and those that hold, a coat member of equal value.
 
-    def has_envelope(target: int, value: int) -> bool:
-        return any(target & ~w == 0 for w in pool_by_value.get(value, ()))
+    Every meet and difference of two coat members is a refinement member, so
+    whether it has an envelope depends on it alone, not on the pair.
+    """
+    coat = [(w, qm.numerator(w)) for w in qm.coat.member_bits()]
+    inside, around = set(), set()
+    for m in (r.bits for r in qm.refinement):
+        v = qm.numerator(m)
+        for w, vw in coat:
+            if vw == v:
+                if m & ~w == 0:
+                    inside.add(m)
+                if w & ~m == 0:
+                    around.add(m)
+    return inside, around
 
-    return has_envelope
 
-
-def _envelope_fail(qm: QuasiMeasure, kind: str, x: int, y: int, target: int, value: int) -> Witness:
-    return qm.witness((("X", x), ("Y", y), (kind, target)), value, None, "exists",
+def _envelope_fail(qm: QuasiMeasure, kind: str, x: int, y: int, target: int) -> Witness:
+    return qm.witness((("X", x), ("Y", y), (kind, target)), qm.numerator(target), None, "exists",
                       "no coat superset with equal value")
 
 
@@ -301,8 +302,9 @@ def check_axioms(
 
     ``variant`` controls where the envelope witnesses W and Z may live:
     ``"literal"`` admits any refinement member, so each meet and difference
-    witnesses itself and both envelope checks pass without a search;
-    ``"restricted"`` admits coat members only.
+    witnesses itself and both envelope checks pass;
+    ``"restricted"`` admits coat members only, and a meet or difference has
+    an envelope iff it lies inside a coat member of equal value.
     The cover bound is checked over every subcollection of the coat up to
     ``max_cover_size`` members (default: the whole coat), optionally only
     over pairwise-disjoint subcollections.
@@ -314,15 +316,13 @@ def check_axioms(
     rb.note(f"variant={variant}")
     rb.note(f"cover_mode={cover_mode}")
 
-    pairs = _checked_pairs(rb, qm)
     # Under "literal" each meet and difference is a refinement member, so it witnesses itself.
-    if variant == "restricted":
-        has_envelope = _envelope_lookup(qm, qm.coat.member_bits())
-        for x, y, meet, diff, vmeet, vdiff in pairs:
-            if not has_envelope(meet, vmeet):
-                rb.fail("meet-envelope", _envelope_fail(qm, "meet", x, y, meet, vmeet))
-            if not has_envelope(diff, vdiff):
-                rb.fail("diff-envelope", _envelope_fail(qm, "difference", x, y, diff, vdiff))
+    enveloped = _envelopes(qm)[0] if variant == "restricted" else {m.bits for m in qm.refinement}
+    for x, y, meet, diff in _checked_pairs(rb, qm):
+        if meet not in enveloped:
+            rb.fail("meet-envelope", _envelope_fail(qm, "meet", x, y, meet))
+        if diff not in enveloped:
+            rb.fail("diff-envelope", _envelope_fail(qm, "difference", x, y, diff))
 
     for witness in cover_bound_violations(qm, cover_mode, max_cover_size):
         rb.fail("cover-bound", witness)
@@ -337,25 +337,21 @@ def check_alt_conditions(qm: QuasiMeasure) -> AxiomReport:
     value, and coat members must be monotone under inclusion.  A map passing
     all five is expected to pass ``check_axioms`` in the restricted variant;
     that implication is exercised by the test suite rather than assumed.
+    One pass over the coat pairs checks all of them.
     """
     rb = ReportBuilder("alt-conditions")
     rb.declare(*ALT_CHECKS)
 
-    bits = qm.coat.member_bits()
     num = qm.numerator
-    for x in bits:
-        vx = num(x)
-        for y in bits:
-            if x & ~y == 0 and vx > num(y):
-                rb.fail("monotone", qm.witness((("X", x), ("Y", y)), vx, num(y), "le"))
-    has_envelope = _envelope_lookup(qm, bits)
-    for x, y, meet, diff, vmeet, vdiff in _checked_pairs(rb, qm):
-        inner_ok = any(k & ~meet == 0 and num(k) == vmeet for k in bits)
-        if not (inner_ok and has_envelope(meet, vmeet)):
+    inside, around = _envelopes(qm)
+    for x, y, meet, diff in _checked_pairs(rb, qm):
+        if diff == 0 and num(x) > num(y):  # x is a subset of y
+            rb.fail("monotone", qm.witness((("X", x), ("Y", y)), num(x), num(y), "le"))
+        if not (meet in inside and meet in around):
             rb.fail("meet-squeeze", qm.witness(
-                (("X", x), ("Y", y), ("meet", meet)), vmeet, None, "exists",
+                (("X", x), ("Y", y), ("meet", meet)), num(meet), None, "exists",
                 "no coat pair squeezing the meet with equal values",
             ))
-        if not has_envelope(diff, vdiff):
-            rb.fail("diff-envelope", _envelope_fail(qm, "difference", x, y, diff, vdiff))
+        if diff not in inside:
+            rb.fail("diff-envelope", _envelope_fail(qm, "difference", x, y, diff))
     return rb.build()

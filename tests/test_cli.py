@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -246,6 +247,46 @@ class TestParsing:
             path.write_bytes(b"ground: 1 2\rset A: 1\r" + third + b"\r")
             assert main(["check", str(path)]) == 2
             assert message in capsys.readouterr().err
+
+    def test_overlong_seed_reports_line_and_exits_2(self, tmp_path, capsys):
+        # 5,000 digits pass the seed's digit pattern but exceed Python's int-from-string limit
+        doc = UNIFORM_DOC + "seed: " + "7" * 5000 + "\n"
+        with pytest.raises(ParseError, match="^line 15: seed too long") as info:
+            parse_instance(doc)
+        assert info.value.line == 15
+        path = tmp_path / "seed.qm"
+        path.write_text(doc, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert "line 15: seed too long" in capsys.readouterr().err
+
+    def test_mutated_documents_parse_or_raise_parse_error(self):
+        # Seeded mutations of UNIFORM_DOC: each token replaces a word, joins a line or
+        # forms a new directive line.  Nothing but ParseError may escape the parser.
+        tokens = ("7" * 5000, "1" * 5000 + "/2", "\x00", "1/0", "-1/2", "0/0", "#", ":", "",
+                  "empty", "omega", "A&!B", "&", "!", "-", "seed:", "value", "set", "coat:")
+        keywords = ("ground", "set A", "set D", "coat", "value A", "value D", "seed")
+        rng = random.Random(0)
+        lines = UNIFORM_DOC.splitlines()
+        outcomes = {"parsed": 0, "refused": 0}
+        for _ in range(4000):
+            doc = list(lines)
+            for _ in range(rng.randint(1, 3)):
+                i, token = rng.randrange(len(doc)), rng.choice(tokens)
+                words = doc[i].split(" ")
+                kind = rng.randrange(3)
+                if kind == 0:
+                    words[rng.randrange(len(words))] = token
+                elif kind == 1:
+                    words.insert(rng.randrange(len(words) + 1), token)
+                doc[i] = " ".join(words)
+                if kind == 2:
+                    doc.insert(i, f"{rng.choice(keywords)}: {token}")
+            try:
+                parse_instance("\n".join(doc) + "\n")
+                outcomes["parsed"] += 1
+            except ParseError:
+                outcomes["refused"] += 1
+        assert min(outcomes.values()) > 50, outcomes
 
     def test_seed_line_roundtrips(self):
         doc = UNIFORM_DOC + "seed: 42\n"
