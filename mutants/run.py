@@ -42,6 +42,7 @@ class Mutant:
 QUASI = "src/quasimeasure/quasi.py"
 EXTENSION = "src/quasimeasure/extension.py"
 INTERVALS = "src/quasimeasure/intervals.py"
+CLI = "src/quasimeasure/cli.py"
 MUTANTS = (
     Mutant("solver-weight-skip-ties", QUASI,
            "if best is not None and weight > best[0]:",
@@ -119,6 +120,14 @@ MUTANTS = (
            "hi = 2 * pos[c.right] - (not c.right_closed)",
            "hi = 2 * pos[c.right]",
            ("tests/test_intervals.py",)),
+    Mutant("row-value-drops-gcd", CLI,
+           "for g in [math.gcd(v, scale)]",
+           "for g in [1]",
+           ("tests/test_cli.py",)),
+    Mutant("machine-rows-skip-label-escaping", CLI,
+           "labels, names = [json.dumps(s)[1:-1] for s in labels], [json.dumps(s)[1:-1] for s in names]",
+           "names = [json.dumps(s)[1:-1] for s in names]",
+           ("tests/test_cli.py",)),
 )
 
 

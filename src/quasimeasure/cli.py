@@ -38,7 +38,7 @@ from .instance_io import (
 from .intervals import verify_example_axioms
 from .quasi import QuasiMeasure, check_axioms
 from .report import AxiomReport
-from .sets import BudgetExceeded, SubsetMask
+from .sets import BudgetExceeded
 from .testkit import search_instances
 
 # Flag values refused with exit 2 before any work starts: (dest, test, message).
@@ -76,26 +76,44 @@ def _check_records(report: AxiomReport) -> list[dict]:
     return records
 
 
-def _cover_record(kind: str, target: SubsetMask, value: Fraction, chosen: tuple[int, ...],
-                  names: Sequence[str]) -> dict:
-    """An ``outer`` or ``table`` record: a set, its exterior value and its optimal cover.
+def _cover_lines(kind: str, qm: QuasiMeasure, scale: int, bits: Sequence[int], numerators: Sequence[int],
+                 covers: Sequence[tuple[int, ...]], machine: bool) -> list[str]:
+    """``outer`` or ``table`` lines: set i is ``bits[i]``, its value ``numerators[i] / scale``.
 
-    ``names[i]`` is the text of coat member i, formatted once per run.
+    Each element label, coat member name and distinct value is formatted
+    once per call and each line is one ``%`` format: JSON escapes a string
+    character by character, so the escaped labels join into the escaped set.
     """
-    return {
-        "record": kind,
-        "target" if kind == "outer" else "set": str(target),
-        "value": format_rational(value),
-        "cover": " ".join(names[i] for i in chosen),
-        "indices": " ".join(str(i) for i in chosen),
-    }
-
-
-def _emit(records: list[dict], args: argparse.Namespace) -> None:
-    if args.output_format == "machine":
-        lines = [json.dumps(r, separators=(",", ":")) for r in records]
+    labels, names = qm.ground.elements, [str(m) for m in qm.coat.members]
+    if machine:
+        labels, names = [json.dumps(s)[1:-1] for s in labels], [json.dumps(s)[1:-1] for s in names]
+        key = "target" if kind == "outer" else "set"
+        template = f'{{"record":"{kind}","{key}":"{{%s}}","value":"%s","cover":"%s","indices":"%s"}}'
     else:
-        lines = [_text_line(r) for r in records]
+        template = kind + " {%s} = %s cover %s (indices %s)"
+    values = {v: f"{v // g}/{scale // g}" for v in set(numerators) for g in [math.gcd(v, scale)]}
+    # A set's text joins its labels in the low half of the ground with those in the high half.
+    half = len(labels) // 2
+    low, lows, highs = (1 << half) - 1, _joined_labels(labels[:half]), _joined_labels(labels[half:])
+    return [template % ((lows[b & low] + highs[b >> half])[1:], values[v],
+                        " ".join([names[i] for i in chosen]), " ".join(map(str, chosen)))
+            for b, v, chosen in zip(bits, numerators, covers)]
+
+
+def _joined_labels(labels: Sequence[str]) -> list[str]:
+    """Entry s is the labels in the bits of s, in order, each after a ","."""
+    texts = [""]
+    for label in labels:
+        texts += [text + "," + label for text in texts]
+    return texts
+
+
+def _emit(lines: list[str], records: list[dict], args: argparse.Namespace) -> None:
+    """Write the row lines, then the records, in the chosen format."""
+    if args.output_format == "machine":
+        lines += [json.dumps(r, separators=(",", ":")) for r in records]
+    else:
+        lines += [_text_line(r) for r in records]
     payload = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8", newline="\n")
@@ -113,9 +131,6 @@ def _text_line(record: dict) -> str:
             if record["witnesses"] > 1:
                 line += f" (+{record['witnesses'] - 1} more)"
         return line
-    if kind in ("outer", "table"):
-        _, name, value, cover, indices = record.values()
-        return f"{kind} {name} = {value} cover {cover} (indices {indices})"
     if kind == "search":
         return (f"search seeds {record['seeds']}: total {record['total']},"
                 f" axioms pass {record['axiom_pass']} / fail {record['axiom_fail']},"
@@ -138,8 +153,8 @@ def _load_instance(args: argparse.Namespace) -> tuple[InstanceSpec, QuasiMeasure
     return spec, spec.build()[2]
 
 
-# Each runner returns its records, the suite name and whether every check passed.
-_Outcome = tuple[list[dict], str, bool]
+# Each runner returns its row lines, its records, the suite name and whether every check passed.
+_Outcome = tuple[list[str], list[dict], str, bool]
 
 
 def _run_check(args: argparse.Namespace) -> _Outcome:
@@ -147,30 +162,30 @@ def _run_check(args: argparse.Namespace) -> _Outcome:
     k = len(qm.coat)
     report = check_axioms(qm, variant=args.variant, cover_mode=args.cover_mode,
                           max_cover_size=k if args.max_cover is None else min(args.max_cover, k))
-    return _check_records(report), report.suite, report.passed
+    return [], _check_records(report), report.suite, report.passed
 
 
 def _run_outer(args: argparse.Namespace) -> _Outcome:
     spec, qm = _load_instance(args)
     target = resolve_target(args.target, spec.names(), qm.ground)
     value, solution = outer(qm, target)
-    names = [str(m) for m in qm.coat.members]
-    return [_cover_record("outer", target, value, solution.chosen, names)], "outer", True
+    lines = _cover_lines("outer", qm, value.denominator, [target.bits], [value.numerator],
+                         [solution.chosen], args.output_format == "machine")
+    return lines, [], "outer", True
 
 
 def _run_extend(args: argparse.Namespace) -> _Outcome:
     _, qm = _load_instance(args)
     table = extend(qm)
-    names = [str(m) for m in qm.coat.members]
-    records = [_cover_record("table", qm.ground.mask(bits), value, chosen, names)
-               for bits, value, chosen in zip(table.algebra.bits, table.values, table.covers)]
+    lines = _cover_lines("table", qm, table.scale, table.algebra.bits, table.numerators, table.covers,
+                         args.output_format == "machine")
     report = verify_premeasure(table)
-    return records + _check_records(report), report.suite, report.passed
+    return lines, _check_records(report), report.suite, report.passed
 
 
 def _run_example(args: argparse.Namespace) -> _Outcome:
     report = verify_example_axioms(sample_count=args.samples, seed=args.seed, tol=args.tol)
-    return _check_records(report), report.suite, report.passed
+    return [], _check_records(report), report.suite, report.passed
 
 
 def _run_search(args: argparse.Namespace) -> _Outcome:
@@ -187,7 +202,7 @@ def _run_search(args: argparse.Namespace) -> _Outcome:
         "additivity_failed_on_failing": summary.additivity_failed_on_failing,
         "counterexamples": " ".join(str(s) for s in summary.counterexample_seeds),
     }
-    return [record], "search", summary.clean
+    return [], [record], "search", summary.clean
 
 
 def _parse_seed_range(text: str) -> tuple[int, int]:
@@ -240,18 +255,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state between calls, so one parser serves the whole process.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; exit 0 pass, 1 a check failed, 2 input error, 3 internal error."""
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     for dest, valid, message in _FLAG_RULES:
         if dest in args and not valid(getattr(args, dest)):
             print(f"error: {message}", file=sys.stderr)
             return 2
     try:
-        records, suite, passed = args.runner(args)
-        status = "pass" if passed else "fail"
-        records.append({"record": "summary", "suite": suite, "status": status})
-        _emit(records, args)
+        lines, records, suite, passed = args.runner(args)
+        records.append({"record": "summary", "suite": suite, "status": "pass" if passed else "fail"})
+        _emit(lines, records, args)
         return 0 if passed else 1
     except (ParseError, BudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

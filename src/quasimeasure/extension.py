@@ -254,7 +254,7 @@ def _packed_witness(table: MeasureTable, parts: int, record: int) -> Witness:
     indices = [record >> shift * p & low for p in reversed(range(parts))]
     mask, bits, nums = table.algebra.ground.mask, table.algebra.bits, table.numerators
     return Witness(tuple((f"E{p + 1}", mask(bits[i])) for p, i in enumerate(indices)),
-                   table.values[functools.reduce(operator.or_, indices)],
+                   Fraction(nums[functools.reduce(operator.or_, indices)], table.scale),
                    Fraction(sum(nums[i] for i in indices), table.scale), "eq")
 
 

@@ -41,15 +41,8 @@ class TrueMeasure:
     def uniform(cls, ground: GroundSet) -> "TrueMeasure":
         return cls(ground, tuple(Fraction(1, ground.n) for _ in range(ground.n)))
 
-    @classmethod
-    def from_weights(cls, ground: GroundSet, *weights: Fraction | int | str) -> "TrueMeasure":
-        return cls(ground, tuple(Fraction(w) for w in weights))
-
-    def mass_bits(self, bits: int) -> Fraction:
-        return self._masses((bits,))[0]
-
     def mass(self, mask: SubsetMask) -> Fraction:
-        return self.mass_bits(mask.bits)
+        return self._masses((mask.bits,))[0]
 
     def _masses(self, bits_list: Iterable[int]) -> list[Fraction]:
         """The mass of each bit set: int weights over the lcm of their denominators."""

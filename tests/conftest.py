@@ -41,7 +41,7 @@ def negative_instance():
 @pytest.fixture
 def power_set_instance(ground3):
     """All 8 subsets of {1,2,3} with atom weights 1/2, 1/4, 1/4."""
-    tm = TrueMeasure.from_weights(ground3, Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+    tm = TrueMeasure(ground3, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
     coat = power_set_coat(ground3)
     return tm, coat, induce(tm, coat)
 

@@ -17,10 +17,12 @@ from quasimeasure import (
     TrueMeasure,
     canonical_negative_instance,
     cli,
+    extend,
     extension,
     induce,
     instance_io,
     instance_spec_from,
+    outer,
     perturb,
     random_algebra_instance,
     random_instance,
@@ -28,6 +30,7 @@ from quasimeasure import (
 from quasimeasure.cli import main
 from quasimeasure.instance_io import (
     ParseError,
+    format_rational,
     parse_instance,
     render_instance,
     resolve_target,
@@ -626,3 +629,112 @@ class TestMachineFormat:
         assert first.returncode == second.returncode == 1
         assert first.stdout == second.stdout
         assert first.stdout.strip()
+
+
+def reference_cover_record(kind, target, value, chosen, names):
+    """An ``outer`` or ``table`` record as a dict of a mask and a ``Fraction``, rendered as before."""
+    return {
+        "record": kind,
+        "target" if kind == "outer" else "set": str(target),
+        "value": format_rational(value),
+        "cover": " ".join(names[i] for i in chosen),
+        "indices": " ".join(str(i) for i in chosen),
+    }
+
+
+def reference_line(record, machine):
+    if machine:
+        return json.dumps(record, separators=(",", ":"))
+    _, name, value, cover, indices = record.values()
+    return f"{record['record']} {name} = {value} cover {cover} (indices {indices})"
+
+
+def reference_table_lines(qm, machine):
+    table = extend(qm)
+    names = [str(m) for m in qm.coat.members]
+    return [reference_line(reference_cover_record("table", qm.ground.mask(bits), value, chosen, names), machine)
+            for bits, value, chosen in zip(table.algebra.bits, table.values, table.covers)]
+
+
+def reference_outer_line(qm, target, machine):
+    value, solution = outer(qm, target)
+    names = [str(m) for m in qm.coat.members]
+    return reference_line(reference_cover_record("outer", target, value, solution.chosen, names), machine)
+
+
+def relabeled(qm, tm, labels):
+    """The instance with its elements renamed, through a document the parser reads back."""
+    ground = GroundSet(tuple(labels))
+    renamed = induce(TrueMeasure(ground, tm.weights), Coat.from_bits(ground, qm.coat.member_bits()))
+    return parse_instance(render_instance(instance_spec_from(renamed))).build()[2]
+
+
+# Labels the parser accepts: JSON escapes the quote, the backslash, the
+# non-ASCII letters, the non-BMP one as a surrogate pair and the NUL.
+HOSTILE_LABELS = ('"', "\\", "é", "中", "\U0001d538", "\x00", 'a"b\\c')
+# A label is a run of characters other than whitespace and "#".
+PARSER_LABELS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="#")
+                        .filter(lambda c: not c.isspace()), min_size=1, max_size=3)
+
+
+class TestRowBuilder:
+    @pytest.fixture
+    def hostile(self, tmp_path):
+        tm, _, qm = random_instance(3, n=len(HOSTILE_LABELS), coat_size=6)
+        qm = relabeled(qm, tm, HOSTILE_LABELS)
+        path = tmp_path / "hostile.qm"
+        path.write_text(render_instance(instance_spec_from(qm)), encoding="utf-8")
+        return qm, str(path)
+
+    @pytest.mark.parametrize("output_format", ["machine", "text"])
+    def test_extend_rows_match_the_record_builder(self, hostile, output_format, capsys):
+        qm, path = hostile
+        assert main(["extend", path, "--format", output_format]) == 1
+        lines = capsys.readouterr().out.split("\n")
+        want = reference_table_lines(qm, output_format == "machine")
+        assert len(want) == 1 << len(extend(qm).algebra.atoms) > 16
+        assert lines[:len(want)] == want
+        non_bmp = "\\ud835\\udd38" if output_format == "machine" else "\U0001d538"
+        assert non_bmp in "".join(want)
+
+    @pytest.mark.parametrize("output_format", ["machine", "text"])
+    @pytest.mark.parametrize("target", ["S1&!S2", "omega&!S3", '" \\ \x00 \U0001d538', "中"])
+    def test_outer_row_matches_the_record_builder(self, hostile, output_format, target, capsys):
+        qm, path = hostile
+        assert main(["outer", path, "--set", target, "--format", output_format]) == 0
+        mask = resolve_target(target, parse_instance(Path(path).read_text(encoding="utf-8")).names(), qm.ground)
+        assert capsys.readouterr().out.split("\n")[0] == reference_outer_line(qm, mask, output_format == "machine")
+
+    @settings(max_examples=80)
+    @given(st.lists(PARSER_LABELS, min_size=1, max_size=6, unique=True), st.integers(0, 10**6),
+           st.booleans())
+    def test_rows_match_the_record_builder_on_parser_labels(self, labels, seed, machine):
+        tm, _, qm = random_instance(seed, n=len(labels), coat_size=1 + seed % 8)
+        qm = relabeled(qm, tm, labels)
+        table = extend(qm)
+        assert cli._cover_lines("table", qm, table.scale, table.algebra.bits, table.numerators, table.covers,
+                                machine) == reference_table_lines(qm, machine)
+        target = qm.ground.mask(seed % (1 << len(labels)))
+        value, solution = outer(qm, target)
+        assert cli._cover_lines("outer", qm, value.denominator, [target.bits], [value.numerator],
+                                [solution.chosen], machine) == [reference_outer_line(qm, target, machine)]
+
+    def test_calls_in_one_process_match_fresh_processes(self, uniform_path, tmp_path, capsys):
+        # One parser serves every call in a process; no flag value may carry over.
+        out = tmp_path / "extend.jsonl"
+        calls = (["extend", uniform_path, "--format", "machine", "--out", str(out)],
+                 ["extend", uniform_path],
+                 ["check", uniform_path])
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run([sys.executable, "-m", "quasimeasure.cli", *argv],
+                                  capture_output=True, env=CLI_ENV)
+            fresh.append((proc.returncode, proc.stdout, out.read_bytes() if "--out" in argv else b""))
+        out.unlink()
+        for argv, want in zip(calls, fresh):
+            code = main(argv)
+            written = out.read_bytes() if "--out" in argv else b""
+            assert (code, capsys.readouterr().out.encode("utf-8"), written) == want, argv
+        assert [code for code, _, _ in fresh] == [1, 1, 1]
+        assert fresh[0][1] == b"" and fresh[0][2].startswith(b'{"record":"table"')
+        assert fresh[1][1].startswith(b"table {} = 0/1 cover  (indices )\n")

@@ -219,7 +219,7 @@ class TestOptimizerMonotonicity:
             tm, _, qm = random_instance(seed, n=4, coat_size=6)
             for bits in range(1 << 4):
                 value, _ = outer(qm, qm.ground.mask(bits))
-                assert tm.mass_bits(bits) <= value
+                assert tm.mass(qm.ground.mask(bits)) <= value
 
 
 class TestOuterProperties:

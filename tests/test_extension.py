@@ -638,3 +638,18 @@ def test_every_subset_has_the_table_value_of_its_hull(seed):
         want.append(outer(qm, a)[0])
         assert want[-1] == table.value(qm.ground.mask(hull)), a
     assert [Fraction(v, table.scale) for v in extension._subset_values(qm)] == want
+
+
+@pytest.mark.parametrize("seed, n, coat_size", [(0, 4, 4), (1, 10, 12)])
+def test_failing_witnesses_build_only_the_fractions_they_report(seed, n, coat_size):
+    # Reading a witness builds its own two values, not the table's ``values``.
+    _, _, qm = random_instance(seed, n=n, coat_size=coat_size)
+    table = extend(qm)
+    report = verify_premeasure(table)
+    firsts = [report.result(name).witnesses[0] for name in ("pair-additivity", "triple-additivity")]
+    assert "values" not in table.__dict__
+    members, values = table.algebra.members, table.values
+    for first in firsts:
+        indices = [members.index(mask) for _, mask in first.sets]
+        union = values[sum(indices)]  # disjoint members: the sum of the indices is their union's
+        assert first == Witness(first.sets, union, sum(values[i] for i in indices), "eq")

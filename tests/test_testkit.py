@@ -23,11 +23,11 @@ from quasimeasure.testkit import instance_for_seed
 class TestTrueMeasure:
     def test_weights_must_sum_to_one(self, ground3):
         with pytest.raises(ValueError, match="sum"):
-            TrueMeasure.from_weights(ground3, "1/2", "1/4", "1/8")
+            TrueMeasure(ground3, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)))
 
     def test_weights_must_be_nonnegative(self, ground3):
         with pytest.raises(ValueError, match="nonnegative"):
-            TrueMeasure.from_weights(ground3, "3/2", "-1/4", "-1/4")
+            TrueMeasure(ground3, (Fraction(3, 2), Fraction(-1, 4), Fraction(-1, 4)))
 
     def test_mass_sums_atoms(self, ground4):
         tm = TrueMeasure.uniform(ground4)
@@ -110,7 +110,7 @@ class TestGroundTruthRecovery:
         for seed in range(15):
             tm, _, qm = random_instance(seed, n=4, coat_size=5)
             for bits in range(1 << 4):
-                assert outer(qm, qm.ground.mask(bits))[0] >= tm.mass_bits(bits)
+                assert outer(qm, qm.ground.mask(bits))[0] >= tm.mass(qm.ground.mask(bits))
 
 
 class TestSearch:
@@ -146,7 +146,7 @@ class TestSearch:
 
 
 def fraction_sum_mass(tm, bits):
-    """Oracle: the atom-weight sum as ``TrueMeasure.mass_bits`` made it, one ``Fraction`` add at a time."""
+    """Oracle: the atom-weight sum as ``TrueMeasure.mass`` made it, one ``Fraction`` add at a time."""
     total = Fraction(0)
     for i, w in enumerate(tm.weights):
         if bits >> i & 1:
