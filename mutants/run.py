@@ -92,6 +92,14 @@ MUTANTS = (
            "if diff == 0 and num(x) > num(y):",
            "if diff == 0 and num(x) < num(y):",
            ("tests/test_quasi.py",)),
+    Mutant("pair-record-swaps-x-and-y", QUASI,
+           "i, j = divmod(record, len(bits))",
+           "j, i = divmod(record, len(bits))",
+           ("tests/test_quasi.py",)),
+    Mutant("cover-walk-size-cap-off-by-one", QUASI,
+           "if size < max_cover_size:",
+           "if size <= max_cover_size:",
+           ("tests/test_quasi.py",)),
     Mutant("atom-sum-gate-checks-omega-only", EXTENSION,
            "return subset_table(atom_values, operator.add) == list(nums)",
            "return subset_table(atom_values, operator.add)[-1] == nums[-1]",

@@ -160,7 +160,7 @@ class MeasureTable:
         i = bisect.bisect_left(bits, mask.bits)
         if i == len(bits) or bits[i] != mask.bits or mask.ground != self.algebra.ground:
             raise KeyError(f"{mask} is not a member of the table's algebra")
-        return self.values[i]
+        return Fraction(self.numerators[i], self.scale)
 
     def rows(self) -> tuple[tuple[SubsetMask, Fraction, CoverSolution], ...]:
         return tuple((m, v, CoverSolution(chosen, v))

@@ -6,7 +6,8 @@ checkers below quantify exactly over coat pairs and coat subcollections, the
 latter through the one cover engine, `CoverSolver`, which `cover` and
 `intervals` share; there is no tolerance anywhere in this module.  Checks
 compute on int masks and integer numerators over one ``scale``, which keeps
-equality and order; ``Fraction`` and ``SubsetMask`` are built only for witnesses.
+equality and order; a failing pair is kept as one int, and ``Fraction`` and
+``SubsetMask`` are built only when a witness is read.
 
 Values are keyed by mask, so two expressions denoting the same set cannot
 receive different values; well-definedness is structural, not checked.
@@ -14,15 +15,14 @@ receive different values; well-definedness is structural, not checked.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
 
 from .report import AxiomReport, ReportBuilder, Witness
-from .sets import BudgetExceeded, Coat, Refinement, SubsetMask, subset_table
+from .sets import BudgetExceeded, Coat, Refinement, SubsetMask
 
 W = TypeVar("W")
 ZERO = Fraction(0)
@@ -75,7 +75,6 @@ class QuasiMeasure:
         object.__setattr__(self, "_numerators", {
             m.bits: v.numerator * (scale // v.denominator) for m, v in values.items()
         })
-        object.__setattr__(self, "_coat_masks", {m.bits: m for m in self.coat.members})
 
     @property
     def ground(self):
@@ -88,27 +87,12 @@ class QuasiMeasure:
         """The value of the refinement member with these bits, times ``scale``."""
         return self._numerators[bits]  # type: ignore[attr-defined]
 
-    def fraction(self, numerator: int) -> Fraction:
-        """``numerator / scale``, reusing the stored ``Fraction`` of a value with this numerator.
-
-        Only sums of values need a new ``Fraction``; with large denominators
-        its normalization dominates a report.
-        """
-        stored = self.__dict__.get("_fractions")
-        if stored is None:
-            stored = {self.numerator(m.bits): v for m, v in self.values.items()}
-            object.__setattr__(self, "_fractions", stored)
-        value = stored.get(numerator)
-        return Fraction(numerator, self.scale) if value is None else value
-
     def witness(self, roles: Iterable[tuple[str, int]], lhs: int, rhs: int | None,
                 relation: str, note: str = "") -> Witness:
-        """A report witness from role bits and numerators; coat members reuse the coat's masks."""
-        coat_masks = self._coat_masks  # type: ignore[attr-defined]
-        sets = tuple((role, coat_masks[bits] if bits in coat_masks else self.ground.mask(bits))
-                     for role, bits in roles)
-        return Witness(sets, self.fraction(lhs),
-                       None if rhs is None else self.fraction(rhs), relation, note)
+        """A report witness from role bits and numerators over ``scale``."""
+        sets = tuple((role, self.ground.mask(bits)) for role, bits in roles)
+        return Witness(sets, Fraction(lhs, self.scale),
+                       None if rhs is None else Fraction(rhs, self.scale), relation, note)
 
 
 class CoverSolver(Generic[W]):
@@ -193,9 +177,10 @@ def cover_bound_violations(
     For every coat member X and every subcollection of the coat (of the
     requested size and disjointness) whose union contains X, the value of X
     must not exceed the subcollection's value sum.  One solve per member finds
-    the undercut members; only if there are any are the subcollections
-    enumerated, to list their witnesses.  Enumerations beyond about a million
-    subcollections are refused rather than attempted.
+    the undercut members; only if there are any is the coat walked, adding
+    members in ascending mask order, to list the witnesses in the order of the
+    subcollections' masks.  A walk that could reach more than about a million
+    subcollections is refused rather than attempted.
     """
     if cover_mode not in ("all", "disjoint-only"):
         raise ValueError(f"unknown cover mode {cover_mode!r}")
@@ -210,6 +195,10 @@ def cover_bound_violations(
     bits = qm.coat.member_bits()
     values = tuple(qm.numerator(b) for b in bits)
     top = max(qm.numerator(x) for x, _ in undercut)  # no subcollection costing this or more violates
+    total = sum(math.comb(k, size) for size in range(1, max_cover_size + 1))
+    if total > COVER_ENUMERATION_LIMIT:
+        raise BudgetExceeded(
+            f"{total} subcollections exceed the enumeration limit; lower max_cover_size")
     violations: list[Witness] = []
 
     def check_cover(chosen: int, union: int, cost: int) -> None:
@@ -226,46 +215,55 @@ def cover_bound_violations(
             violations.append(qm.witness((("X", x), *roles), qm.numerator(x), cost, "le",
                                          "cover value sum below the covered member"))
 
-    if (1 << k) <= COVER_ENUMERATION_LIMIT:
-        unions, costs = subset_table(bits), subset_table(values, operator.add)
-        for s in range(1, 1 << k):
-            if costs[s] < top and s.bit_count() <= max_cover_size:
-                check_cover(s, unions[s], costs[s])
-        return violations
+    def walk(below: int, chosen: int, union: int, cost: int, size: int) -> None:
+        """Add members below ``below`` to ``chosen``, making ``size`` members, in mask order; values
+        are nonnegative, so a branch whose cost reaches ``top`` holds no violation."""
+        for i in range(below):
+            more = cost + values[i]
+            if more < top:
+                added, covered = chosen | 1 << i, union | bits[i]
+                check_cover(added, covered, more)
+                if size < max_cover_size:
+                    walk(i, added, covered, more, size + 1)
 
-    total = sum(math.comb(k, size) for size in range(1, max_cover_size + 1))
-    if total > COVER_ENUMERATION_LIMIT:
-        raise BudgetExceeded(
-            f"{total} subcollections exceed the enumeration limit; lower max_cover_size"
-        )
-    for size in range(1, max_cover_size + 1):
-        for combo in itertools.combinations(range(k), size):
-            chosen = union = cost = 0
-            for i in combo:
-                chosen |= 1 << i
-                union |= bits[i]
-                cost += values[i]
-            check_cover(chosen, union, cost)
+    walk(k, 0, 0, 0, 1)
     return violations
 
 
-def _checked_pairs(rb: ReportBuilder, qm: QuasiMeasure) -> Iterator[tuple[int, int, int, int]]:
-    """Check the splitting of each ordered coat pair, then yield its ``(x, y, meet, diff)`` bits."""
+def _checked_pairs(qm: QuasiMeasure, splitting: list[int]) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield ``(i * k + j, x, y, meet, diff)`` per coat pair i, j; ``splitting`` lists failed splits."""
     # "endpoints" needs no loop: QuasiMeasure refuses value(empty) != 0 and value(omega) != 1.
     num = qm.numerator
     bits = qm.coat.member_bits()
+    record = 0
     for x in bits:
         vx = num(x)
         for y in bits:
             meet, diff = x & y, x & ~y
-            vmeet, vdiff = num(meet), num(diff)
-            if vx != vmeet + vdiff:
-                rb.fail("splitting", qm.witness(
-                    (("X", x), ("Y", y)), vx, vmeet + vdiff, "eq",
-                    f"meet {qm.ground.mask(meet)} has value {qm.fraction(vmeet)},"
-                    f" difference {qm.ground.mask(diff)} has value {qm.fraction(vdiff)}",
-                ))
-            yield x, y, meet, diff
+            if vx != num(meet) + num(diff):
+                splitting.append(record)
+            yield record, x, y, meet, diff
+            record += 1
+
+
+def _pair_witness(qm: QuasiMeasure, check: str, record: int) -> Witness:
+    """The witness of pair check ``check`` on the ordered coat pair recorded as ``i * k + j``."""
+    bits = qm.coat.member_bits()
+    i, j = divmod(record, len(bits))
+    x, y = bits[i], bits[j]
+    meet, diff = x & y, x & ~y
+    num = qm.numerator
+    if check == "splitting":
+        vmeet, vdiff, mask = num(meet), num(diff), qm.ground.mask
+        return qm.witness((("X", x), ("Y", y)), num(x), vmeet + vdiff, "eq",
+                          f"meet {mask(meet)} has value {Fraction(vmeet, qm.scale)},"
+                          f" difference {mask(diff)} has value {Fraction(vdiff, qm.scale)}")
+    if check == "monotone":
+        return qm.witness((("X", x), ("Y", y)), num(x), num(y), "le")
+    role, target = ("difference", diff) if check == "diff-envelope" else ("meet", meet)
+    note = ("no coat pair squeezing the meet with equal values" if check == "meet-squeeze"
+            else "no coat superset with equal value")
+    return qm.witness((("X", x), ("Y", y), (role, target)), num(target), None, "exists", note)
 
 
 def _envelopes(qm: QuasiMeasure) -> tuple[set[int], set[int]]:
@@ -285,11 +283,6 @@ def _envelopes(qm: QuasiMeasure) -> tuple[set[int], set[int]]:
                 if w & ~m == 0:
                     around.add(m)
     return inside, around
-
-
-def _envelope_fail(qm: QuasiMeasure, kind: str, x: int, y: int, target: int) -> Witness:
-    return qm.witness((("X", x), ("Y", y), (kind, target)), qm.numerator(target), None, "exists",
-                      "no coat superset with equal value")
 
 
 def check_axioms(
@@ -318,11 +311,15 @@ def check_axioms(
 
     # Under "literal" each meet and difference is a refinement member, so it witnesses itself.
     enveloped = _envelopes(qm)[0] if variant == "restricted" else {m.bits for m in qm.refinement}
-    for x, y, meet, diff in _checked_pairs(rb, qm):
+    splitting, meets, diffs = [], [], []
+    for record, _, _, meet, diff in _checked_pairs(qm, splitting):
         if meet not in enveloped:
-            rb.fail("meet-envelope", _envelope_fail(qm, "meet", x, y, meet))
+            meets.append(record)
         if diff not in enveloped:
-            rb.fail("diff-envelope", _envelope_fail(qm, "difference", x, y, diff))
+            diffs.append(record)
+    failed = {"splitting": splitting, "meet-envelope": meets, "diff-envelope": diffs}
+    for check, records in failed.items():
+        rb.fail_each(check, records, functools.partial(_pair_witness, qm, check))
 
     for witness in cover_bound_violations(qm, cover_mode, max_cover_size):
         rb.fail("cover-bound", witness)
@@ -344,14 +341,16 @@ def check_alt_conditions(qm: QuasiMeasure) -> AxiomReport:
 
     num = qm.numerator
     inside, around = _envelopes(qm)
-    for x, y, meet, diff in _checked_pairs(rb, qm):
+    splitting, monotone, squeezes, diffs = [], [], [], []
+    for record, x, y, meet, diff in _checked_pairs(qm, splitting):
         if diff == 0 and num(x) > num(y):  # x is a subset of y
-            rb.fail("monotone", qm.witness((("X", x), ("Y", y)), num(x), num(y), "le"))
+            monotone.append(record)
         if not (meet in inside and meet in around):
-            rb.fail("meet-squeeze", qm.witness(
-                (("X", x), ("Y", y), ("meet", meet)), num(meet), None, "exists",
-                "no coat pair squeezing the meet with equal values",
-            ))
+            squeezes.append(record)
         if diff not in inside:
-            rb.fail("diff-envelope", _envelope_fail(qm, "difference", x, y, diff))
+            diffs.append(record)
+    failed = {"monotone": monotone, "splitting": splitting,
+              "meet-squeeze": squeezes, "diff-envelope": diffs}
+    for check, records in failed.items():
+        rb.fail_each(check, records, functools.partial(_pair_witness, qm, check))
     return rb.build()

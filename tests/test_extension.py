@@ -287,6 +287,11 @@ class TestMeasureTable:
             with pytest.raises(KeyError):  # the same bits on another ground
                 table.value(GroundSet(labels).full())
 
+    def test_value_builds_only_the_fraction_it_returns(self):
+        table = extend(singleton_coat_instance(16))
+        assert table.value(table.algebra.ground.mask(0b1011)) == Fraction(3, 16)
+        assert "values" not in table.__dict__
+
     def test_rows_agree_with_the_exhaustive_oracle(self):
         for seed in range(40):
             qm = instance_for_seed(seed, n_max=6)

@@ -183,16 +183,19 @@ class TestCheckAxioms:
 
     def test_combination_path_matches_table_path(self, monkeypatch):
         import quasimeasure.quasi as quasi
+        from quasimeasure.sets import BudgetExceeded
 
         _, _, qm = random_instance(17, n=4, coat_size=7)
         mutated = perturb(qm, 99, max_changes=4)
-        via_table = cover_bound_violations(mutated, "all", max_cover_size=3)
-        # 2**7 = 128 exceeds 100, so the combinations path runs; the 63
-        # subcollections of size <= 3 still fit.
+        want = reference_cover_bound_violations(mutated, "all", 3)
+        assert want and cover_bound_violations(mutated, "all", max_cover_size=3) == want
+        # A limit below 2**7 = 128 still admits the 63 subcollections of at
+        # most 3 members, listed in the same mask order; one below 63 refuses.
         monkeypatch.setattr(quasi, "COVER_ENUMERATION_LIMIT", 100)
-        via_combinations = cover_bound_violations(mutated, "all", max_cover_size=3)
-        assert set(via_table) == set(via_combinations)
-        assert len(via_table) == len(via_combinations)
+        assert cover_bound_violations(mutated, "all", max_cover_size=3) == want
+        monkeypatch.setattr(quasi, "COVER_ENUMERATION_LIMIT", 62)
+        with pytest.raises(BudgetExceeded, match="63 subcollections"):
+            cover_bound_violations(mutated, "all", max_cover_size=3)
 
     def test_oversized_enumeration_refused(self):
         from quasimeasure.sets import BudgetExceeded
@@ -206,6 +209,26 @@ class TestCheckAxioms:
         with pytest.raises(BudgetExceeded):
             cover_bound_violations(failing, "all")
         assert len(cover_bound_violations(failing, "all", max_cover_size=2)) == 73
+
+    def test_oversized_coat_lists_witnesses_in_mask_order(self):
+        # The reference's loop over 2**24 subcollections is too slow, so list
+        # those of at most 2 members in mask order: member i alone, then each
+        # member j < i with it.
+        failing = perturb(random_instance(5, n=5, coat_size=24)[2], 0, max_changes=4)
+        members, value = failing.coat.members, failing.value
+        want = []
+        for i, top in enumerate(members):
+            for chosen in [(top,), *((members[j], top) for j in range(i))]:
+                union, cost = failing.ground.empty(), ZERO
+                for m in chosen:
+                    union, cost = union | m, cost + value(m)
+                roles = tuple((f"S{n + 1}", m) for n, m in enumerate(chosen))
+                want += [Witness((("X", x), *roles), value(x), cost, "le",
+                                 note="cover value sum below the covered member")
+                         for x in members if x.issubset(union) and value(x) > cost]
+        got = cover_bound_violations(failing, "all", max_cover_size=2)
+        assert len(want) == 73
+        assert exact_witnesses(got) == exact_witnesses(want) and got == want
 
     def test_splitting_fails_after_perturbation(self, power_set_instance):
         _, _, qm = power_set_instance
@@ -503,15 +526,29 @@ def test_large_denominators_agree_with_references():
         assert outer(qm, target) == outer_exhaustive(qm, target)
 
 
-def test_fraction_reuses_stored_values_and_builds_sums():
-    qm = large_denominator_instance(1)
-    stored = list(qm.values.values())
-    for m, value in qm.values.items():
-        got = qm.fraction(qm.numerator(m.bits))
-        assert got == value and any(got is v for v in stored)
-    total = sum(qm.numerator(m.bits) for m in qm.refinement.members)
-    assert qm.fraction(total) == Fraction(total, qm.scale)
-    assert qm.fraction(-1) == Fraction(-1, qm.scale)
+def test_failing_pair_checks_build_witnesses_on_read(monkeypatch):
+    import quasimeasure.quasi as quasi
+
+    qm = perturb(random_instance(7, n=5, coat_size=6)[2], 7, max_changes=2)
+    built = []
+
+    def counting_witness(*args, **kwargs):
+        built.append(Witness(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(quasi, "Witness", counting_witness)
+    reports = [(check_axioms(qm), reference_check_axioms(qm, "restricted", "all")),
+               (check_alt_conditions(qm), reference_check_alt_conditions(qm))]
+    # Only the cover bound lists its witnesses as it finds them.
+    assert built == list(reports[0][0].result("cover-bound").witnesses) != []
+    pair_checks = {"splitting", "meet-envelope", "diff-envelope", "monotone", "meet-squeeze"}
+    for report, reference in reports:
+        for result, want in zip(report.results, reference.results, strict=True):
+            if result.name in pair_checks:
+                built.clear()
+                assert len(result.witnesses) == len(want.witnesses) > 0 and built == []
+                first = result.witnesses[0]
+                assert built == [first] and first == want.witnesses[0]
 
 
 def test_scale_is_the_lcm_of_the_value_denominators(negative_instance):
