@@ -43,6 +43,7 @@ QUASI = "src/quasimeasure/quasi.py"
 EXTENSION = "src/quasimeasure/extension.py"
 INTERVALS = "src/quasimeasure/intervals.py"
 CLI = "src/quasimeasure/cli.py"
+TESTKIT = "src/quasimeasure/testkit.py"
 MUTANTS = (
     Mutant("solver-weight-skip-ties", QUASI,
            "if best is not None and weight > best[0]:",
@@ -136,6 +137,18 @@ MUTANTS = (
            "labels, names = [json.dumps(s)[1:-1] for s in labels], [json.dumps(s)[1:-1] for s in names]",
            "names = [json.dumps(s)[1:-1] for s in names]",
            ("tests/test_cli.py",)),
+    Mutant("induce-mid-table-shift-off-by-one", TESTKIT,
+           "mid[b >> 8 & 255]",
+           "mid[b >> 7 & 255]",
+           ("tests/test_testkit.py",)),
+    Mutant("from-numerators-skips-gcd", QUASI,
+           "divisor = math.gcd(scale, *numerators.values())",
+           "divisor = 1",
+           ("tests/test_quasi.py",)),
+    Mutant("disjoint-triples-skip-k-after-j", EXTENSION,
+           "k = 1 << j.bit_length()",
+           "k = 2 << j.bit_length()",
+           ("tests/test_extension.py",)),
 )
 
 

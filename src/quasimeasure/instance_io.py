@@ -18,6 +18,7 @@ expressions resolving to the same mask must agree.  Rationals are written
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,12 +147,12 @@ class InstanceSpec:
         except ValueError as exc:
             raise ParseError(str(exc), coat_line) from None
         refinement = refine(coat)
-        member_of = {m.bits: m for m in refinement.members}
+        members = set(refinement.bits)
         name_bits = {name: mask.bits for name, mask in names.items()}
         by_bits: dict[int, Fraction] = {}
         for line, (expr, value) in zip(value_lines, self.values):
             bits = _expression_bits(expr, name_bits, ground.full_bits, line)
-            if bits not in member_of:
+            if bits not in members:
                 raise ParseError(f"value assigned to a set outside the refinement: {expr!r}", line)
             if bits in by_bits and by_bits[bits] != value:
                 raise ParseError(
@@ -159,12 +160,13 @@ class InstanceSpec:
                     f" vs {format_rational(value)}", line
                 )
             by_bits[bits] = value
-        missing = [m for m in refinement.members if m.bits not in by_bits]
+        missing = [bits for bits in refinement.bits if bits not in by_bits]
         if missing:
-            rendered = " ".join(str(m) for m in missing)
+            rendered = " ".join(str(ground.mask(bits)) for bits in missing)
             raise ParseError(f"missing values for refinement members: {rendered}")
-        values = {member_of[bits]: value for bits, value in by_bits.items()}
-        built = ground, coat, QuasiMeasure(coat, refinement, values)
+        scale = math.lcm(*(value.denominator for value in by_bits.values()))
+        numerators = {bits: v.numerator * (scale // v.denominator) for bits, v in by_bits.items()}
+        built = ground, coat, QuasiMeasure.from_numerators(coat, refinement, scale, numerators)
         # Not a field: equality, hashing and rendering see only the document.
         object.__setattr__(self, "_built", built)
         return built
@@ -329,5 +331,5 @@ def instance_spec_from(qm: QuasiMeasure, seed: int | None = None) -> InstanceSpe
                 expression_of[meet] = f"{left}&{right}"
             if diff not in expression_of:
                 expression_of[diff] = f"{left}&!{right}"
-    values = tuple((expression_of[m.bits], qm.value(m)) for m in qm.refinement.members)
+    values = tuple((expression_of[b], Fraction(qm.numerator(b), qm.scale)) for b in qm.refinement.bits)
     return InstanceSpec(qm.ground.elements, tuple(set_defs), tuple(coat_names), values, seed)

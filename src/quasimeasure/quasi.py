@@ -9,8 +9,8 @@ compute on int masks and integer numerators over one ``scale``, which keeps
 equality and order; a failing pair is kept as one int, and ``Fraction`` and
 ``SubsetMask`` are built only when a witness is read.
 
-Values are keyed by mask, so two expressions denoting the same set cannot
-receive different values; well-definedness is structural, not checked.
+Values are keyed by member bits, so two expressions denoting the same set
+cannot receive different values; well-definedness is structural, not checked.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Generic, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .report import AxiomReport, ReportBuilder, Witness
 from .sets import BudgetExceeded, Coat, Refinement, SubsetMask
@@ -32,36 +32,47 @@ AXIOM_CHECKS = ("endpoints", "splitting", "meet-envelope", "diff-envelope", "cov
 ALT_CHECKS = ("endpoints", "monotone", "splitting", "meet-squeeze", "diff-envelope")
 
 
-@dataclass(frozen=True, eq=False)
+def _require_refinement_of(coat: Coat, refinement: Refinement) -> None:
+    if refinement.coat is not coat and refinement.coat != coat:
+        raise ValueError("the refinement belongs to another coat")
+
+
+def _coverage_message(missing: Iterable[SubsetMask], extra: Iterable[SubsetMask]) -> str:
+    return (f"values must cover the refinement exactly; missing={sorted(str(m) for m in missing)}"
+            f" extra={sorted(str(m) for m in extra)}")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class QuasiMeasure:
     """A total map from refinement members to exact rationals in [0,1].
 
-    ``scale`` is the lcm of the value denominators; the checks read values as
-    integer numerators over it.
+    It is stored as ``numerators``, which maps member bits to int numerators
+    over ``scale``, the lcm of the value denominators; the checks read only
+    those.  ``QuasiMeasure(coat, refinement, values)`` takes values keyed by
+    the refinement's members and keeps that dict as ``values``.
+    ``from_numerators`` takes the ints; ``values`` is then built on first
+    read, keyed by the refinement's members in the order of ``numerators``.
     """
 
     coat: Coat
     refinement: Refinement
-    values: dict[SubsetMask, Fraction]
-    scale: int = field(init=False)
+    scale: int
+    numerators: dict[int, int] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if self.refinement.coat is not self.coat and self.refinement.coat != self.coat:
-            raise ValueError("the refinement belongs to another coat")
-        values, members = self.values, self.refinement.members
+    def __init__(self, coat: Coat, refinement: Refinement,
+                 values: Mapping[SubsetMask, Fraction]) -> None:
+        _require_refinement_of(coat, refinement)
+        members = refinement.members
         if len(values) != len(members) or not all(m in values for m in members):
             missing = set(members) - set(values)
             extra = set(values) - set(members)
-            raise ValueError(
-                f"values must cover the refinement exactly; missing={sorted(str(m) for m in missing)}"
-                f" extra={sorted(str(m) for m in extra)}"
-            )
+            raise ValueError(_coverage_message(missing, extra))
         for mask, value in values.items():
             # A Fraction is checked on its ints; other numbers (ints, floats) by comparison.
             if not (0 <= value.numerator <= value.denominator if type(value) is Fraction
                     else ZERO <= value <= ONE):
                 raise ValueError(f"value of {mask} outside [0,1]: {value}")
-        ground = self.coat.ground
+        ground = coat.ground
         if values[ground.empty()] != ZERO:
             raise ValueError("value of the empty set must be 0")
         if values[ground.full()] != ONE:
@@ -71,10 +82,51 @@ class QuasiMeasure:
         except AttributeError:
             mask, value = next((m, v) for m, v in values.items() if not hasattr(v, "denominator"))
             raise ValueError(f"value of {mask} is not an int or a Fraction: {value!r}") from None
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_numerators", {
-            m.bits: v.numerator * (scale // v.denominator) for m, v in values.items()
-        })
+        self._validate(coat, refinement, scale,
+                       {m.bits: v.numerator * (scale // v.denominator) for m, v in values.items()})
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def from_numerators(cls, coat: Coat, refinement: Refinement, scale: int,
+                        numerators: Mapping[int, int]) -> "QuasiMeasure":
+        """The quasi-measure with value ``numerators[bits] / scale`` on each refinement member.
+
+        The keys must be exactly the refinement's bits; the checks and their
+        messages are those of the constructor.  Numerators and scale are
+        divided by their gcd, so ``scale`` is the lcm of the value denominators.
+        """
+        qm = cls.__new__(cls)
+        qm._validate(coat, refinement, scale, numerators)
+        return qm
+
+    def _validate(self, coat: Coat, refinement: Refinement, scale: int,
+                  numerators: Mapping[int, int]) -> None:
+        """Check the int form of a quasi-measure and store it in lowest terms."""
+        _require_refinement_of(coat, refinement)
+        if not scale >= 1:
+            raise ValueError(f"scale must be positive: {scale}")
+        bits, mask = refinement.bits, coat.ground.mask
+        if len(numerators) != len(bits) or not all(b in numerators for b in bits):
+            raise ValueError(_coverage_message({mask(b) for b in set(bits) - set(numerators)},
+                                               {mask(b) for b in set(numerators) - set(bits)}))
+        for b, numerator in numerators.items():
+            if not 0 <= numerator <= scale:
+                raise ValueError(f"value of {mask(b)} outside [0,1]: {Fraction(numerator, scale)}")
+        if numerators[0] != 0:
+            raise ValueError("value of the empty set must be 0")
+        if numerators[coat.ground.full_bits] != scale:
+            raise ValueError("value of omega must be 1")
+        divisor = math.gcd(scale, *numerators.values())
+        object.__setattr__(self, "coat", coat)
+        object.__setattr__(self, "refinement", refinement)
+        object.__setattr__(self, "scale", scale // divisor)
+        object.__setattr__(self, "numerators", {b: v // divisor for b, v in numerators.items()})
+
+    @functools.cached_property
+    def values(self) -> dict[SubsetMask, Fraction]:
+        """The values as exact rationals keyed by the refinement's members, built on first read."""
+        member = dict(zip(self.refinement.bits, self.refinement.members))
+        return {member[b]: Fraction(v, self.scale) for b, v in self.numerators.items()}
 
     @property
     def ground(self):
@@ -85,7 +137,7 @@ class QuasiMeasure:
 
     def numerator(self, bits: int) -> int:
         """The value of the refinement member with these bits, times ``scale``."""
-        return self._numerators[bits]  # type: ignore[attr-defined]
+        return self.numerators[bits]
 
     def witness(self, roles: Iterable[tuple[str, int]], lhs: int, rhs: int | None,
                 relation: str, note: str = "") -> Witness:
@@ -274,7 +326,7 @@ def _envelopes(qm: QuasiMeasure) -> tuple[set[int], set[int]]:
     """
     coat = [(w, qm.numerator(w)) for w in qm.coat.member_bits()]
     inside, around = set(), set()
-    for m in (r.bits for r in qm.refinement):
+    for m in qm.refinement.bits:
         v = qm.numerator(m)
         for w, vw in coat:
             if vw == v:
@@ -310,7 +362,7 @@ def check_axioms(
     rb.note(f"cover_mode={cover_mode}")
 
     # Under "literal" each meet and difference is a refinement member, so it witnesses itself.
-    enveloped = _envelopes(qm)[0] if variant == "restricted" else {m.bits for m in qm.refinement}
+    enveloped = _envelopes(qm)[0] if variant == "restricted" else set(qm.refinement.bits)
     splitting, meets, diffs = [], [], []
     for record, _, _, meet, diff in _checked_pairs(qm, splitting):
         if meet not in enveloped:

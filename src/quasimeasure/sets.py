@@ -2,9 +2,9 @@
 
 Subsets are stored positionally: bit i of a mask is element i of the owning
 ground set.  All values here are immutable after construction (an algebra
-builds its member lists once, on first read, with the same value in any
-thread) and every operation is a pure function, so everything in this module
-is safe to share across threads without coordination.
+or a refinement builds its member lists once, on first read, with the same
+value in any thread) and every operation is a pure function, so everything
+in this module is safe to share across threads without coordination.
 """
 
 from __future__ import annotations
@@ -173,17 +173,23 @@ class Refinement:
 
     Deduplication is by mask value, never by formal expression, so a value
     attached to a member is automatically well-defined on the underlying set.
+    The members are stored as their ``bits``; ``members``, their masks in the
+    same order, is built on first read.
     """
 
     coat: Coat
-    members: tuple[SubsetMask, ...]
+    bits: tuple[int, ...]
 
     @property
     def ground(self) -> GroundSet:
         return self.coat.ground
 
+    @cached_property
+    def members(self) -> tuple[SubsetMask, ...]:
+        return tuple(SubsetMask(self.ground, b) for b in self.bits)
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.bits)
 
     def __iter__(self) -> Iterator[SubsetMask]:
         return iter(self.members)
@@ -193,7 +199,7 @@ def refine(c: Coat) -> Refinement:
     """All sets X & Y and X & ~Y for X, Y in the coat, in first-seen order."""
     masks = c.member_bits()
     seen = dict.fromkeys(b for x in masks for y in masks for b in (x & y, x & ~y))
-    return Refinement(c, tuple(SubsetMask(c.ground, b) for b in seen))
+    return Refinement(c, tuple(seen))
 
 
 def subset_table(items: Iterable[int], combine: Callable[[int, int], int] = operator.or_) -> list[int]:

@@ -10,6 +10,7 @@ keeping the endpoints fixed.  Everything is deterministic in the seed.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,7 +18,7 @@ from typing import Iterable
 
 from .extension import extend, verify_premeasure
 from .quasi import ONE, ZERO, QuasiMeasure, check_axioms
-from .sets import AlgebraFamily, Coat, GroundSet, SubsetMask, refine
+from .sets import AlgebraFamily, Coat, GroundSet, SubsetMask, refine, subset_table
 
 DEFAULT_DENOMINATOR_BOUND = 64
 
@@ -42,30 +43,31 @@ class TrueMeasure:
         return cls(ground, tuple(Fraction(1, ground.n) for _ in range(ground.n)))
 
     def mass(self, mask: SubsetMask) -> Fraction:
-        return self._masses((mask.bits,))[0]
+        scale, (total,) = self._mass_numerators((mask.bits,))
+        return Fraction(total, scale)
 
-    def _masses(self, bits_list: Iterable[int]) -> list[Fraction]:
-        """The mass of each bit set: int weights over the lcm of their denominators."""
+    def _mass_numerators(self, bits_list: Iterable[int]) -> tuple[int, list[int]]:
+        """The lcm of the weight denominators, and the mass of each bit set times it.
+
+        One table of weight sums per byte of the mask (``MAX_GROUND_SIZE`` is
+        24, so three) makes each mass three lookups."""
         scale = math.lcm(*(w.denominator for w in self.weights))
         ints = [w.numerator * (scale // w.denominator) for w in self.weights]
-        masses = []
-        for bits in bits_list:
-            total = 0
-            while bits:  # add the weight of the lowest element, then drop it
-                low = bits & -bits
-                total += ints[low.bit_length() - 1]
-                bits ^= low
-            masses.append(Fraction(total, scale))
-        return masses
+        low, mid, high = (subset_table(ints[i:i + 8], operator.add) for i in (0, 8, 16))
+        return scale, [low[b & 255] + mid[b >> 8 & 255] + high[b >> 16] for b in bits_list]
 
 
 def induce(tm: TrueMeasure, c: Coat) -> QuasiMeasure:
-    """Restrict the measure to the coat's refinement: exact atom-weight sums."""
+    """Restrict the measure to the coat's refinement: exact atom-weight sums.
+
+    The sums are made on int weights over one scale and handed to
+    ``QuasiMeasure.from_numerators``; no mask or ``Fraction`` is built per member.
+    """
     if tm.ground != c.ground:
         raise ValueError("measure and coat live on different ground sets")
     refinement = refine(c)
-    masses = tm._masses(m.bits for m in refinement.members)
-    return QuasiMeasure(c, refinement, dict(zip(refinement.members, masses)))
+    scale, masses = tm._mass_numerators(refinement.bits)
+    return QuasiMeasure.from_numerators(c, refinement, scale, dict(zip(refinement.bits, masses)))
 
 
 def _random_weights(rng: random.Random, n: int) -> tuple[Fraction, ...]:

@@ -566,6 +566,14 @@ def test_sampled_triples_are_the_draws_of_random_sample(size):
     assert list(extension._sampled_triples(random.Random(0), size, count)) == want
 
 
+@pytest.mark.parametrize("atoms", range(8))
+def test_disjoint_triples_are_the_filtered_combinations(atoms):
+    # The exhaustive branch sees algebras of up to 2**6 members; the walk holds beyond.
+    size = 1 << atoms
+    want = [(i, j, k) for i, j, k in itertools.combinations(range(size), 3) if not (i & j or i & k or j & k)]
+    assert list(extension._disjoint_triples(size)) == want
+
+
 def eager_pair_witnesses(table):
     """Every pair-additivity witness, built up front as one tuple."""
     members, values = table.algebra.members, table.values

@@ -13,12 +13,17 @@ from quasimeasure import (
     TrueMeasure,
     check_alt_conditions,
     check_axioms,
+    extend,
     induce,
+    instance_spec_from,
     outer,
     outer_exhaustive,
+    parse_instance,
     perturb,
     random_algebra_instance,
     random_instance,
+    render_instance,
+    verify_premeasure,
 )
 from quasimeasure.quasi import ALT_CHECKS, AXIOM_CHECKS, ONE, ZERO, cover_bound_violations
 from quasimeasure.report import ReportBuilder, Witness
@@ -556,3 +561,70 @@ def test_scale_is_the_lcm_of_the_value_denominators(negative_instance):
     assert qm.scale == 4
     for m in qm.refinement.members:
         assert qm.numerator(m.bits) == qm.value(m) * 4
+
+
+def test_construction_builds_no_per_member_objects():
+    # Instances are built and checked on member bits and int numerators; the
+    # member masks and the Fraction values wait for a reader.
+    induced = random_instance(5, n=10, coat_size=12)[2]
+    qm = parse_instance(render_instance(instance_spec_from(induced, seed=5))).build()[2]
+    check_axioms(qm)
+    check_alt_conditions(qm)
+    verify_premeasure(extend(qm))
+    for built in (induced, qm):
+        assert "members" not in built.refinement.__dict__
+        assert "values" not in built.__dict__
+    assert qm.values == induced.values  # built on read, equal on both routes
+
+
+@st.composite
+def int_form_instances(draw):
+    """Random, partition-algebra and perturbed instances with n <= 6."""
+    seed, n = draw(st.integers(0, 10**6)), draw(st.integers(1, 6))
+    style = draw(st.sampled_from(("random", "algebra", "perturbed")))
+    if style == "algebra":
+        return random_algebra_instance(seed, n=n, max_blocks=4)[2]
+    qm = random_instance(seed, n=n, coat_size=draw(st.integers(2, 10)))[2]
+    return perturb(qm, seed + 1, max_changes=3) if style == "perturbed" else qm
+
+
+def refusal(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+@settings(max_examples=150)
+@given(int_form_instances(), st.integers(1, 6), st.integers(0, 10**6))
+def test_from_numerators_matches_the_dict_constructor(qm, factor, pick):
+    # Numerators over a multiple of the scale come back in lowest terms.
+    coat, refinement, ground = qm.coat, qm.refinement, qm.ground
+    scale = qm.scale * factor
+    values = dict(qm.values)
+    numerators = {b: v * factor for b, v in qm.numerators.items()}
+    by_dict = QuasiMeasure(coat, refinement, values)
+    by_ints = QuasiMeasure.from_numerators(coat, refinement, scale, numerators)
+    assert by_ints.scale == by_dict.scale == qm.scale
+    assert list(by_ints.numerators.items()) == list(by_dict.numerators.items())
+    assert list(by_ints.values.items()) == list(by_dict.values.items())
+
+    member = refinement.bits[pick % len(refinement)]
+    outside = [b for b in range(1 << ground.n) if b not in refinement.bits]
+    corruptions = [
+        ("missing", member, None),
+        ("above one", member, scale + 1),
+        ("empty", 0, 1),
+        ("omega", ground.full_bits, scale - 1),
+    ]
+    if outside:
+        corruptions.append(("extra", outside[pick % len(outside)], 0))
+    for name, bits, numerator in corruptions:
+        bad_values, bad_numerators = dict(values), dict(numerators)
+        if numerator is None:
+            del bad_values[ground.mask(bits)], bad_numerators[bits]
+        else:
+            bad_values[ground.mask(bits)] = Fraction(numerator, scale)
+            bad_numerators[bits] = numerator
+        message = refusal(lambda: QuasiMeasure(coat, refinement, bad_values))
+        from_ints = refusal(lambda: QuasiMeasure.from_numerators(coat, refinement, scale, bad_numerators))
+        assert from_ints == message, name

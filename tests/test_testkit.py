@@ -183,3 +183,16 @@ def test_induce_equals_fraction_sums_at_3000_bits():
     assert qm.scale.bit_length() > 10_000
     for member in qm.refinement.members:
         assert qm.value(member) == fraction_sum_mass(tm, member.bits)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 10**6), st.sampled_from((7, 8, 9, 16, 17, 24)), st.integers(2, 12))
+def test_induce_masses_are_weight_sums_at_the_byte_table_edges(seed, n, coat_size):
+    # Masses are three lookups, one per byte of the mask: n = 8, 16 and 24
+    # fill a byte's table, and n = 9 and 17 put one element in the next.
+    tm, _, qm = random_instance(seed, n=n, coat_size=coat_size)
+    for bits in qm.refinement.bits:
+        want = fraction_sum_mass(tm, bits)
+        assert Fraction(qm.numerator(bits), qm.scale) == want
+    top = qm.ground.mask(1 << (n - 1) | 1)
+    assert tm.mass(top) == fraction_sum_mass(tm, top.bits)
