@@ -149,6 +149,14 @@ MUTANTS = (
            "k = 1 << j.bit_length()",
            "k = 2 << j.bit_length()",
            ("tests/test_extension.py",)),
+    Mutant("perturb-skips-rescale", TESTKIT,
+           "numerators = {b: v * (lcm // scale) for b, v in numerators.items()}",
+           "numerators = dict(numerators)",
+           ("tests/test_testkit.py",)),
+    Mutant("true-measure-sum-check-le", TESTKIT,
+           "if sum(ints) != scale:",
+           "if not sum(ints) <= scale:",
+           ("tests/test_testkit.py",)),
 )
 
 

@@ -46,7 +46,6 @@ from .testkit import (
     canonical_negative_instance,
     induce,
     perturb,
-    power_set_coat,
     random_algebra_instance,
     random_instance,
     search_instances,
@@ -88,7 +87,6 @@ __all__ = [
     "outer_interval",
     "parse_instance",
     "perturb",
-    "power_set_coat",
     "random_algebra_instance",
     "random_instance",
     "refine",

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quasi import COVER_ENUMERATION_LIMIT, ZERO, QuasiMeasure, coat_solver, undercut_members
+from .quasi import COVER_ENUMERATION_LIMIT, QuasiMeasure, coat_solver, undercut_members
 from .report import AxiomReport, ReportBuilder
 from .sets import SubsetMask, subset_table
 
@@ -49,17 +49,17 @@ class CoverSolution:
         """Re-check the witness against the coat.
 
         The indices must strictly ascend within ``range(len(qm.coat))``, their
-        members must cover the target, and their values must sum to the cost.
+        members must cover the target, and their value numerators, summed over
+        ``qm.scale``, must equal the cost.
         """
         if not all(i < j for i, j in zip((-1, *self.chosen), (*self.chosen, len(qm.coat)))):
             return False
-        union = 0
-        total = ZERO
+        bits = qm.coat.member_bits()
+        union = total = 0
         for i in self.chosen:
-            member = qm.coat.members[i]
-            union |= member.bits
-            total += qm.value(member)
-        return target.bits & ~union == 0 and total == self.cost
+            union |= bits[i]
+            total += qm.numerator(bits[i])
+        return target.bits & ~union == 0 and Fraction(total, qm.scale) == self.cost
 
 
 def outer(qm: QuasiMeasure, a: SubsetMask) -> tuple[Fraction, CoverSolution]:

@@ -46,12 +46,12 @@ def _coverage_message(missing: Iterable[SubsetMask], extra: Iterable[SubsetMask]
 class QuasiMeasure:
     """A total map from refinement members to exact rationals in [0,1].
 
-    It is stored as ``numerators``, which maps member bits to int numerators
-    over ``scale``, the lcm of the value denominators; the checks read only
-    those.  ``QuasiMeasure(coat, refinement, values)`` takes values keyed by
-    the refinement's members and keeps that dict as ``values``.
-    ``from_numerators`` takes the ints; ``values`` is then built on first
-    read, keyed by the refinement's members in the order of ``numerators``.
+    It is stored only as ``numerators``, which maps member bits to int
+    numerators over ``scale``, the lcm of the value denominators; the checks
+    read only those.  ``from_numerators`` takes the ints, and
+    ``QuasiMeasure(coat, refinement, values)`` values keyed by the
+    refinement's members, keeping no reference to that dict.  ``values`` is
+    built on first read, keyed by the members in the order of ``numerators``.
     """
 
     coat: Coat
@@ -62,17 +62,13 @@ class QuasiMeasure:
     def __init__(self, coat: Coat, refinement: Refinement,
                  values: Mapping[SubsetMask, Fraction]) -> None:
         _require_refinement_of(coat, refinement)
-        members = refinement.members
-        if len(values) != len(members) or not all(m in values for m in members):
-            missing = set(members) - set(values)
-            extra = set(values) - set(members)
-            raise ValueError(_coverage_message(missing, extra))
-        for mask, value in values.items():
-            # A Fraction is checked on its ints; other numbers (ints, floats) by comparison.
-            if not (0 <= value.numerator <= value.denominator if type(value) is Fraction
-                    else ZERO <= value <= ONE):
-                raise ValueError(f"value of {mask} outside [0,1]: {value}")
         ground = coat.ground
+        expected = set(map(ground.mask, refinement.bits))
+        if values.keys() != expected:
+            raise ValueError(_coverage_message(expected - values.keys(), values.keys() - expected))
+        for mask, value in values.items():
+            if not ZERO <= value <= ONE:
+                raise ValueError(f"value of {mask} outside [0,1]: {value}")
         if values[ground.empty()] != ZERO:
             raise ValueError("value of the empty set must be 0")
         if values[ground.full()] != ONE:
@@ -84,7 +80,6 @@ class QuasiMeasure:
             raise ValueError(f"value of {mask} is not an int or a Fraction: {value!r}") from None
         self._validate(coat, refinement, scale,
                        {m.bits: v.numerator * (scale // v.denominator) for m, v in values.items()})
-        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_numerators(cls, coat: Coat, refinement: Refinement, scale: int,

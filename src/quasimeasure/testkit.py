@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .extension import extend, verify_premeasure
-from .quasi import ONE, ZERO, QuasiMeasure, check_axioms
+from .quasi import QuasiMeasure, check_axioms
 from .sets import AlgebraFamily, Coat, GroundSet, SubsetMask, refine, subset_table
 
 DEFAULT_DENOMINATOR_BOUND = 64
@@ -25,7 +25,7 @@ DEFAULT_DENOMINATOR_BOUND = 64
 
 @dataclass(frozen=True)
 class TrueMeasure:
-    """Exact nonnegative atom weights summing to one; the ground truth."""
+    """Exact nonnegative int or ``Fraction`` atom weights summing to one; the ground truth."""
 
     ground: GroundSet
     weights: tuple[Fraction, ...]
@@ -33,10 +33,17 @@ class TrueMeasure:
     def __post_init__(self) -> None:
         if len(self.weights) != self.ground.n:
             raise ValueError("one weight per ground element required")
-        if any(w < ZERO for w in self.weights):
+        for label, w in zip(self.ground.elements, self.weights):
+            if not isinstance(w, (int, Fraction)):
+                raise ValueError(f"weight of {label} is not an int or a Fraction: {w!r}")
+        scale = math.lcm(*(w.denominator for w in self.weights))
+        ints = tuple(w.numerator * (scale // w.denominator) for w in self.weights)
+        if any(w < 0 for w in ints):
             raise ValueError("weights must be nonnegative")
-        if sum(self.weights) != ONE:
+        if sum(ints) != scale:
             raise ValueError("weights must sum exactly to 1")
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_ints", ints)
 
     @classmethod
     def uniform(cls, ground: GroundSet) -> "TrueMeasure":
@@ -51,10 +58,8 @@ class TrueMeasure:
 
         One table of weight sums per byte of the mask (``MAX_GROUND_SIZE`` is
         24, so three) makes each mass three lookups."""
-        scale = math.lcm(*(w.denominator for w in self.weights))
-        ints = [w.numerator * (scale // w.denominator) for w in self.weights]
-        low, mid, high = (subset_table(ints[i:i + 8], operator.add) for i in (0, 8, 16))
-        return scale, [low[b & 255] + mid[b >> 8 & 255] + high[b >> 16] for b in bits_list]
+        low, mid, high = (subset_table(self._ints[i:i + 8], operator.add) for i in (0, 8, 16))
+        return self._scale, [low[b & 255] + mid[b >> 8 & 255] + high[b >> 16] for b in bits_list]
 
 
 def induce(tm: TrueMeasure, c: Coat) -> QuasiMeasure:
@@ -122,21 +127,22 @@ def random_algebra_instance(
 
 
 def perturb(qm: QuasiMeasure, seed: int, max_changes: int = 2) -> QuasiMeasure:
-    """Overwrite a few non-endpoint values at random; endpoints stay fixed."""
+    """Overwrite a few non-endpoint values at random; endpoints stay fixed.
+
+    Each new value ``p / d`` rescales the numerators to ``lcm(scale, d)``."""
     rng = random.Random(seed)
-    candidates = [m for m in qm.refinement.members if not m.is_empty() and not m.is_full()]
+    candidates = [b for b in qm.refinement.bits if b not in (0, qm.ground.full_bits)]
     if not candidates:
         return qm
-    values = dict(qm.values)
+    scale, numerators = qm.scale, qm.numerators
     for _ in range(rng.randint(1, max_changes)):
-        member = rng.choice(candidates)
+        bits = rng.choice(candidates)
         d = rng.randint(1, DEFAULT_DENOMINATOR_BOUND)
-        values[member] = Fraction(rng.randint(0, d), d)
-    return QuasiMeasure(qm.coat, qm.refinement, values)
-
-
-def power_set_coat(ground: GroundSet) -> Coat:
-    return _ordered_coat(ground, set(range(1 << ground.n)))
+        lcm = math.lcm(scale, d)
+        numerators = {b: v * (lcm // scale) for b, v in numerators.items()}
+        numerators[bits] = rng.randint(0, d) * (lcm // d)
+        scale = lcm
+    return QuasiMeasure.from_numerators(qm.coat, qm.refinement, scale, numerators)
 
 
 def canonical_negative_instance() -> tuple[TrueMeasure, Coat, QuasiMeasure]:

@@ -9,7 +9,6 @@ from quasimeasure import (
     TrueMeasure,
     canonical_negative_instance,
     induce,
-    power_set_coat,
 )
 
 # Property tests are derandomized and keep no example database, so every
@@ -20,6 +19,11 @@ settings.load_profile("tier1")
 # (mutants/run.py): a caught mutant fails at its first failing example.
 settings.register_profile("mutants", settings.get_profile("tier1"),
                           phases=(Phase.explicit, Phase.reuse, Phase.generate))
+
+
+def power_set_coat(ground: GroundSet) -> Coat:
+    """Every subset of ``ground`` as a coat: empty, omega, then the rest in mask order."""
+    return Coat.from_bits(ground, [0, ground.full_bits, *range(1, ground.full_bits)])
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from conftest import power_set_coat
 from quasimeasure import (
     GroundSet,
     Interval,
@@ -25,7 +26,6 @@ from quasimeasure import (
     is_caratheodory_measurable,
     outer,
     outer_exhaustive,
-    power_set_coat,
     random_algebra_instance,
     random_instance,
     render_instance,

@@ -571,10 +571,34 @@ def test_construction_builds_no_per_member_objects():
     check_axioms(qm)
     check_alt_conditions(qm)
     verify_premeasure(extend(qm))
-    for built in (induced, qm):
+    perturbed = perturb(induced, 5, max_changes=3)
+    target = qm.ground.mask(0b1011001)
+    assert outer(qm, target)[1].verify(qm, target)
+    for built in (induced, qm, perturbed):
         assert "members" not in built.refinement.__dict__
         assert "values" not in built.__dict__
     assert qm.values == induced.values  # built on read, equal on both routes
+    assert perturbed.values != induced.values
+
+
+def test_values_do_not_alias_the_callers_dict(negative_instance):
+    # The dict constructor once kept the caller's dict as ``values``: editing it
+    # moved value() but not the numerators the checks read, and verify then
+    # refused the cover outer had just returned.
+    _, coat, induced = negative_instance
+    ground = coat.ground
+    values = dict(induced.values)
+    qm = QuasiMeasure(coat, induced.refinement, values)
+    target = ground.subset(["1"])
+    solution = outer(qm, target)[1]
+    assert solution.chosen == (2,)  # the coat member {1,2}
+    values[ground.subset(["2"])] = Fraction(9, 10)
+    values[ground.subset(["1", "2"])] = Fraction(5)
+    assert qm.value(ground.subset(["2"])) == Fraction(1, 4)
+    assert qm.values == induced.values and qm.values is not values
+    for member in qm.refinement.members:
+        assert qm.value(member) == qm.values[member] == Fraction(qm.numerator(member.bits), qm.scale)
+    assert solution.verify(qm, target) and outer(qm, target)[1].verify(qm, target)
 
 
 @st.composite

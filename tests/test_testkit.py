@@ -1,23 +1,25 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import power_set_coat
 from quasimeasure import (
     GroundSet,
+    QuasiMeasure,
     TrueMeasure,
     extend,
     induce,
     outer,
     perturb,
-    power_set_coat,
     random_algebra_instance,
     random_instance,
     search_instances,
 )
-from quasimeasure.testkit import instance_for_seed
+from quasimeasure.testkit import DEFAULT_DENOMINATOR_BOUND, instance_for_seed
 
 
 class TestTrueMeasure:
@@ -28,6 +30,16 @@ class TestTrueMeasure:
     def test_weights_must_be_nonnegative(self, ground3):
         with pytest.raises(ValueError, match="nonnegative"):
             TrueMeasure(ground3, (Fraction(3, 2), Fraction(-1, 4), Fraction(-1, 4)))
+
+    def test_weights_must_be_ints_or_fractions(self):
+        # Accepted before; induce and mass then failed with an AttributeError on the float.
+        ground = GroundSet(("1", "2"))
+        with pytest.raises(ValueError, match=re.escape("weight of 1 is not an int or a Fraction: 0.5")):
+            TrueMeasure(ground, (0.5, 0.5))
+        with pytest.raises(ValueError, match=re.escape("weight of 2 is not an int or a Fraction: 0.0")):
+            TrueMeasure(ground, (1, 0.0))
+        tm = TrueMeasure(ground, (0, 1))
+        assert tm.mass(ground.full()) == 1 and tm.mass(ground.subset(["1"])) == 0
 
     def test_mass_sums_atoms(self, ground4):
         tm = TrueMeasure.uniform(ground4)
@@ -196,3 +208,34 @@ def test_induce_masses_are_weight_sums_at_the_byte_table_edges(seed, n, coat_siz
         assert Fraction(qm.numerator(bits), qm.scale) == want
     top = qm.ground.mask(1 << (n - 1) | 1)
     assert tm.mass(top) == fraction_sum_mass(tm, top.bits)
+
+
+def reference_perturb(qm, seed, max_changes=2):
+    """Oracle: ``perturb`` on member masks and ``Fraction`` values, through the dict constructor."""
+    rng = random.Random(seed)
+    candidates = [m for m in qm.refinement.members if not m.is_empty() and not m.is_full()]
+    if not candidates:
+        return qm
+    values = dict(qm.values)
+    for _ in range(rng.randint(1, max_changes)):
+        member = rng.choice(candidates)
+        d = rng.randint(1, DEFAULT_DENOMINATOR_BOUND)
+        values[member] = Fraction(rng.randint(0, d), d)
+    return QuasiMeasure(qm.coat, qm.refinement, values)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 10**6), st.integers(1, 6), st.integers(2, 12), st.booleans(), st.integers(1, 6))
+def test_perturb_matches_the_fraction_reference(seed, n, coat_size, algebra, max_changes):
+    # Numerators rescaled per change and reduced once give the instance the
+    # Fraction values gave: same scale, and numerators and values in the same order.
+    if algebra:
+        qm = random_algebra_instance(seed, n=n, max_blocks=4)[2]
+    else:
+        qm = random_instance(seed, n=n, coat_size=coat_size)[2]
+    got = perturb(qm, seed + 1, max_changes)
+    want = reference_perturb(qm, seed + 1, max_changes)
+    assert got.scale == want.scale
+    assert list(got.numerators.items()) == list(want.numerators.items())
+    assert list(got.values.items()) == list(want.values.items())
+    assert (got is qm) == (want is qm) == (len(qm.refinement) == 2)
