@@ -62,8 +62,12 @@ MUTANTS = (
            "return self._solve(target_bits)",
            ("tests/test_cover.py",)),
     Mutant("solver-exact-weights-try-every-meeting-entry", QUASI,
-           "branch = residual & -residual if self._lowest_only else residual",
-           "branch = residual",
+           "if self._lowest_only:",
+           "if False:",
+           ("tests/test_cover.py",)),
+    Mutant("solver-candidates-in-entry-order", QUASI,
+           "self._by_weight = sorted(entries, key=operator.itemgetter(2))",
+           "self._by_weight = list(entries)",
            ("tests/test_cover.py",)),
     Mutant("solver-float-weights-branch-on-lowest", QUASI,
            "self._lowest_only = not isinstance(zero, float)",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -149,15 +150,19 @@ class CoverSolver(Generic[W]):
     ordered, additive type with zero ``zero``: int numerators over ``scale``
     for coats, ``float`` for interval pools.  ``solve`` returns the cost and the
     ascending chosen indices, least in (cost, size, indices).  The memo is read
-    before each call; a candidate whose weight, or else whose cover's cost,
-    exceeds the node's best cost is skipped before its residual is solved or
-    its cover tuple built (it cannot improve or tie).
+    before each call.
     With non-float weights a node tries only the entries that hold the lowest
     uncovered element, as Knuth's Algorithm X does ("Dancing Links", 2000):
     every cover of the residual contains one, so the answer stays exact.
     Float costs are summed along the recursion path, and a cover summed in
     another order can move in the last ulp, so float weights keep trying
     every entry that meets the residual.
+    Candidates are tried cheapest first (entries are sorted stably by weight
+    once), and a node stops at the first entry dearer than its best cost; a
+    cover dearer than the best is dropped before its tuple is built.  No
+    answer moves: a node's answer, and so its memo entry, is the least
+    (cost, size, indices) over its candidates in any order, and weights are
+    nonnegative, so an entry dearer than the best can neither win nor tie.
     """
 
     def __init__(self, entries: Sequence[tuple[int, int, W]], zero: W):
@@ -165,7 +170,9 @@ class CoverSolver(Generic[W]):
         self.reach = 0
         for _, bits, _ in entries:
             self.reach |= bits
+        self._by_weight = sorted(entries, key=operator.itemgetter(2))
         self._lowest_only = not isinstance(zero, float)
+        self._holding: dict[int, list[tuple[int, int, W]]] = {}  # lowest bit -> entries holding it
         self._memo: dict[int, tuple[W, tuple[int, ...]]] = {0: (zero, ())}
 
     def feasible(self, target_bits: int) -> bool:
@@ -178,11 +185,17 @@ class CoverSolver(Generic[W]):
 
     def _solve(self, residual: int) -> tuple[W, tuple[int, ...]]:
         memo = self._memo
-        branch = residual & -residual if self._lowest_only else residual
-        candidates = [e for e in self.entries if e[1] & branch]
+        candidates = self._by_weight
+        if self._lowest_only:
+            low = residual & -residual
+            candidates = self._holding.get(low)
+            if candidates is None:
+                candidates = self._holding[low] = [e for e in self._by_weight if e[1] & low]
         best: tuple[W, tuple[int, ...]] | None = None
         for idx, bits, weight in candidates:
             if best is not None and weight > best[0]:
+                break
+            if not bits & residual:
                 continue
             rest = residual & ~bits
             sub_cost, sub_chosen = memo.get(rest) or self._solve(rest)

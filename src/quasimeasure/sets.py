@@ -152,6 +152,7 @@ class Coat:
             raise ValueError("coat must contain empty")
         if self.ground.full_bits not in seen:
             raise ValueError("coat must contain omega")
+        object.__setattr__(self, "_member_bits", tuple(m.bits for m in self.members))
 
     @classmethod
     def from_bits(cls, ground: GroundSet, bits_list: Iterable[int]) -> "Coat":
@@ -164,7 +165,8 @@ class Coat:
         return iter(self.members)
 
     def member_bits(self) -> tuple[int, ...]:
-        return tuple(m.bits for m in self.members)
+        """The members' bits in coat order, built once at construction."""
+        return self._member_bits
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,8 +50,8 @@ class TrueMeasure:
         return cls(ground, tuple(Fraction(1, ground.n) for _ in range(ground.n)))
 
     def mass(self, mask: SubsetMask) -> Fraction:
-        scale, (total,) = self._mass_numerators((mask.bits,))
-        return Fraction(total, scale)
+        bits = mask.bits
+        return Fraction(sum(w for i, w in enumerate(self._ints) if bits >> i & 1), self._scale)
 
     def _mass_numerators(self, bits_list: Iterable[int]) -> tuple[int, list[int]]:
         """The lcm of the weight denominators, and the mass of each bit set times it.

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ReferenceCoverSolver
 from quasimeasure import (
     Coat,
     GroundSet,
@@ -195,6 +197,48 @@ def test_solver_answers_like_the_enumeration_under_zero_weight_ties(seed):
     n, entries = zero_heavy_solver_case(seed)
     solver = CoverSolver(entries, 0)
     assert [solver.solve(target) for target in range(1 << n)] == enumerated_covers(n, entries)
+
+
+# Survival values on a few shared endpoints, so that many float weights are
+# zero (equal endpoints) or equal to one another.
+SURVIVAL_ENDPOINTS = (0.0, 0.25, 0.5, math.log(2), 1.0, 2.0, 6.0)
+
+
+@st.composite
+def cheapest_first_cases(draw):
+    """Entries on n <= 7 elements with int or float weights, a full member, and targets to solve in turn.
+
+    Int weights are mostly 0 and repeat; float weights are survival
+    differences ``exp(-a) - exp(-b)``.  The full member keeps every target
+    coverable.
+    """
+    n = draw(st.integers(1, 7))
+    full = (1 << n) - 1
+    floats = draw(st.booleans())
+    if floats:
+        endpoint = st.one_of(st.sampled_from(SURVIVAL_ENDPOINTS), st.floats(0.0, 8.0))
+        weight = st.tuples(endpoint, endpoint).map(
+            lambda ab: math.exp(-min(ab)) - math.exp(-max(ab)))
+    else:
+        weight = st.one_of(st.just(0), st.integers(0, 3))
+    members = draw(st.lists(st.tuples(st.integers(0, full), weight), min_size=0, max_size=9))
+    members.insert(draw(st.integers(0, len(members))), (full, draw(weight)))
+    entries = [(i, bits, w) for i, (bits, w) in enumerate(members)]
+    targets = draw(st.lists(st.integers(0, full), min_size=1, max_size=2 * n + 2))
+    return entries, 0.0 if floats else 0, targets
+
+
+@settings(max_examples=500)
+@given(cheapest_first_cases())
+def test_cheapest_first_search_answers_like_the_entry_order_reference(case):
+    # One solver of each kind answers the targets in turn, so later targets
+    # read memo entries that earlier ones left; float costs must agree bit for bit.
+    entries, zero, targets = case
+    solver, reference = CoverSolver(entries, zero), ReferenceCoverSolver(entries, zero)
+    for target in targets:
+        got, want = solver.solve(target), reference.solve(target)
+        assert got == want, target
+        assert float(got[0]).hex() == float(want[0]).hex(), target
 
 
 class TestOptimizerMonotonicity:

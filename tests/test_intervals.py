@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ReferenceCoverSolver
 from quasimeasure import (
     Interval,
     IntervalSet,
@@ -687,3 +688,16 @@ def test_outer_interval_hands_the_solver_the_pointwise_atom_masks(monkeypatch):
         entries = [(i, oracle_mask((p,), points), p.weight()) for i, p in enumerate(pool)]
         assert searches[-1] == (entries, oracle_mask(target.components, points))
     assert len(searches) == 96
+
+
+def test_benchmark_interval_queries_answer_like_the_entry_order_reference():
+    # The cheapest-first search must leave every float cost bit-identical.
+    for target, pool in benchmark_interval_queries():
+        points = shape_points(target.components, pool)
+        entries = [(i, oracle_mask((p,), points), p.weight()) for i, p in enumerate(pool)]
+        target_bits = oracle_mask(target.components, points)
+        got = CoverSolver(entries, 0.0).solve(target_bits)
+        want = ReferenceCoverSolver(entries, 0.0).solve(target_bits)
+        assert got == want and got[0].hex() == want[0].hex(), target
+        result = outer_interval(target, pool)
+        assert (result.cost, result.chosen) == got

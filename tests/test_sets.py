@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -76,6 +77,13 @@ class TestCoat:
         a = ground4.subset(["1"])
         with pytest.raises(ValueError, match="duplicate"):
             Coat(ground4, (ground4.empty(), ground4.full(), a, a))
+
+    def test_member_bits_are_built_once_and_are_no_field(self, ground4):
+        coat = Coat.from_bits(ground4, [0, 0b1111, 0b0011, 0b0110])
+        assert coat.member_bits() == (0, 0b1111, 0b0011, 0b0110)
+        assert coat.member_bits() is coat.member_bits()
+        assert [f.name for f in dataclasses.fields(Coat)] == ["ground", "members"]
+        assert coat == Coat(ground4, coat.members) and "_member_bits" not in repr(coat)
 
 
 class TestRefine:

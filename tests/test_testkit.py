@@ -47,6 +47,17 @@ class TestTrueMeasure:
         assert tm.mass(ground4.empty()) == 0
         assert tm.mass(ground4.full()) == 1
 
+    def test_mass_sums_the_weights_at_byte_edges(self):
+        # Bits 0, 7, 8, 15, 16 and 23 open and close each byte of a 24-element mask.
+        ground = GroundSet(tuple(str(i + 1) for i in range(24)))
+        weights = tuple(Fraction(i + 1, 300) for i in range(24))
+        tm = TrueMeasure(ground, weights)
+        edges = (0, 7, 8, 15, 16, 23)
+        for chosen in range(1 << len(edges)):
+            bits = [b for n, b in enumerate(edges) if chosen >> n & 1]
+            mask = ground.mask(sum(1 << b for b in bits))
+            assert tm.mass(mask) == sum((weights[b] for b in bits), Fraction(0)), bits
+
 
 class TestInduce:
     def test_canonical_values(self, negative_instance):
