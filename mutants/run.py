@@ -153,6 +153,14 @@ MUTANTS = (
            "k = 1 << j.bit_length()",
            "k = 2 << j.bit_length()",
            ("tests/test_extension.py",)),
+    Mutant("sampled-triple-table-empties-one-size", EXTENSION,
+           "    11: (",
+           "    11: (), 0: (",
+           ("tests/test_extension.py",)),
+    Mutant("sampled-triple-unpack-swaps-j-and-k", EXTENSION,
+           "t >> shift & low, t & low)",
+           "t & low, t >> shift & low)",
+           ("tests/test_extension.py",)),
     Mutant("perturb-skips-rescale", TESTKIT,
            "numerators = {b: v * (lcm // scale) for b, v in numerators.items()}",
            "numerators = dict(numerators)",

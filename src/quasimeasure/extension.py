@@ -20,7 +20,6 @@ import bisect
 import functools
 import math
 import operator
-import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,7 +185,8 @@ def verify_premeasure(table: MeasureTable) -> AxiomReport:
     The atom sums certify an additive table; the disjoint pairs, whose
     failures the report lists, are walked only when they do not.  When some
     pair fails, disjoint triples are checked too, all of them while they fit
-    the budget and a seeded sample otherwise.
+    the budget and otherwise those of a seeded sample, read from
+    ``SAMPLED_TRIPLES``.
     Member i of the algebra is the union of the atoms in the bits of i, so
     members i, j are disjoint iff ``i & j == 0``, with union member ``i | j``.
     Values are compared as the table's int numerators over its ``scale``.
@@ -227,8 +227,7 @@ def verify_premeasure(table: MeasureTable) -> AxiomReport:
     if pairs and exhaustive:
         triples = _disjoint_triples(size)
     elif pairs:
-        sampled = _sampled_triples(random.Random(0), size, TRIPLE_BUDGET // 8)
-        triples = ((i, j, k) for i, j, k in sampled if not (i & j or i & k or j & k))
+        triples = ((t >> 2 * shift, t >> shift & low, t & low) for t in SAMPLED_TRIPLES[shift])
     failed = array("q")
     for i, j, k in triples:
         if nums[i | j | k] != nums[i] + nums[j] + nums[k]:
@@ -274,24 +273,63 @@ def _disjoint_triples(size: int) -> Iterator[tuple[int, int, int]]:
             j = (j - rest) & rest
 
 
-def _sampled_triples(rng: random.Random, size: int, count: int) -> Iterator[tuple[int, int, int]]:
-    """The triples of ``count`` calls of ``rng.sample(range(size), 3)``, for ``size > 21``.
-
-    Above 21 items, ``sample`` draws 3 indices through ``_randbelow``, which
-    draws ``getrandbits(size.bit_length())`` again while the value is at
-    least ``size``, and it draws again an index it already took.  This makes
-    the same ``getrandbits`` calls without the per-sample list, set and range.
-    """
-    bits = size.bit_length()
-    draw = rng.getrandbits
-    for _ in range(count):
-        i = draw(bits)
-        while i >= size:
-            i = draw(bits)
-        j = draw(bits)
-        while j >= size or j == i:
-            j = draw(bits)
-        k = draw(bits)
-        while k >= size or k == i or k == j:
-            k = draw(bits)
-        yield i, j, k
+# The pairwise-disjoint triples among TRIPLE_BUDGET // 8 draws of
+# random.Random(0).sample(range(2**m), 3), in draw order with repeats, for the
+# algebras of 2**m members past the triple budget: m = 7 to 16, since
+# AlgebraFamily refuses more than 2**16 members.  Triple (i, j, k) is packed as
+# (i << m | j) << m | k.  The seed, the count and the sizes are constants, so
+# the table is too; tests/test_extension.py regenerates it from the draws.
+SAMPLED_TRIPLES = {
+    7: (576576, 270632, 135378, 1131776, 1638673, 9473, 1573641, 4619, 147552, 533248, 1052933,
+        434304, 135445, 1380616, 4673, 267264, 1605768, 82962, 4169, 137920, 1115298, 131617,
+        1331210, 1051264, 1104900, 1315841, 66594, 1179794, 237568, 16129, 4888, 4184, 418304,
+        918080, 624640, 1054721, 86024, 1835138, 131936, 527366, 1573520, 269, 32868, 10920, 3937,
+        1050146, 860552, 1247234, 592008, 1048873, 1315081, 182304, 73745, 491584, 795401, 135888,
+        1053701, 1315081, 1082496, 819268, 393505, 524816, 1179650, 1067776, 418306, 40977, 225552,
+        1088640, 664448, 552192, 1050760, 598144, 1393920, 69713, 70977, 466945, 266308, 1672320,
+        279048, 1180576, 114776, 1179941, 626, 1554, 1328166, 426720, 263205, 688196, 5588, 14351,
+        275969, 282630, 397573, 327747, 8505, 2031744, 786824, 329025, 527048, 4099, 1050916, 3744,
+        590145, 280098, 527874, 33280, 131921, 590851, 1327144, 1180336, 271906, 113792, 68802,
+        393283, 106664, 279844, 11041, 163909, 544258, 532634, 16760, 21018, 47240, 2214, 299016,
+        1050638, 1048880, 9136, 393220, 67976, 1312416, 2698, 16484, 787970, 16920, 1573656, 137280,
+        270342, 1511427, 1085464, 5904, 1966464, 279616, 139426, 917761, 12810, 397572, 8212,
+        860161, 133826, 262413, 558592, 533507, 263204, 592072, 99344, 525256, 11810, 1117187,
+        70659, 72706, 73747, 68864, 393414, 802818, 787082, 1134616, 1442464, 410464, 62976, 100352,
+        17184, 16968, 372737, 532748, 1393664, 28162, 8203, 393382, 950336, 664336, 1852928, 655490,
+        663570, 188468, 1624068, 34320, 1574924, 16954, 861441, 1082544, 71746, 1065240, 1228852,
+        329056, 38912, 67816, 5000, 820228, 12817, 811020, 1084961, 1111, 1852418, 69697, 591883,
+        262728, 1867904, 1183892, 13065, 69656, 1310980, 706564, 526472, 1051177, 2656, 176132,
+        86344, 542784, 155650, 7556, 1066528, 282628, 688208, 557641, 1671296, 417828, 4504, 410210,
+        54352, 196770, 1184512, 1146904, 262722, 25106, 1185794, 53256, 696849),
+    8: (4665472, 2131024, 6854144, 1310851, 13108514, 12586258, 18454, 1051396, 11093008, 656384,
+        231540, 6554121, 2230656, 12911120, 725028, 12296, 8917573, 11535433, 10506242, 1867777,
+        2097353, 8413186, 10502657, 1067270, 12715009, 4751620, 6327315, 3311876, 294947, 8519749,
+        3426945, 33640, 2146314, 8917095, 2691200, 10621005, 5505160, 2152450, 6293008, 149525,
+        4270736, 16390, 14913, 4719746, 2234436, 4722950, 6293017, 9446722, 36865, 272977, 144832,
+        24708, 32853, 264769, 44354, 1310858, 132336, 149812, 1354050, 8396828, 8389729, 864768,
+        1139850, 10773, 196808, 6297605, 12586288, 622692, 12652578, 1083168, 3148420, 1124996,
+        3704384, 172037, 4231175, 4727696, 1081419, 668, 274434, 852130, 4231436, 8462366, 1867874,
+        178180, 3146317, 7602304, 5540640, 14817280, 5341220, 12591384, 133236, 8655456, 8586288,
+        9503818, 6623240, 116770, 15205634, 15073552, 6295682, 180532, 4726806, 2099345, 9454120,
+        540720, 5243136, 1337472, 1819648, 12598273, 10489866, 3915776, 2244617, 5505440, 131249,
+        1573700, 231460),
+    9: (72372736, 8400392, 5783625, 49169, 83968004, 67424, 7995552, 16777618, 8487949, 37881352,
+        33615874, 50475047, 92807820, 35802176, 2228806, 38406144, 4260165, 71581902, 84951195,
+        17055892, 44040465, 612688, 1122346, 34384160, 37753604, 50338354, 75797636, 1103232,
+        393386, 10486548, 1053664, 85206144, 10921092, 13698568, 50356746, 67122368, 4849864,
+        17694744, 67223553, 8527424, 17843457, 57820160, 131664, 33587516, 78708738, 37785376,
+        42213704, 4572168, 25430298, 1320224, 67665981, 1237000, 25168538, 60818176, 11773440,
+        52969488, 2555968, 5150880, 17588232, 85209216, 41944064, 10592512, 41346, 10682384,
+        5313825, 9568265, 106956800, 75575298),
+    10: (67155984, 47251602, 196643, 303568912, 403226703, 742426904, 285815936, 306717696, 33685,
+         680591670, 137429288, 274900544, 303057416, 607277320, 83889704, 539100272, 50537217,
+         402753557, 536924544, 142676483, 302135872, 10190864, 612374688, 262717, 423690273,
+         966791232, 19660928, 85361152, 42227266, 67113915, 288964),
+    11: (4362166530, 3791683681, 5444469357, 4370473472, 407668226, 2701268257, 4898971969,
+         5368985680),
+    12: (34980529152, 3627184128, 31138551814, 39191675522),
+    13: (29071360000, 249108262924, 313600115972),
+    14: (232517992448, 2508799347209),
+    15: (),
+    16: (),
+}

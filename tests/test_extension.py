@@ -3,6 +3,7 @@ import math
 import pickle
 import random
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -28,10 +29,11 @@ from quasimeasure import (
     random_algebra_instance,
     verify_premeasure,
 )
-from quasimeasure.extension import AUDIT_LIMIT, SPLIT_BUDGET, TRIPLE_BUDGET, MeasurabilityRecord
+from quasimeasure.extension import (AUDIT_LIMIT, SAMPLED_TRIPLES, SPLIT_BUDGET, TRIPLE_BUDGET,
+                                   MeasurabilityRecord)
 from quasimeasure.quasi import ONE, ZERO, CoverSolver, coat_solver, cover_bound_violations
 from quasimeasure.report import ReportBuilder, Witness
-from quasimeasure.sets import BudgetExceeded
+from quasimeasure.sets import DEFAULT_EXHAUSTIVE_LIMIT, AlgebraFamily, BudgetExceeded
 from quasimeasure.testkit import instance_for_seed, random_instance
 
 
@@ -535,9 +537,12 @@ def test_verify_premeasure_agrees_with_reference_on_sampled_triples():
 
 def test_passing_table_walks_no_triples(monkeypatch):
     # Additive pairs make additive triples, so a passing table above the
-    # triple budget reports the sampled audit without drawing a sample.
-    def no_sampling(seed):
-        raise AssertionError("triples sampled on a table whose pairs are additive")
+    # triple budget reports the sampled audit without reading its triples.
+    def no_reads(*args):
+        raise AssertionError("sampled triples read on a table whose pairs are additive")
+
+    class Unreadable(Mapping):
+        __getitem__ = __iter__ = __len__ = no_reads
 
     n = 7
     ground = GroundSet(tuple(str(i + 1) for i in range(n)))
@@ -545,7 +550,7 @@ def test_passing_table_walks_no_triples(monkeypatch):
     algebra = generate_algebra(coat)
     table = MeasureTable(algebra, n, tuple(m.size for m in algebra), ((),) * len(algebra))
     assert len(algebra) >= 128
-    monkeypatch.setattr(extension.random, "Random", no_sampling)
+    monkeypatch.setattr(extension, "SAMPLED_TRIPLES", Unreadable())
     report = verify_premeasure(table)
     assert report.passed
     assert report.notes == ("triples=sampled budget=32768 seed=0",)
@@ -557,13 +562,43 @@ def test_verify_premeasure_agrees_with_reference_on_extend_tables():
         assert_same_report(extend(qm))
 
 
-@pytest.mark.parametrize("size", [128, 1024, 65536])
-def test_sampled_triples_are_the_draws_of_random_sample(size):
-    # The sampled branch only sees algebras of 2**m >= 128 members.
-    count = TRIPLE_BUDGET // 8
+def disjoint_draws(m):
+    """The pairwise-disjoint triples among the sampled audit's draws on 2**m members, in draw order."""
     rng = random.Random(0)
-    want = [tuple(rng.sample(range(size), 3)) for _ in range(count)]
-    assert list(extension._sampled_triples(random.Random(0), size, count)) == want
+    draws = (rng.sample(range(1 << m), 3) for _ in range(TRIPLE_BUDGET // 8))
+    return [(i, j, k) for i, j, k in draws if not (i & j or i & k or j & k)]
+
+
+def test_sampled_triple_table_covers_the_sampled_sizes():
+    # An algebra of 2**m members is sampled when its triples exceed the
+    # budget, from m = 7, and AlgebraFamily refuses more than 2**16 members.
+    assert TRIPLE_BUDGET == 1 << 18
+    top = DEFAULT_EXHAUSTIVE_LIMIT.bit_length() - 1
+    sampled = {m for m in range(top + 1) if math.comb(1 << m, 3) > TRIPLE_BUDGET}
+    assert set(SAMPLED_TRIPLES) == sampled == set(range(7, 17))
+
+
+@pytest.mark.parametrize("m", range(7, 17))
+def test_sampled_triple_table_is_the_disjoint_draws(m):
+    # Draws of random.Random(0), the seed the report's note names, repeats kept.
+    want = [(i << m | j) << m | k for i, j, k in disjoint_draws(m)]
+    assert list(SAMPLED_TRIPLES[m]) == want
+
+
+@pytest.mark.parametrize("m", range(9, 13))
+def test_sampled_triple_witnesses_are_the_failing_draws(m):
+    # Past the pairwise reference's reach: on singleton atoms member i has
+    # bits i, and a size-plus-0-or-1 value makes some disjoint triples fail.
+    rng = random.Random(m)
+    ground = GroundSet(tuple(str(i + 1) for i in range(m)))
+    algebra = AlgebraFamily(ground, tuple(1 << a for a in range(m)))
+    nums = (0, *(bin(i).count("1") + rng.randrange(2) for i in range(1, 1 << m)))
+    report = verify_premeasure(MeasureTable(algebra, m + 1, nums, ((),) * len(algebra)))
+    draws = disjoint_draws(m)
+    want = [(i, j, k) for i, j, k in draws if nums[i | j | k] != nums[i] + nums[j] + nums[k]]
+    got = [tuple(mask.bits for _, mask in w.sets) for w in report.result("triple-additivity").witnesses]
+    assert got == want
+    assert 0 < len(want) < len(draws)
 
 
 @pytest.mark.parametrize("atoms", range(8))
