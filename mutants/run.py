@@ -78,8 +78,8 @@ MUTANTS = (
            "if len(undercut) < 2:",
            ("tests/test_quasi.py",)),
     Mutant("cover-bound-cost-gate-takes-min", QUASI,
-           "top = max(qm.numerator(x)",
-           "top = min(qm.numerator(x)",
+           "top = max(num[x]",
+           "top = min(num[x]",
            ("tests/test_quasi.py",)),
     Mutant("envelope-containment-swapped", QUASI,
            "if m & ~w == 0:",
@@ -94,8 +94,8 @@ MUTANTS = (
            "if meet not in inside:",
            ("tests/test_quasi.py",)),
     Mutant("monotone-comparison-flipped", QUASI,
-           "if diff == 0 and num(x) > num(y):",
-           "if diff == 0 and num(x) < num(y):",
+           "if diff == 0 and num[x] > num[y]:",
+           "if diff == 0 and num[x] < num[y]:",
            ("tests/test_quasi.py",)),
     Mutant("pair-record-swaps-x-and-y", QUASI,
            "i, j = divmod(record, len(bits))",
@@ -118,8 +118,8 @@ MUTANTS = (
            "if atom >> (i ^ 1) & 1)",
            ("tests/test_extension.py",)),
     Mutant("coat-agreement-one-sided", QUASI,
-           "if v != qm.numerator(x)]",
-           "if v > qm.numerator(x)]",
+           "if v != qm.numerators[x]]",
+           "if v > qm.numerators[x]]",
            ("tests/test_cover.py",)),
     Mutant("overlapping-split-one-sided", INTERVALS,
            "if abs(lhs - rhs) > tol:",
@@ -145,6 +145,10 @@ MUTANTS = (
            "mid[b >> 8 & 255]",
            "mid[b >> 7 & 255]",
            ("tests/test_testkit.py",)),
+    Mutant("validator-drops-the-upper-bound", QUASI,
+           "if not 0 <= numerator <= scale:",
+           "if not 0 <= numerator:",
+           ("tests/test_quasi.py",)),
     Mutant("from-numerators-skips-gcd", QUASI,
            "divisor = math.gcd(scale, *numerators.values())",
            "divisor = 1",

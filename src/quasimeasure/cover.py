@@ -58,7 +58,7 @@ class CoverSolution:
         union = total = 0
         for i in self.chosen:
             union |= bits[i]
-            total += qm.numerator(bits[i])
+            total += qm.numerators[bits[i]]
         return target.bits & ~union == 0 and Fraction(total, qm.scale) == self.cost
 
 
@@ -84,7 +84,7 @@ def outer_exhaustive(qm: QuasiMeasure, a: SubsetMask) -> tuple[Fraction, CoverSo
         raise ValueError(f"coat too large for enumeration (2**{k} > {COVER_ENUMERATION_LIMIT})")
     member_bits = qm.coat.member_bits()
     unions = subset_table(member_bits)
-    costs = subset_table(map(qm.numerator, member_bits), operator.add)
+    costs = subset_table(map(qm.numerators.__getitem__, member_bits), operator.add)
 
     def indices(s: int) -> tuple[int, ...]:
         return tuple(i for i in range(k) if s >> i & 1)
@@ -137,7 +137,7 @@ def check_outer_properties(qm: QuasiMeasure) -> AxiomReport:
     disagree = undercut_members(qm, solve)
     rb.note(f"coat-agreement precondition (cover bound): {'fail' if disagree else 'pass'}")
     for x, v in disagree:
-        rb.fail("coat-agreement", qm.witness((("X", x),), v, qm.numerator(x), "eq"))
+        rb.fail("coat-agreement", qm.witness((("X", x),), v, qm.numerators[x], "eq"))
 
     if count ** 3 <= TRIPLE_BUDGET:
         rb.note("triples=exhaustive")

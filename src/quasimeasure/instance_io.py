@@ -166,7 +166,7 @@ class InstanceSpec:
             raise ParseError(f"missing values for refinement members: {rendered}")
         scale = math.lcm(*(value.denominator for value in by_bits.values()))
         numerators = {bits: v.numerator * (scale // v.denominator) for bits, v in by_bits.items()}
-        built = ground, coat, QuasiMeasure.from_numerators(coat, refinement, scale, numerators)
+        built = ground, coat, QuasiMeasure.from_numerators(refinement, scale, numerators)
         # Not a field: equality, hashing and rendering see only the document.
         object.__setattr__(self, "_built", built)
         return built
@@ -331,5 +331,5 @@ def instance_spec_from(qm: QuasiMeasure, seed: int | None = None) -> InstanceSpe
                 expression_of[meet] = f"{left}&{right}"
             if diff not in expression_of:
                 expression_of[diff] = f"{left}&!{right}"
-    values = tuple((expression_of[b], Fraction(qm.numerator(b), qm.scale)) for b in qm.refinement.bits)
+    values = tuple((expression_of[b], Fraction(qm.numerators[b], qm.scale)) for b in qm.refinement.bits)
     return InstanceSpec(qm.ground.elements, tuple(set_defs), tuple(coat_names), values, seed)

@@ -33,11 +33,6 @@ AXIOM_CHECKS = ("endpoints", "splitting", "meet-envelope", "diff-envelope", "cov
 ALT_CHECKS = ("endpoints", "monotone", "splitting", "meet-squeeze", "diff-envelope")
 
 
-def _require_refinement_of(coat: Coat, refinement: Refinement) -> None:
-    if refinement.coat is not coat and refinement.coat != coat:
-        raise ValueError("the refinement belongs to another coat")
-
-
 def _coverage_message(missing: Iterable[SubsetMask], extra: Iterable[SubsetMask]) -> str:
     return (f"values must cover the refinement exactly; missing={sorted(str(m) for m in missing)}"
             f" extra={sorted(str(m) for m in extra)}")
@@ -49,59 +44,48 @@ class QuasiMeasure:
 
     It is stored only as ``numerators``, which maps member bits to int
     numerators over ``scale``, the lcm of the value denominators; the checks
-    read only those.  ``from_numerators`` takes the ints, and
-    ``QuasiMeasure(coat, refinement, values)`` values keyed by the
-    refinement's members, keeping no reference to that dict.  ``values`` is
-    built on first read, keyed by the members in the order of ``numerators``.
+    read only those.  ``QuasiMeasure(refinement, values)`` takes values keyed
+    by the refinement's members, keeping no reference to that dict, and
+    ``from_numerators`` takes the ints; ``coat`` is the refinement's coat.
+    ``values`` is built on first read, keyed by the members in the order of
+    ``numerators``.
     """
 
-    coat: Coat
     refinement: Refinement
     scale: int
     numerators: dict[int, int] = field(repr=False)
 
-    def __init__(self, coat: Coat, refinement: Refinement,
-                 values: Mapping[SubsetMask, Fraction]) -> None:
-        _require_refinement_of(coat, refinement)
-        ground = coat.ground
-        expected = set(map(ground.mask, refinement.bits))
+    def __init__(self, refinement: Refinement, values: Mapping[SubsetMask, Fraction]) -> None:
+        expected = set(map(refinement.ground.mask, refinement.bits))
         if values.keys() != expected:
             raise ValueError(_coverage_message(expected - values.keys(), values.keys() - expected))
-        for mask, value in values.items():
-            if not ZERO <= value <= ONE:
-                raise ValueError(f"value of {mask} outside [0,1]: {value}")
-        if values[ground.empty()] != ZERO:
-            raise ValueError("value of the empty set must be 0")
-        if values[ground.full()] != ONE:
-            raise ValueError("value of omega must be 1")
         try:
             scale = math.lcm(*(v.denominator for v in values.values()))
         except AttributeError:
             mask, value = next((m, v) for m, v in values.items() if not hasattr(v, "denominator"))
             raise ValueError(f"value of {mask} is not an int or a Fraction: {value!r}") from None
-        self._validate(coat, refinement, scale,
+        self._validate(refinement, scale,
                        {m.bits: v.numerator * (scale // v.denominator) for m, v in values.items()})
 
     @classmethod
-    def from_numerators(cls, coat: Coat, refinement: Refinement, scale: int,
+    def from_numerators(cls, refinement: Refinement, scale: int,
                         numerators: Mapping[int, int]) -> "QuasiMeasure":
         """The quasi-measure with value ``numerators[bits] / scale`` on each refinement member.
 
         The keys must be exactly the refinement's bits; the checks and their
-        messages are those of the constructor.  Numerators and scale are
-        divided by their gcd, so ``scale`` is the lcm of the value denominators.
+        messages are those of the constructor, which hands its values here
+        as ints.  Numerators and scale are divided by their gcd, so ``scale``
+        is the lcm of the value denominators.
         """
         qm = cls.__new__(cls)
-        qm._validate(coat, refinement, scale, numerators)
+        qm._validate(refinement, scale, numerators)
         return qm
 
-    def _validate(self, coat: Coat, refinement: Refinement, scale: int,
-                  numerators: Mapping[int, int]) -> None:
+    def _validate(self, refinement: Refinement, scale: int, numerators: Mapping[int, int]) -> None:
         """Check the int form of a quasi-measure and store it in lowest terms."""
-        _require_refinement_of(coat, refinement)
         if not scale >= 1:
             raise ValueError(f"scale must be positive: {scale}")
-        bits, mask = refinement.bits, coat.ground.mask
+        bits, mask = refinement.bits, refinement.ground.mask
         if len(numerators) != len(bits) or not all(b in numerators for b in bits):
             raise ValueError(_coverage_message({mask(b) for b in set(bits) - set(numerators)},
                                                {mask(b) for b in set(numerators) - set(bits)}))
@@ -110,10 +94,9 @@ class QuasiMeasure:
                 raise ValueError(f"value of {mask(b)} outside [0,1]: {Fraction(numerator, scale)}")
         if numerators[0] != 0:
             raise ValueError("value of the empty set must be 0")
-        if numerators[coat.ground.full_bits] != scale:
+        if numerators[refinement.ground.full_bits] != scale:
             raise ValueError("value of omega must be 1")
         divisor = math.gcd(scale, *numerators.values())
-        object.__setattr__(self, "coat", coat)
         object.__setattr__(self, "refinement", refinement)
         object.__setattr__(self, "scale", scale // divisor)
         object.__setattr__(self, "numerators", {b: v // divisor for b, v in numerators.items()})
@@ -125,15 +108,15 @@ class QuasiMeasure:
         return {member[b]: Fraction(v, self.scale) for b, v in self.numerators.items()}
 
     @property
+    def coat(self) -> Coat:
+        return self.refinement.coat
+
+    @property
     def ground(self):
-        return self.coat.ground
+        return self.refinement.coat.ground
 
     def value(self, mask: SubsetMask) -> Fraction:
         return self.values[mask]
-
-    def numerator(self, bits: int) -> int:
-        """The value of the refinement member with these bits, times ``scale``."""
-        return self.numerators[bits]
 
     def witness(self, roles: Iterable[tuple[str, int]], lhs: int, rhs: int | None,
                 relation: str, note: str = "") -> Witness:
@@ -212,7 +195,7 @@ class CoverSolver(Generic[W]):
 
 def coat_solver(qm: QuasiMeasure) -> CoverSolver[int]:
     """A fresh solver over the coat of ``qm``, weighted by value numerators."""
-    return CoverSolver([(i, b, qm.numerator(b)) for i, b in enumerate(qm.coat.member_bits())], 0)
+    return CoverSolver([(i, b, qm.numerators[b]) for i, b in enumerate(qm.coat.member_bits())], 0)
 
 
 def undercut_members(qm: QuasiMeasure, solve: Callable[[int], tuple]) -> list[tuple[int, int]]:
@@ -221,7 +204,7 @@ def undercut_members(qm: QuasiMeasure, solve: Callable[[int], tuple]) -> list[tu
     A member covers itself, so these are the members a cheaper cover undercuts:
     the cover bound holds iff there are none, in every cover mode and size."""
     values = [(x, solve(x)[0]) for x in qm.coat.member_bits()]
-    return [(x, v) for x, v in values if v != qm.numerator(x)]
+    return [(x, v) for x, v in values if v != qm.numerators[x]]
 
 
 COVER_ENUMERATION_LIMIT = 1 << 20
@@ -252,9 +235,9 @@ def cover_bound_violations(
     undercut = undercut_members(qm, coat_solver(qm).solve)
     if not undercut:
         return []
-    bits = qm.coat.member_bits()
-    values = tuple(qm.numerator(b) for b in bits)
-    top = max(qm.numerator(x) for x, _ in undercut)  # no subcollection costing this or more violates
+    bits, num = qm.coat.member_bits(), qm.numerators
+    values = tuple(num[b] for b in bits)
+    top = max(num[x] for x, _ in undercut)  # no subcollection costing this or more violates
     total = sum(math.comb(k, size) for size in range(1, max_cover_size + 1))
     if total > COVER_ENUMERATION_LIMIT:
         raise BudgetExceeded(
@@ -263,7 +246,7 @@ def cover_bound_violations(
 
     def check_cover(chosen: int, union: int, cost: int) -> None:
         """Witness each member that the subcollection ``chosen`` covers below its value."""
-        violated = [x for x, _ in undercut if x & ~union == 0 and qm.numerator(x) > cost]
+        violated = [x for x, _ in undercut if x & ~union == 0 and num[x] > cost]
         if not violated:
             return
         indices = [i for i in range(k) if chosen >> i & 1]
@@ -272,7 +255,7 @@ def cover_bound_violations(
             return
         roles = tuple((f"S{n + 1}", bits[i]) for n, i in enumerate(indices))
         for x in violated:
-            violations.append(qm.witness((("X", x), *roles), qm.numerator(x), cost, "le",
+            violations.append(qm.witness((("X", x), *roles), num[x], cost, "le",
                                          "cover value sum below the covered member"))
 
     def walk(below: int, chosen: int, union: int, cost: int, size: int) -> None:
@@ -293,14 +276,14 @@ def cover_bound_violations(
 def _checked_pairs(qm: QuasiMeasure, splitting: list[int]) -> Iterator[tuple[int, int, int, int, int]]:
     """Yield ``(i * k + j, x, y, meet, diff)`` per coat pair i, j; ``splitting`` lists failed splits."""
     # "endpoints" needs no loop: QuasiMeasure refuses value(empty) != 0 and value(omega) != 1.
-    num = qm.numerator
+    num = qm.numerators
     bits = qm.coat.member_bits()
     record = 0
     for x in bits:
-        vx = num(x)
+        vx = num[x]
         for y in bits:
             meet, diff = x & y, x & ~y
-            if vx != num(meet) + num(diff):
+            if vx != num[meet] + num[diff]:
                 splitting.append(record)
             yield record, x, y, meet, diff
             record += 1
@@ -312,18 +295,18 @@ def _pair_witness(qm: QuasiMeasure, check: str, record: int) -> Witness:
     i, j = divmod(record, len(bits))
     x, y = bits[i], bits[j]
     meet, diff = x & y, x & ~y
-    num = qm.numerator
+    num = qm.numerators
     if check == "splitting":
-        vmeet, vdiff, mask = num(meet), num(diff), qm.ground.mask
-        return qm.witness((("X", x), ("Y", y)), num(x), vmeet + vdiff, "eq",
+        vmeet, vdiff, mask = num[meet], num[diff], qm.ground.mask
+        return qm.witness((("X", x), ("Y", y)), num[x], vmeet + vdiff, "eq",
                           f"meet {mask(meet)} has value {Fraction(vmeet, qm.scale)},"
                           f" difference {mask(diff)} has value {Fraction(vdiff, qm.scale)}")
     if check == "monotone":
-        return qm.witness((("X", x), ("Y", y)), num(x), num(y), "le")
+        return qm.witness((("X", x), ("Y", y)), num[x], num[y], "le")
     role, target = ("difference", diff) if check == "diff-envelope" else ("meet", meet)
     note = ("no coat pair squeezing the meet with equal values" if check == "meet-squeeze"
             else "no coat superset with equal value")
-    return qm.witness((("X", x), ("Y", y), (role, target)), num(target), None, "exists", note)
+    return qm.witness((("X", x), ("Y", y), (role, target)), num[target], None, "exists", note)
 
 
 def _envelopes(qm: QuasiMeasure) -> tuple[set[int], set[int]]:
@@ -332,10 +315,10 @@ def _envelopes(qm: QuasiMeasure) -> tuple[set[int], set[int]]:
     Every meet and difference of two coat members is a refinement member, so
     whether it has an envelope depends on it alone, not on the pair.
     """
-    coat = [(w, qm.numerator(w)) for w in qm.coat.member_bits()]
+    num = qm.numerators
+    coat = [(w, num[w]) for w in qm.coat.member_bits()]
     inside, around = set(), set()
-    for m in qm.refinement.bits:
-        v = qm.numerator(m)
+    for m, v in num.items():
         for w, vw in coat:
             if vw == v:
                 if m & ~w == 0:
@@ -399,11 +382,11 @@ def check_alt_conditions(qm: QuasiMeasure) -> AxiomReport:
     rb = ReportBuilder("alt-conditions")
     rb.declare(*ALT_CHECKS)
 
-    num = qm.numerator
+    num = qm.numerators
     inside, around = _envelopes(qm)
     splitting, monotone, squeezes, diffs = [], [], [], []
     for record, x, y, meet, diff in _checked_pairs(qm, splitting):
-        if diff == 0 and num(x) > num(y):  # x is a subset of y
+        if diff == 0 and num[x] > num[y]:  # x is a subset of y
             monotone.append(record)
         if not (meet in inside and meet in around):
             squeezes.append(record)

@@ -72,7 +72,7 @@ def induce(tm: TrueMeasure, c: Coat) -> QuasiMeasure:
         raise ValueError("measure and coat live on different ground sets")
     refinement = refine(c)
     scale, masses = tm._mass_numerators(refinement.bits)
-    return QuasiMeasure.from_numerators(c, refinement, scale, dict(zip(refinement.bits, masses)))
+    return QuasiMeasure.from_numerators(refinement, scale, dict(zip(refinement.bits, masses)))
 
 
 def _random_weights(rng: random.Random, n: int) -> tuple[Fraction, ...]:
@@ -142,7 +142,7 @@ def perturb(qm: QuasiMeasure, seed: int, max_changes: int = 2) -> QuasiMeasure:
         numerators = {b: v * (lcm // scale) for b, v in numerators.items()}
         numerators[bits] = rng.randint(0, d) * (lcm // d)
         scale = lcm
-    return QuasiMeasure.from_numerators(qm.coat, qm.refinement, scale, numerators)
+    return QuasiMeasure.from_numerators(qm.refinement, scale, numerators)
 
 
 def canonical_negative_instance() -> tuple[TrueMeasure, Coat, QuasiMeasure]:

@@ -147,11 +147,11 @@ def quarter_valued_instances(draw):
     Zero-weight members and covers of equal cost are common, so the
     (cost, size, indices) tie-break decides many witnesses.
     """
-    _, coat, qm = random_instance(draw(st.integers(0, 10**6)), n=draw(st.integers(1, 5)),
-                                  coat_size=draw(st.integers(2, 10)))
+    _, _, qm = random_instance(draw(st.integers(0, 10**6)), n=draw(st.integers(1, 5)),
+                               coat_size=draw(st.integers(2, 10)))
     values = {m: v if m.is_empty() or m.is_full() else draw(st.sampled_from(QUARTERS))
               for m, v in qm.values.items()}
-    return QuasiMeasure(coat, qm.refinement, values)
+    return QuasiMeasure(qm.refinement, values)
 
 
 @settings(max_examples=150)
@@ -362,7 +362,7 @@ def reference_notes(qm, subset_budget, seed):
         targets = sorted({0, ground.full_bits, *rng.sample(range(total), subset_budget)})
         subsets = f"subsets=sampled count={len(targets)} seed={seed}"
     solver = coat_solver(qm)
-    agree = all(solver.solve(x.bits)[0] == qm.numerator(x.bits) for x in qm.coat.members)
+    agree = all(solver.solve(x.bits)[0] == qm.numerators[x.bits] for x in qm.coat.members)
     if len(targets) ** 3 <= TRIPLE_BUDGET:
         triples = "triples=exhaustive"
     else:
@@ -411,7 +411,7 @@ def reference_check_outer_properties(qm, subset_budget=SUBSET_BUDGET, seed=SAMPL
                 if a & ~b == 0 and value_of(a) > value_of(b):
                     rb.fail("monotone", qm.witness((("A", a), ("B", b)), value_of(a), value_of(b), "le"))
 
-    agreement = [(x, qm.numerator(x.bits), value_of(x.bits)) for x in qm.coat.members]
+    agreement = [(x, qm.numerators[x.bits], value_of(x.bits)) for x in qm.coat.members]
     for x, assigned, exterior in agreement:
         if exterior != assigned:
             rb.fail("coat-agreement", qm.witness((("X", x.bits),), exterior, assigned, "eq"))

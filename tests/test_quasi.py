@@ -32,94 +32,101 @@ from quasimeasure.testkit import instance_for_seed
 
 class TestQuasiMeasureValidation:
     def test_domain_must_match_refinement(self, negative_instance):
-        _, coat, qm = negative_instance
+        _, _, qm = negative_instance
         values = dict(qm.values)
         values.pop(next(m for m in values if m.size == 1))
         with pytest.raises(ValueError, match="missing"):
-            QuasiMeasure(coat, qm.refinement, values)
+            QuasiMeasure(qm.refinement, values)
 
     def test_values_clamped_to_unit_interval(self, negative_instance):
-        _, coat, qm = negative_instance
+        _, _, qm = negative_instance
         values = dict(qm.values)
         member = next(m for m in values if m.size == 1)
         values[member] = Fraction(5, 4)
         with pytest.raises(ValueError, match=re.escape(f"value of {member} outside [0,1]: 5/4")):
-            QuasiMeasure(coat, qm.refinement, values)
+            QuasiMeasure(qm.refinement, values)
 
     def test_endpoints_enforced(self, negative_instance):
-        _, coat, qm = negative_instance
+        _, _, qm = negative_instance
         values = dict(qm.values)
         values[qm.ground.full()] = Fraction(1, 2)
         with pytest.raises(ValueError, match="omega"):
-            QuasiMeasure(coat, qm.refinement, values)
+            QuasiMeasure(qm.refinement, values)
 
     def test_extra_member_rejected(self, negative_instance):
-        _, coat, qm = negative_instance
+        _, _, qm = negative_instance
         values = dict(qm.values)
         values[qm.ground.subset(["1", "3"])] = Fraction(1, 2)
         with pytest.raises(ValueError, match=re.escape("missing=[] extra=['{1,3}']")):
-            QuasiMeasure(coat, qm.refinement, values)
+            QuasiMeasure(qm.refinement, values)
         # Same size as the refinement: one member swapped for a non-member.
         del values[qm.ground.subset(["2"])]
         with pytest.raises(ValueError, match=re.escape("missing=['{2}'] extra=['{1,3}']")):
-            QuasiMeasure(coat, qm.refinement, values)
+            QuasiMeasure(qm.refinement, values)
 
     def test_member_of_another_ground_rejected(self, negative_instance):
-        _, coat, qm = negative_instance
+        _, _, qm = negative_instance
         other = GroundSet(("a", "b", "c", "d"))
         values = {(other.mask(m.bits) if m.size == 1 else m): v for m, v in qm.values.items()}
         with pytest.raises(ValueError, match=re.escape(
                 "missing=['{1}', '{2}', '{3}'] extra=['{a}', '{b}', '{c}']")):
-            QuasiMeasure(coat, qm.refinement, values)
+            QuasiMeasure(qm.refinement, values)
 
     def test_negative_value_rejected(self, negative_instance):
-        _, coat, qm = negative_instance
+        _, _, qm = negative_instance
         values = dict(qm.values)
         values[qm.ground.subset(["2"])] = Fraction(-1, 4)
         with pytest.raises(ValueError, match=re.escape("value of {2} outside [0,1]: -1/4")):
-            QuasiMeasure(coat, qm.refinement, values)
+            QuasiMeasure(qm.refinement, values)
 
     def test_int_values_accepted_in_range_and_rejected_outside(self, negative_instance):
-        _, coat, qm = negative_instance
+        _, _, qm = negative_instance
         values = dict(qm.values)
         values[qm.ground.empty()], values[qm.ground.full()] = 0, 1
-        assert QuasiMeasure(coat, qm.refinement, values).scale == 4
+        assert QuasiMeasure(qm.refinement, values).scale == 4
         values[qm.ground.subset(["2"])] = 2
         with pytest.raises(ValueError, match=re.escape("value of {2} outside [0,1]: 2")):
-            QuasiMeasure(coat, qm.refinement, values)
+            QuasiMeasure(qm.refinement, values)
         values[qm.ground.subset(["2"])] = -1
         with pytest.raises(ValueError, match=re.escape("value of {2} outside [0,1]: -1")):
-            QuasiMeasure(coat, qm.refinement, values)
+            QuasiMeasure(qm.refinement, values)
 
     def test_float_values_rejected(self, negative_instance):
-        _, coat, qm = negative_instance
+        # The type is checked first, so a float is refused as a float even
+        # where its value would also be refused.
+        _, _, qm = negative_instance
         values = dict(qm.values)
-        values[qm.ground.subset(["2"])] = 1.5
-        with pytest.raises(ValueError, match=re.escape("value of {2} outside [0,1]: 1.5")):
-            QuasiMeasure(coat, qm.refinement, values)
-        values[qm.ground.subset(["2"])] = 0.25
-        with pytest.raises(ValueError, match=re.escape("value of {2} is not an int or a Fraction: 0.25")):
-            QuasiMeasure(coat, qm.refinement, values)
+        for value in (1.5, 0.25):
+            values[qm.ground.subset(["2"])] = value
+            with pytest.raises(ValueError, match=re.escape(
+                    f"value of {{2}} is not an int or a Fraction: {value}")):
+                QuasiMeasure(qm.refinement, values)
+        values[qm.ground.subset(["2"])] = Fraction(1, 4)
         values[qm.ground.empty()] = 0.5
-        with pytest.raises(ValueError, match="value of the empty set must be 0"):
-            QuasiMeasure(coat, qm.refinement, values)
+        with pytest.raises(ValueError, match=re.escape("value of {} is not an int or a Fraction: 0.5")):
+            QuasiMeasure(qm.refinement, values)
 
-    def test_refinement_of_another_coat_rejected(self, negative_instance):
-        # Accepted before, check_axioms then failed with a KeyError on the extra member.
+    @pytest.mark.parametrize("value", ["1/4", None])
+    def test_non_numeric_values_rejected(self, negative_instance, value):
+        # These once escaped as a TypeError from comparing a Fraction with the value.
+        _, _, qm = negative_instance
+        values = dict(qm.values)
+        values[qm.ground.subset(["2"])] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"value of {{2}} is not an int or a Fraction: {value!r}")):
+            QuasiMeasure(qm.refinement, values)
+
+    def test_coat_is_the_refinements_coat(self, negative_instance):
         _, coat, qm = negative_instance
-        other = Coat(coat.ground, (*coat.members, coat.ground.subset(["3", "4"])))
-        with pytest.raises(ValueError, match="^the refinement belongs to another coat$"):
-            QuasiMeasure(other, qm.refinement, dict(qm.values))
-        equal = Coat(coat.ground, coat.members)
-        assert equal is not coat
-        assert QuasiMeasure(equal, qm.refinement, dict(qm.values)).scale == qm.scale
+        assert qm.coat is qm.refinement.coat is coat
+        assert QuasiMeasure(qm.refinement, dict(qm.values)).coat is coat
 
     def test_empty_set_value_must_be_zero(self, negative_instance):
-        _, coat, qm = negative_instance
+        _, _, qm = negative_instance
         values = dict(qm.values)
         values[qm.ground.empty()] = Fraction(1, 4)
         with pytest.raises(ValueError, match="^value of the empty set must be 0$"):
-            QuasiMeasure(coat, qm.refinement, values)
+            QuasiMeasure(qm.refinement, values)
 
 
 class TestCheckAxioms:
@@ -240,7 +247,7 @@ class TestCheckAxioms:
         member = qm.ground.subset(["1"])
         values = dict(qm.values)
         values[member] += Fraction(1, 8)
-        broken = QuasiMeasure(qm.coat, qm.refinement, values)
+        broken = QuasiMeasure(qm.refinement, values)
         report = check_axioms(broken, variant="restricted")
         assert not report.result("splitting").passed
         witness = report.result("splitting").witnesses[0]
@@ -313,7 +320,7 @@ class TestCoatMonotonicity:
         values[ground.subset(["2"])] = Fraction(1, 4)
         values[ground.subset(["2", "3"])] = Fraction(1, 4)
         values[ground.subset(["3"])] = Fraction(1, 2)
-        qm = QuasiMeasure(coat, refinement, values)
+        qm = QuasiMeasure(refinement, values)
         monotone = check_alt_conditions(qm).result("monotone")
         assert not monotone.passed
         witness = monotone.witnesses[0]
@@ -511,14 +518,14 @@ def test_cover_bound_filter_agrees_with_the_reference_at_the_benchmark_size():
 
 def large_denominator_instance(seed, bits=3000):
     """A perturbed-style instance whose inner values have distinct ``bits``-bit denominators."""
-    _, coat, qm = random_instance(seed, n=5, coat_size=8)
+    qm = random_instance(seed, n=5, coat_size=8)[2]
     rng = random.Random(seed)
     values = dict(qm.values)
     for m in qm.refinement.members:
         if not m.is_empty() and not m.is_full():
             d = rng.getrandbits(bits) | 1 << (bits - 1) | 1
             values[m] = Fraction(rng.randrange(d), d)
-    return QuasiMeasure(coat, qm.refinement, values)
+    return QuasiMeasure(qm.refinement, values)
 
 
 def test_large_denominators_agree_with_references():
@@ -560,7 +567,7 @@ def test_scale_is_the_lcm_of_the_value_denominators(negative_instance):
     _, _, qm = negative_instance
     assert qm.scale == 4
     for m in qm.refinement.members:
-        assert qm.numerator(m.bits) == qm.value(m) * 4
+        assert qm.numerators[m.bits] == qm.value(m) * 4
 
 
 def test_construction_builds_no_per_member_objects():
@@ -588,7 +595,7 @@ def test_values_do_not_alias_the_callers_dict(negative_instance):
     _, coat, induced = negative_instance
     ground = coat.ground
     values = dict(induced.values)
-    qm = QuasiMeasure(coat, induced.refinement, values)
+    qm = QuasiMeasure(induced.refinement, values)
     target = ground.subset(["1"])
     solution = outer(qm, target)[1]
     assert solution.chosen == (2,)  # the coat member {1,2}
@@ -597,7 +604,7 @@ def test_values_do_not_alias_the_callers_dict(negative_instance):
     assert qm.value(ground.subset(["2"])) == Fraction(1, 4)
     assert qm.values == induced.values and qm.values is not values
     for member in qm.refinement.members:
-        assert qm.value(member) == qm.values[member] == Fraction(qm.numerator(member.bits), qm.scale)
+        assert qm.value(member) == qm.values[member] == Fraction(qm.numerators[member.bits], qm.scale)
     assert solution.verify(qm, target) and outer(qm, target)[1].verify(qm, target)
 
 
@@ -622,12 +629,12 @@ def refusal(build):
 @given(int_form_instances(), st.integers(1, 6), st.integers(0, 10**6))
 def test_from_numerators_matches_the_dict_constructor(qm, factor, pick):
     # Numerators over a multiple of the scale come back in lowest terms.
-    coat, refinement, ground = qm.coat, qm.refinement, qm.ground
+    refinement, ground = qm.refinement, qm.ground
     scale = qm.scale * factor
     values = dict(qm.values)
     numerators = {b: v * factor for b, v in qm.numerators.items()}
-    by_dict = QuasiMeasure(coat, refinement, values)
-    by_ints = QuasiMeasure.from_numerators(coat, refinement, scale, numerators)
+    by_dict = QuasiMeasure(refinement, values)
+    by_ints = QuasiMeasure.from_numerators(refinement, scale, numerators)
     assert by_ints.scale == by_dict.scale == qm.scale
     assert list(by_ints.numerators.items()) == list(by_dict.numerators.items())
     assert list(by_ints.values.items()) == list(by_dict.values.items())
@@ -649,6 +656,6 @@ def test_from_numerators_matches_the_dict_constructor(qm, factor, pick):
         else:
             bad_values[ground.mask(bits)] = Fraction(numerator, scale)
             bad_numerators[bits] = numerator
-        message = refusal(lambda: QuasiMeasure(coat, refinement, bad_values))
-        from_ints = refusal(lambda: QuasiMeasure.from_numerators(coat, refinement, scale, bad_numerators))
+        message = refusal(lambda: QuasiMeasure(refinement, bad_values))
+        from_ints = refusal(lambda: QuasiMeasure.from_numerators(refinement, scale, bad_numerators))
         assert from_ints == message, name

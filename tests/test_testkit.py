@@ -216,7 +216,7 @@ def test_induce_masses_are_weight_sums_at_the_byte_table_edges(seed, n, coat_siz
     tm, _, qm = random_instance(seed, n=n, coat_size=coat_size)
     for bits in qm.refinement.bits:
         want = fraction_sum_mass(tm, bits)
-        assert Fraction(qm.numerator(bits), qm.scale) == want
+        assert Fraction(qm.numerators[bits], qm.scale) == want
     top = qm.ground.mask(1 << (n - 1) | 1)
     assert tm.mass(top) == fraction_sum_mass(tm, top.bits)
 
@@ -232,7 +232,7 @@ def reference_perturb(qm, seed, max_changes=2):
         member = rng.choice(candidates)
         d = rng.randint(1, DEFAULT_DENOMINATOR_BOUND)
         values[member] = Fraction(rng.randint(0, d), d)
-    return QuasiMeasure(qm.coat, qm.refinement, values)
+    return QuasiMeasure(qm.refinement, values)
 
 
 @settings(max_examples=200)
