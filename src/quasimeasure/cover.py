@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .quasi import COVER_ENUMERATION_LIMIT, QuasiMeasure, coat_solver, undercut_members
 from .report import AxiomReport, ReportBuilder
-from .sets import SubsetMask, subset_table
+from .sets import BudgetExceeded, SubsetMask, subset_table
 
 # What check_outer_properties' notes name: all subsets up to SUBSET_BUDGET, else a sample
 # drawn from SAMPLE_SEED; all triples of those up to TRIPLE_BUDGET, else a sample (SAMPLE_SEED + 1).
@@ -81,7 +81,7 @@ def outer_exhaustive(qm: QuasiMeasure, a: SubsetMask) -> tuple[Fraction, CoverSo
     """
     k = len(qm.coat)
     if (1 << k) > COVER_ENUMERATION_LIMIT:
-        raise ValueError(f"coat too large for enumeration (2**{k} > {COVER_ENUMERATION_LIMIT})")
+        raise BudgetExceeded(f"coat too large for enumeration (2**{k} > {COVER_ENUMERATION_LIMIT})")
     member_bits = qm.coat.member_bits()
     unions = subset_table(member_bits)
     costs = subset_table(map(qm.numerators.__getitem__, member_bits), operator.add)

@@ -41,18 +41,22 @@ def is_caratheodory_measurable(qm: QuasiMeasure, w: SubsetMask) -> tuple[bool, S
     """Exhaustive splitting test over all 2**n subsets; returns the first violating A in mask order."""
     if w.ground != qm.ground:
         raise ValueError("candidate set belongs to a different ground set")
-    return _first_split_failure(qm, w, _subset_values(qm))
+    _require_subset_budget(qm.ground.n)  # before extend solves anything
+    return _first_split_failure(qm, w, _subset_values(extend(qm)))
 
 
-def _subset_values(qm: QuasiMeasure, table: MeasureTable | None = None) -> list[int]:
+def _require_subset_budget(n: int) -> None:
+    if (1 << n) > DEFAULT_EXHAUSTIVE_LIMIT:
+        raise BudgetExceeded(f"2**{n} subsets exceed budget {DEFAULT_EXHAUSTIVE_LIMIT}")
+
+
+def _subset_values(table: MeasureTable) -> list[int]:
     """Every subset's exterior value by mask, over the table's scale, up to 2**16 subsets.
 
     Coat members are unions of atoms, so a cover of A covers each atom A
     meets: A has the value of its hull, the member of its elements' atoms."""
-    n = qm.ground.n
-    if (1 << n) > DEFAULT_EXHAUSTIVE_LIMIT:
-        raise BudgetExceeded(f"2**{n} subsets exceed budget {DEFAULT_EXHAUSTIVE_LIMIT}")
-    table = extend(qm) if table is None else table
+    n = table.algebra.ground.n
+    _require_subset_budget(n)
     atoms = table.algebra.atoms
     owners = (sum(1 << j for j, atom in enumerate(atoms) if atom >> i & 1) for i in range(n))
     return [table.numerators[hull] for hull in subset_table(owners)]
@@ -109,7 +113,7 @@ def measurable_family(qm: QuasiMeasure) -> MeasurabilityReport:
     if tested << n > SPLIT_BUDGET:
         raise BudgetExceeded(f"{tested} splitting tests by 2**{n} subsets make {tested << n} lookups,"
                              f" over SPLIT_BUDGET={SPLIT_BUDGET}")
-    values = _subset_values(qm, table) if tested else []
+    values = _subset_values(table) if tested else []
 
     def records(candidates: Iterable[SubsetMask], test: bool = True) -> tuple[MeasurabilityRecord, ...]:
         return tuple(MeasurabilityRecord(w, *_first_split_failure(qm, w, values)) if test

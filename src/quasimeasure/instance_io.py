@@ -243,12 +243,6 @@ def parse_instance(document: str) -> InstanceSpec:
             for name in names:
                 if name not in set_names and name not in RESERVED_NAMES:
                     raise ParseError(f"unknown set name {name!r} in coat", lineno)
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate name in coat", lineno)
-            if "empty" not in names:
-                raise ParseError("coat must contain empty", lineno)
-            if "omega" not in names:
-                raise ParseError("coat must contain omega", lineno)
             coat_names, coat_line = names, lineno
         elif keyword == "value":
             if len(keyword_tokens) != 2:

@@ -198,7 +198,7 @@ def issubset(x: IntervalSet, y: IntervalSet) -> bool:
 
 def survival_weight(shape: IntervalSet) -> float:
     """Component-sum of s(left) - s(right), with no shape restriction."""
-    return sum(c.weight() for c in shape.components)
+    return sum((c.weight() for c in shape.components), 0.0)
 
 
 def exp_eval(shape: IntervalSet) -> float:

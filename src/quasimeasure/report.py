@@ -92,15 +92,14 @@ class WitnessRecords(Sequence[Witness]):
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of a single named check."""
+    """Outcome of a single named check: it passes iff it has no witnesses."""
 
     name: str
-    passed: bool
     witnesses: tuple[Witness, ...] | WitnessRecords = ()
 
-    def __post_init__(self) -> None:
-        if self.passed and self.witnesses:
-            raise ValueError("a passing check must carry no witnesses")
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
 
 
 @dataclass(frozen=True)
@@ -130,15 +129,12 @@ class ReportBuilder:
 
     def __init__(self, suite: str):
         self.suite = suite
-        self._order: list[str] = []
-        self._witnesses: dict[str, list[Witness] | WitnessRecords] = {}
+        self._witnesses: dict[str, list[Witness] | WitnessRecords] = {}  # in declaration order
         self._notes: list[str] = []
 
     def declare(self, *names: str) -> None:
         for name in names:
-            if name not in self._witnesses:
-                self._order.append(name)
-                self._witnesses[name] = []
+            self._witnesses.setdefault(name, [])
 
     def fail(self, name: str, witness: Witness) -> None:
         self.declare(name)
@@ -156,10 +152,6 @@ class ReportBuilder:
         self._notes.append(text)
 
     def build(self) -> AxiomReport:
-        results = []
-        for name in self._order:
-            witnesses = self._witnesses[name]
-            if isinstance(witnesses, list):
-                witnesses = tuple(witnesses)
-            results.append(CheckResult(name, passed=not witnesses, witnesses=witnesses))
-        return AxiomReport(self.suite, tuple(results), tuple(self._notes))
+        results = tuple(CheckResult(name, tuple(w) if isinstance(w, list) else w)
+                        for name, w in self._witnesses.items())
+        return AxiomReport(self.suite, results, tuple(self._notes))

@@ -10,7 +10,7 @@ in this module is safe to share across threads without coordination.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
@@ -175,12 +175,17 @@ class Refinement:
 
     Deduplication is by mask value, never by formal expression, so a value
     attached to a member is automatically well-defined on the underlying set.
-    The members are stored as their ``bits``; ``members``, their masks in the
-    same order, is built on first read.
+    The coat fixes the members: ``bits`` holds X & Y and X & ~Y for X, Y in it, in
+    first-seen order, and ``members``, their masks in that order, is built on first read.
     """
 
     coat: Coat
-    bits: tuple[int, ...]
+    bits: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        masks = self.coat.member_bits()
+        seen = dict.fromkeys(b for x in masks for y in masks for b in (x & y, x & ~y))
+        object.__setattr__(self, "bits", tuple(seen))
 
     @property
     def ground(self) -> GroundSet:
@@ -199,9 +204,7 @@ class Refinement:
 
 def refine(c: Coat) -> Refinement:
     """All sets X & Y and X & ~Y for X, Y in the coat, in first-seen order."""
-    masks = c.member_bits()
-    seen = dict.fromkeys(b for x in masks for y in masks for b in (x & y, x & ~y))
-    return Refinement(c, tuple(seen))
+    return Refinement(c)
 
 
 def subset_table(items: Iterable[int], combine: Callable[[int, int], int] = operator.or_) -> list[int]:

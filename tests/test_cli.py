@@ -134,6 +134,8 @@ class TestParsing:
             (UNIFORM_DOC + "value A&Z: 1/4\n", "line 15, column 3: unknown set name 'Z'"),
             (UNIFORM_DOC.replace("coat: empty omega A B", "set C: 2 1\ncoat: empty omega A B C"),
              "line 6: duplicate coat member {1,2}"),
+            (UNIFORM_DOC.replace("coat: empty omega A B", "coat: empty omega A B A"),
+             "line 5: duplicate coat member {1,2}"),
         )
         for doc, message in cases:
             with pytest.raises(ParseError) as info:

@@ -24,6 +24,7 @@ from quasimeasure import cover
 from quasimeasure.cover import SAMPLE_SEED, SUBSET_BUDGET, TRIPLE_BUDGET, CoverSolution
 from quasimeasure.quasi import CoverSolver, coat_solver, cover_bound_violations
 from quasimeasure.report import ReportBuilder
+from quasimeasure.sets import BudgetExceeded
 
 
 class TestOuter:
@@ -109,8 +110,16 @@ class TestOuterExhaustive:
     def test_rejects_oversized_coat(self):
         _, _, qm = random_instance(3, n=5, coat_size=24)
         if len(qm.coat) > 20:
-            with pytest.raises(ValueError, match="enumeration"):
+            with pytest.raises(BudgetExceeded, match="enumeration"):
                 outer_exhaustive(qm, qm.ground.empty())
+
+    def test_refuses_21_members_as_over_budget(self):
+        # 2**21 subcollections pass COVER_ENUMERATION_LIMIT = 2**20: refused, not enumerated.
+        ground = GroundSet(tuple("abcde"))
+        qm = induce(TrueMeasure.uniform(ground), Coat.from_bits(ground, [0, 31, *range(1, 20)]))
+        assert len(qm.coat) == 21
+        with pytest.raises(BudgetExceeded, match=r"^coat too large for enumeration \(2\*\*21 > 1048576\)$"):
+            outer_exhaustive(qm, qm.ground.full())
 
 
 class TestCoverSolver:

@@ -685,7 +685,7 @@ def test_every_subset_has_the_table_value_of_its_hull(seed):
         hull = sum(atom for atom in atoms if atom & a.bits)
         want.append(outer(qm, a)[0])
         assert want[-1] == table.value(qm.ground.mask(hull)), a
-    assert [Fraction(v, table.scale) for v in extension._subset_values(qm)] == want
+    assert [Fraction(v, table.scale) for v in extension._subset_values(table)] == want
 
 
 @pytest.mark.parametrize("seed, n, coat_size", [(0, 4, 4), (1, 10, 12)])

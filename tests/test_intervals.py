@@ -538,6 +538,13 @@ class TestOuterInterval:
         result = outer_interval(IntervalSet.empty(), [Interval.closed(0.0, 1.0)])
         assert result.chosen == () and result.cost == 0.0
 
+    def test_empty_target_values_are_floats(self):
+        assert type(survival_weight(IntervalSet())) is float
+        for pool in ([], [Interval.closed(0.0, 1.0)]):
+            result = outer_interval(IntervalSet(), pool)
+            assert (result.cost, result.analytic) == (0.0, 0.0)
+            assert type(result.cost) is float and type(result.analytic) is float
+
     def test_two_piece_cover_beats_one_big_interval(self):
         pool = [Interval.closed(0.0, 1.0), Interval.closed(2.0, 3.0), Interval.closed(0.0, 3.0)]
         target = IntervalSet.of(Interval.closed_open(0.0, 1.0), Interval.open_closed(2.0, 3.0))

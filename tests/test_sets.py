@@ -10,6 +10,7 @@ from quasimeasure import (
     AlgebraFamily,
     Coat,
     GroundSet,
+    Refinement,
     TrueMeasure,
     generate_algebra,
     induce,
@@ -162,6 +163,14 @@ class TestRefine:
         assert {b ^ ground.full_bits for b in union_bits} == union_bits
         meets = {x & y for x in coat.members for y in coat.members}
         assert set(refine(coat).members) == meets
+
+    def test_bits_come_from_the_coat_alone(self, negative_instance):
+        # Foreign bits such as (0, omega) once made a refinement that
+        # check_axioms met with a KeyError; the coat is now the only argument.
+        _, coat, qm = negative_instance
+        with pytest.raises(TypeError):
+            Refinement(coat, (0, coat.ground.full_bits))
+        assert Refinement(coat).bits == qm.refinement.bits == refine(coat).bits
 
 
 def fixpoint_closure(ground, bits):
