@@ -125,6 +125,10 @@ MUTANTS = (
            "if abs(lhs - rhs) > tol:",
            "if lhs - rhs > tol:",
            ("tests/test_intervals.py",)),
+    Mutant("split-rhs-reassociated", INTERVALS,
+           "rhs = meet + ((su - sa) + (sb - sv))",
+           "rhs = meet + (su - sa) + (sb - sv)",
+           ("tests/test_intervals.py",)),
     Mutant("interval-mask-drops-open-left-offset", INTERVALS,
            "lo = 2 * pos[c.left] + (not c.left_closed)",
            "lo = 2 * pos[c.left]",

@@ -257,6 +257,12 @@ def verify_example_axioms(
     - "diff-envelope": summing the closures of the difference's components
       gives 0 + w1 (+ w2), the float ``exp_eval`` computes for it;
     - "cover-bound" that some piece contains the target: [u, v] holds [a, b].
+
+    Both sides of each comparison come from the four survival values s(u),
+    s(a), s(b) and s(v), and shapes are built only for witnesses.  The
+    difference [u, a) with (b, v] is worth (s(u) - s(a)) + (s(b) - s(v)) even
+    when u == a or b == v, the float ``exp_eval`` gives for its one-piece or
+    empty form, because ``x - x == 0.0`` and ``0.0 + y == y`` hold exactly.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -269,30 +275,31 @@ def verify_example_axioms(
     rng = random.Random(seed)
     for _ in range(sample_count):
         u, a, b, v = sorted(rng.uniform(0.0, 4.0) for _ in range(4))
-        x = IntervalSet.of(Interval.closed(u, v))
-        y = IntervalSet.of(Interval.closed(a, b))
-        meet = intersect(x, y)
-        diff = difference(x, y)
-        lhs = exp_eval(x)
-        rhs = exp_eval(meet) + exp_eval(diff)
+        su, sa, sb, sv = survival(u), survival(a), survival(b), survival(v)
+        lhs = su - sv
+        meet = sa - sb
+        rhs = meet + ((su - sa) + (sb - sv))
         if abs(lhs - rhs) > tol:
+            x = IntervalSet.of(Interval.closed(u, v))
+            y = IntervalSet.of(Interval.closed(a, b))
             rb.fail("splitting", Witness(
-                (("X", x), ("Y", y), ("meet", meet), ("difference", diff)),
+                (("X", x), ("Y", y), ("meet", intersect(x, y)), ("difference", difference(x, y))),
                 lhs, rhs, "eq", note="overlapping",
             ))
 
-        pieces = [Interval.closed(u, v)]
+        pieces = [(u, v)]
         cursor = v
         for _ in range(rng.randrange(3)):
             gap = rng.uniform(0.1, 1.0)
             width = rng.uniform(0.1, 1.0)
-            pieces.append(Interval.closed(cursor + gap, cursor + gap + width))
+            pieces.append((cursor + gap, cursor + gap + width))
             cursor += gap + width
-        bound = sum(exp_eval(IntervalSet.of(p)) for p in pieces)
-        if exp_eval(y) > bound + tol:
+        bound = sum(survival(lo) - survival(hi) for lo, hi in pieces)
+        if meet > bound + tol:
             rb.fail("cover-bound", Witness(
-                (("X", y),) + tuple((f"S{n+1}", IntervalSet.of(p)) for n, p in enumerate(pieces)),
-                exp_eval(y), bound, "le",
+                (("X", IntervalSet.of(Interval.closed(a, b))),)
+                + tuple((f"S{n+1}", IntervalSet.of(Interval.closed(*p))) for n, p in enumerate(pieces)),
+                meet, bound, "le",
             ))
 
     return rb.build()

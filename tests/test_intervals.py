@@ -18,6 +18,7 @@ from quasimeasure import (
 )
 from quasimeasure.intervals import (
     HALF_LINE,
+    _atom_masks,
     complement,
     difference,
     intersect,
@@ -513,18 +514,47 @@ def test_suite_reports_what_the_reference_reports(tol):
             assert repr(verify_example_axioms(500, seed, tol)) == repr(expected)
 
 
-def test_suite_evaluates_only_the_comparisons_that_can_fail(monkeypatch):
-    # Three evaluations for the split, one per cover piece (one to three) and
-    # one for the target: the reference made about 21 per sample.
+def test_suite_builds_shapes_only_for_witnesses(monkeypatch):
+    # Every IntervalSet the suite builds goes through one _atom_masks call
+    # (IntervalSet.of, intersect, difference), and each names one witness set.
     calls = Counter()
 
-    def counting_exp_eval(shape):
-        calls["exp_eval"] += 1
-        return exp_eval(shape)
+    def counting_atom_masks(*shapes):
+        calls["_atom_masks"] += 1
+        return _atom_masks(*shapes)
 
-    monkeypatch.setattr("quasimeasure.intervals.exp_eval", counting_exp_eval)
+    monkeypatch.setattr("quasimeasure.intervals._atom_masks", counting_atom_masks)
     assert verify_example_axioms(sample_count=200, seed=0).passed
-    assert calls["exp_eval"] <= 7 * 200
+    assert calls["_atom_masks"] == 0
+    report = verify_example_axioms(sample_count=200, seed=0, tol=1e-17)
+    witnesses = [w for r in report.failures() for w in r.witnesses]
+    assert witnesses and calls["_atom_masks"] == sum(len(w.sets) for w in witnesses)
+
+
+class GridRandom(random.Random):
+    """Endpoints drawn from a small grid, so that u == a, a == b and b == v occur."""
+
+    GRID = (0.0, 0.5, 1.0, math.nextafter(1.0, 4.0), 2.5, 4.0)
+
+    def uniform(self, a, b):
+        if (a, b) == (0.0, 4.0):
+            return self.choice(self.GRID)
+        return super().uniform(a, b)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.integers(0, 2**32), st.integers(1, 60), st.sampled_from([5e-324, 1e-17, 1e-16, 1e-12]))
+def test_suite_matches_the_reference_on_tied_endpoints(seed, count, tol):
+    # Tied endpoints give the one-piece and empty differences, which uniform
+    # draws never reach; both suites draw through the same patched Random.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("quasimeasure.intervals.random.Random", GridRandom)
+        suite = verify_example_axioms(count, seed, tol)
+        expected = reference_verify_example_axioms(count, seed, tol)
+    assert repr(suite) == repr(expected)
+    for got, want in zip(suite.results, expected.results):
+        assert [(w.lhs.hex(), w.rhs.hex()) for w in got.witnesses] == [
+            (w.lhs.hex(), w.rhs.hex()) for w in want.witnesses]
 
 
 class TestOuterInterval:
