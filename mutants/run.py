@@ -137,6 +137,10 @@ MUTANTS = (
            "hi = 2 * pos[c.right] - (not c.right_closed)",
            "hi = 2 * pos[c.right]",
            ("tests/test_intervals.py",)),
+    Mutant("family-drops-two-piece-tail", INTERVALS,
+           "    ((True, False, False), (False, False, True)),  # [u, a) with (b, inf)\n",
+           "",
+           ("tests/test_intervals.py",)),
     Mutant("row-value-drops-gcd", CLI,
            "for g in [math.gcd(v, scale)]",
            "for g in [1]",

@@ -69,6 +69,8 @@ def outer(qm: QuasiMeasure, a: SubsetMask) -> tuple[Fraction, CoverSolution]:
     and the result is at most 1.  The empty subcollection covers only the
     empty set, which therefore gets cost 0.
     """
+    if a.ground != qm.ground:
+        raise ValueError("target set belongs to a different ground set")
     cost, chosen = coat_solver(qm).solve(a.bits)
     value = Fraction(cost, qm.scale)
     return value, CoverSolution(chosen, value)
@@ -79,6 +81,8 @@ def outer_exhaustive(qm: QuasiMeasure, a: SubsetMask) -> tuple[Fraction, CoverSo
 
     Independent of the branch-and-bound path; used to validate it.
     """
+    if a.ground != qm.ground:
+        raise ValueError("target set belongs to a different ground set")
     k = len(qm.coat)
     if (1 << k) > COVER_ENUMERATION_LIMIT:
         raise BudgetExceeded(f"coat too large for enumeration (2**{k} > {COVER_ENUMERATION_LIMIT})")

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .quasi import QuasiMeasure
-from .sets import MAX_GROUND_SIZE, Coat, GroundSet, SubsetMask, refine
+from .sets import Coat, GroundSet, SubsetMask, refine
 
 RESERVED_NAMES = ("empty", "omega")
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
@@ -144,6 +144,8 @@ class InstanceSpec:
         names = self.names()
         try:
             coat = Coat(ground, tuple(names[n] for n in self.coat_names))
+        except KeyError as exc:
+            raise ParseError(f"unknown set name {exc.args[0]!r} in coat", coat_line) from None
         except ValueError as exc:
             raise ParseError(str(exc), coat_line) from None
         refinement = refine(coat)
@@ -205,15 +207,10 @@ def parse_instance(document: str) -> InstanceSpec:
                 raise ParseError("malformed ground directive", lineno, len(keyword) + 1)
             if ground_labels is not None:
                 raise ParseError("duplicate ground definition", lineno)
-            labels = tuple(rest.split())
-            if not labels:
-                raise ParseError("ground set must list at least one element", lineno)
-            if len(labels) > MAX_GROUND_SIZE:
-                raise ParseError(f"ground set has {len(labels)} elements, more than {MAX_GROUND_SIZE}",
-                                 lineno)
-            if len(set(labels)) != len(labels):
-                raise ParseError("duplicate element label in ground set", lineno)
-            ground_labels = labels
+            try:
+                ground_labels = GroundSet(tuple(rest.split())).elements
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
         elif keyword == "set":
             if len(keyword_tokens) != 2:
                 raise ParseError("set directive needs exactly one name", lineno, len(keyword) + 1)
@@ -239,11 +236,7 @@ def parse_instance(document: str) -> InstanceSpec:
                 raise ParseError("malformed coat directive", lineno, len(keyword) + 1)
             if coat_names is not None:
                 raise ParseError("duplicate coat definition", lineno)
-            names = tuple(rest.split())
-            for name in names:
-                if name not in set_names and name not in RESERVED_NAMES:
-                    raise ParseError(f"unknown set name {name!r} in coat", lineno)
-            coat_names, coat_line = names, lineno
+            coat_names, coat_line = tuple(rest.split()), lineno
         elif keyword == "value":
             if len(keyword_tokens) != 2:
                 raise ParseError("value directive needs exactly one expression", lineno,

@@ -26,7 +26,6 @@ from .report import AxiomReport, ReportBuilder, Witness
 from .sets import BudgetExceeded, Coat, Refinement, SubsetMask
 
 W = TypeVar("W")
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 AXIOM_CHECKS = ("endpoints", "splitting", "meet-envelope", "diff-envelope", "cover-bound")

@@ -32,10 +32,12 @@ class GroundSet:
     elements: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= len(self.elements) <= MAX_GROUND_SIZE:
-            raise ValueError(f"ground set size must be in 1..{MAX_GROUND_SIZE}")
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError("ground set labels must be pairwise distinct")
+        if not self.elements:
+            raise ValueError("ground set must list at least one element")
+        if self.n > MAX_GROUND_SIZE:
+            raise ValueError(f"ground set has {self.n} elements, more than {MAX_GROUND_SIZE}")
+        if len(set(self.elements)) != self.n:
+            raise ValueError("duplicate element label in ground set")
 
     @property
     def n(self) -> int:
@@ -117,10 +119,6 @@ class SubsetMask:
     def issubset(self, other: "SubsetMask") -> bool:
         self._require_same_ground(other)
         return self.bits & ~other.bits == 0
-
-    def isdisjoint(self, other: "SubsetMask") -> bool:
-        self._require_same_ground(other)
-        return self.bits & other.bits == 0
 
     def __hash__(self) -> int:
         # Equal masks have equal bits; hashing the ground's labels adds nothing.

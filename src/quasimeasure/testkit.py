@@ -50,6 +50,8 @@ class TrueMeasure:
         return cls(ground, tuple(Fraction(1, ground.n) for _ in range(ground.n)))
 
     def mass(self, mask: SubsetMask) -> Fraction:
+        if mask.ground != self.ground:
+            raise ValueError("mask belongs to a different ground set")
         bits = mask.bits
         return Fraction(sum(w for i, w in enumerate(self._ints) if bits >> i & 1), self._scale)
 

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from quasimeasure import (
 )
 from quasimeasure.cli import main
 from quasimeasure.instance_io import (
+    InstanceSpec,
     ParseError,
     format_rational,
     parse_instance,
@@ -136,11 +138,38 @@ class TestParsing:
              "line 6: duplicate coat member {1,2}"),
             (UNIFORM_DOC.replace("coat: empty omega A B", "coat: empty omega A B A"),
              "line 5: duplicate coat member {1,2}"),
+            (UNIFORM_DOC.replace("coat: empty omega A B", "coat: empty omega A X"),
+             "line 5: unknown set name 'X' in coat"),
+            # Coat names resolve after every line is read, so a bad rational further down comes first.
+            (UNIFORM_DOC.replace("coat: empty omega A B", "coat: empty omega A X")
+             .replace("value A: 1/2", "value A: 1"), "line 8: malformed rational '1', expected p/q"),
+            # GroundSet's refusals, with the ground line's number.
+            ("\nground:\ncoat: empty omega\n", "line 2: ground set must list at least one element"),
+            ("\nground: 1 2 1\ncoat: empty omega\n", "line 2: duplicate element label in ground set"),
+            ("\nground: " + " ".join(map(str, range(30))) + "\ncoat: empty omega\n",
+             "line 2: ground set has 30 elements, more than 24"),
         )
         for doc, message in cases:
             with pytest.raises(ParseError) as info:
                 parse_instance(doc)
             assert str(info.value) == message
+
+    def test_spec_with_an_unknown_coat_name_is_refused_with_a_parse_error(self):
+        values = (("empty", Fraction(0)), ("omega", Fraction(1)))
+        spec = InstanceSpec(("1", "2"), (), ("empty", "omega", "X"), values)
+        with pytest.raises(ParseError) as info:
+            spec.build()
+        assert str(info.value) == "unknown set name 'X' in coat"
+
+    def test_coat_line_may_precede_the_sets_it_names(self):
+        moved = UNIFORM_DOC.replace("coat: empty omega A B\n", "").replace(
+            "set A: 1 2", "coat: empty omega A B\nset A: 1 2")
+        assert moved.index("coat:") < moved.index("set A:")
+        spec, reference = parse_instance(moved), parse_instance(UNIFORM_DOC)
+        assert spec == reference
+        (_, coat, qm), (_, ref_coat, ref_qm) = spec.build(), reference.build()
+        assert coat.member_bits() == ref_coat.member_bits()
+        assert (qm.scale, qm.numerators) == (ref_qm.scale, ref_qm.numerators)
 
     def test_values_are_keyed_by_refinement_members_in_line_order(self):
         qm = parse_instance(UNIFORM_DOC + "value omega&!A&B: 1/4\n").build()[2]

@@ -64,6 +64,16 @@ class TestOuter:
         for chosen in ((-3,), (7,), (3, 2), (2, 2), (1, 4)):
             assert not CoverSolution(chosen, Fraction(1)).verify(qm, omega), chosen
 
+    def test_target_over_another_ground_set_is_refused(self, negative_instance):
+        # Compared by value: an equal ground built apart is accepted.
+        _, _, qm = negative_instance
+        for solve in (outer, outer_exhaustive):
+            with pytest.raises(ValueError, match="different ground set"):
+                solve(qm, GroundSet(("a", "b", "c", "d")).subset(["a"]))
+            with pytest.raises(ValueError, match="different ground set"):
+                solve(qm, GroundSet(("1", "2", "3", "4", "5")).subset(["1"]))
+            assert solve(qm, GroundSet(("1", "2", "3", "4")).subset(["2"]))[0] == Fraction(1, 2)
+
     def test_coat_member_cost_bounded_by_assignment(self):
         # A member always covers itself, so its exterior value cannot
         # exceed its assigned value.

@@ -16,15 +16,7 @@ from quasimeasure import (
     survival_weight,
     verify_example_axioms,
 )
-from quasimeasure.intervals import (
-    HALF_LINE,
-    _atom_masks,
-    complement,
-    difference,
-    intersect,
-    issubset,
-    union,
-)
+from quasimeasure.intervals import HALF_LINE, _atom_masks, _rebuild, difference, intersect, issubset
 from quasimeasure.quasi import CoverSolver
 from quasimeasure.report import ReportBuilder, Witness
 
@@ -92,6 +84,54 @@ class TestExpEval:
             assert exp_eval(inner) <= exp_eval(outer_set) + TOL
 
 
+def reference_exp_eval(shape):
+    """``exp_eval`` as it was when each family shape had its own arithmetic branch."""
+    comps = shape.components
+    if not comps:
+        return 0.0
+    if shape == HALF_LINE:
+        return 1.0
+    if len(comps) == 1:
+        c = comps[0]
+        if c.right == math.inf:
+            if c.left_closed:
+                raise ValueError(f"shape {shape} is outside the refinement family")
+            return math.exp(-c.left)
+        if not c.left_closed and not c.right_closed:
+            raise ValueError(f"open-open shape {shape} is outside the refinement family")
+        return c.weight()
+    if len(comps) == 2:
+        first, second = comps
+        first_ok = first.left_closed and not first.right_closed
+        second_ok = not second.left_closed and (second.right_closed or second.right == math.inf)
+        if first_ok and second_ok:
+            return first.weight() + second.weight()
+    raise ValueError(f"shape {shape} is outside the refinement family")
+
+
+def evaluation(evaluate, shape):
+    """``evaluate(shape)`` as a float's hex digits, or "outside" when it refuses the shape."""
+    try:
+        return evaluate(shape).hex()
+    except ValueError as exc:
+        assert "outside" in str(exc)
+        return "outside"
+
+
+def test_exp_eval_matches_the_reference_on_every_grid_shape():
+    # The atoms over the points 0, 0.5, 1, 2 (and the gap to inf): every set
+    # of at most three runs of them is a shape of at most three components.
+    ends = [0.0, 0.5, 1.0, 2.0, math.inf]
+    shapes = {_rebuild(ends, bits) for bits in range(1 << 8)}
+    shapes = [s for s in shapes if len(s.components) <= 3]
+    outcomes = Counter()
+    for shape in shapes:
+        got = evaluation(exp_eval, shape)
+        assert got == evaluation(reference_exp_eval, shape), shape
+        outcomes[got != "outside"] += 1
+    assert len(shapes) == 247 and outcomes == {True: 43, False: 204}
+
+
 class TestIntervalSets:
     def test_interval_validation(self):
         with pytest.raises(ValueError):
@@ -124,7 +164,7 @@ class TestIntervalSets:
         assert difference(x, y) == expected
 
     def test_complement_of_closed_interval(self):
-        got = complement(closed(1.0, 2.0))
+        got = difference(HALF_LINE, closed(1.0, 2.0))
         expected = IntervalSet.of(Interval.closed_open(0.0, 1.0), Interval.tail(2.0))
         assert got == expected
 
@@ -135,14 +175,8 @@ class TestIntervalSets:
             x = closed(u, b)
             y = closed(a, v)
             meet = intersect(x, y)
-            join = union(x, y)
             assert issubset(meet, x) and issubset(meet, y)
-            assert issubset(x, join) and issubset(y, join)
-            assert union(meet, difference(x, y)) == x
-
-    def test_complement_involution(self):
-        shape = IntervalSet.of(Interval.closed_open(0.5, 1.0), Interval.open_closed(2.0, 3.0))
-        assert complement(complement(shape)) == shape
+            assert IntervalSet.of(*meet.components, *difference(x, y).components) == x
 
     def test_of_accepts_unsorted_overlapping_input(self):
         got = IntervalSet.of(Interval.closed(2.0, 3.0), Interval.closed(0.0, 1.0),
@@ -150,11 +184,11 @@ class TestIntervalSets:
         assert got == IntervalSet.of(Interval.closed(0.0, 1.0), Interval.closed(2.0, 4.0))
 
     def test_complement_of_tail_is_origin_singleton(self):
-        got = complement(IntervalSet.of(Interval.tail(0.0)))
+        got = difference(HALF_LINE, IntervalSet.of(Interval.tail(0.0)))
         assert got == closed(0.0, 0.0)
 
     def test_complement_of_open_interval_keeps_boundary_points(self):
-        got = complement(IntervalSet.of(Interval(1.0, 2.0, False, False)))
+        got = difference(HALF_LINE, IntervalSet.of(Interval(1.0, 2.0, False, False)))
         assert got == IntervalSet.of(Interval.closed(0.0, 1.0), Interval(2.0, math.inf, True, False))
 
 
@@ -171,17 +205,32 @@ def intervals(draw):
 interval_lists = st.lists(intervals(), max_size=4)
 
 
+@st.composite
+def family_shapes(draw):
+    """A shape of the refinement family on drawn endpoints u < a < b < v."""
+    u, a, b, v = sorted(draw(st.lists(st.floats(0.0, 50.0), min_size=4, max_size=4, unique=True)))
+    return draw(st.sampled_from([
+        IntervalSet(), HALF_LINE, closed(u, u), closed(u, a),
+        IntervalSet.of(Interval.closed_open(u, a)), IntervalSet.of(Interval.open_closed(u, a)),
+        IntervalSet.of(Interval.tail(u)),
+        IntervalSet.of(Interval.closed_open(u, a), Interval.open_closed(b, v)),
+        IntervalSet.of(Interval.closed_open(u, a), Interval.tail(b)),
+    ]))
+
+
+@settings(max_examples=150)
+@given(st.one_of(family_shapes(), interval_lists.map(lambda xs: IntervalSet.of(*xs))))
+def test_exp_eval_matches_the_reference_bit_for_bit(shape):
+    assert evaluation(exp_eval, shape) == evaluation(reference_exp_eval, shape)
+
+
 @settings(max_examples=100)
 @given(interval_lists, interval_lists)
 def test_interval_set_operations_obey_the_set_laws(xs, ys):
     x, y = IntervalSet.of(*xs), IntervalSet.of(*ys)
-    assert complement(union(x, y)) == intersect(complement(x), complement(y))
-    assert complement(intersect(x, y)) == union(complement(x), complement(y))
-    assert union(x, y) == union(y, x)
     assert intersect(x, y) == intersect(y, x)
-    assert union(x, x) == x
     assert intersect(x, x) == x
-    assert issubset(x, y) == (union(x, y) == y)
+    assert issubset(x, y) == (intersect(x, y) == x)
 
 
 @settings(max_examples=100)
@@ -230,10 +279,8 @@ def test_interval_set_operations_match_pointwise_membership(xs, ys):
     for z in probes:
         in_x, in_y = holds(xs, z), holds(ys, z)
         assert holds(x.components, z) == in_x and holds(y.components, z) == in_y
-        assert holds(union(x, y).components, z) == (in_x or in_y)
         assert holds(intersect(x, y).components, z) == (in_x and in_y)
         assert holds(difference(x, y).components, z) == (in_x and not in_y)
-        assert holds(complement(x).components, z) == (not in_x)
     assert issubset(x, y) == all(holds(ys, z) for z in probes if holds(xs, z))
 
 
@@ -242,7 +289,7 @@ class TestAtomEdgeCases:
         whole = IntervalSet.of(Interval(0.0, math.inf, True, False))
         assert whole == HALF_LINE
         assert IntervalSet.of(Interval.closed(0.0, 1.0), Interval.tail(1.0)) == HALF_LINE
-        assert complement(HALF_LINE).is_empty()
+        assert difference(HALF_LINE, HALF_LINE).is_empty()
         assert difference(HALF_LINE, IntervalSet.of(Interval.tail(0.0))) == closed(0.0, 0.0)
         assert issubset(IntervalSet.of(Interval.tail(3.0)), HALF_LINE)
         assert not issubset(HALF_LINE, IntervalSet.of(Interval.tail(0.0)))
@@ -250,17 +297,17 @@ class TestAtomEdgeCases:
     def test_negative_zero_left_endpoint_reads_as_zero(self):
         shape = IntervalSet.of(Interval.closed(-0.0, 1.0))
         assert shape == closed(0.0, 1.0) and str(shape) == "[0.0,1.0]"
-        assert complement(shape) == IntervalSet.of(Interval.tail(1.0))
-        assert str(union(IntervalSet((Interval.closed(-0.0, 1.0),)), closed(2.0, 3.0))) == "[0.0,1.0] u [2.0,3.0]"
+        assert difference(HALF_LINE, shape) == IntervalSet.of(Interval.tail(1.0))
+        assert str(IntervalSet.of(Interval.closed(-0.0, 1.0), Interval.closed(2.0, 3.0))) == "[0.0,1.0] u [2.0,3.0]"
         result = outer_interval(IntervalSet((Interval.closed(-0.0, 1.0),)), [Interval.closed(0.0, 1.0)])
         assert result.chosen == (0,)
 
     def test_punctured_interval(self):
         punctured = IntervalSet.of(Interval.closed_open(0.0, 1.0), Interval.open_closed(1.0, 2.0))
         point = closed(1.0, 1.0)
-        assert union(punctured, point) == closed(0.0, 2.0)
+        assert IntervalSet.of(*punctured.components, *point.components) == closed(0.0, 2.0)
         assert intersect(punctured, point).is_empty()
-        assert complement(punctured) == IntervalSet.of(Interval.closed(1.0, 1.0), Interval.tail(2.0))
+        assert difference(HALF_LINE, punctured) == IntervalSet.of(Interval.closed(1.0, 1.0), Interval.tail(2.0))
         assert issubset(punctured, closed(0.0, 2.0)) and not issubset(closed(0.0, 2.0), punctured)
         assert outer_interval(punctured, [Interval.closed(0.0, 2.0)]).chosen == (0,)
 

@@ -25,7 +25,7 @@ from quasimeasure import (
     render_instance,
     verify_premeasure,
 )
-from quasimeasure.quasi import ALT_CHECKS, AXIOM_CHECKS, ONE, ZERO, cover_bound_violations
+from quasimeasure.quasi import ALT_CHECKS, AXIOM_CHECKS, ONE, cover_bound_violations
 from quasimeasure.report import ReportBuilder, Witness
 from quasimeasure.testkit import instance_for_seed
 
@@ -231,7 +231,7 @@ class TestCheckAxioms:
         want = []
         for i, top in enumerate(members):
             for chosen in [(top,), *((members[j], top) for j in range(i))]:
-                union, cost = failing.ground.empty(), ZERO
+                union, cost = failing.ground.empty(), Fraction(0)
                 for m in chosen:
                     union, cost = union | m, cost + value(m)
                 roles = tuple((f"S{n + 1}", m) for n, m in enumerate(chosen))
@@ -357,7 +357,7 @@ def reference_cover_bound_violations(qm, cover_mode="all", max_cover_size=None):
         chosen = tuple(members[i] for i in range(k) if s >> i & 1)
         if len(chosen) > max_cover_size:
             continue
-        union, cost = qm.ground.empty(), ZERO
+        union, cost = qm.ground.empty(), Fraction(0)
         for m in chosen:
             union, cost = union | m, cost + qm.value(m)
         if cover_mode == "disjoint-only" and sum(m.size for m in chosen) != union.size:
@@ -372,7 +372,7 @@ def reference_cover_bound_violations(qm, cover_mode="all", max_cover_size=None):
 
 def reference_pairs(rb, qm):
     ground = qm.ground
-    for endpoint, want in ((ground.empty(), ZERO), (ground.full(), ONE)):
+    for endpoint, want in ((ground.empty(), Fraction(0)), (ground.full(), ONE)):
         if qm.value(endpoint) != want:
             rb.fail("endpoints", Witness((("set", endpoint),), qm.value(endpoint), want, "eq"))
     pairs = []

@@ -42,13 +42,13 @@ class TestComplement:
 
 class TestGroundSet:
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^duplicate element label in ground set$"):
             GroundSet(("a", "a"))
 
     def test_rejects_empty_and_oversized(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^ground set must list at least one element$"):
             GroundSet(())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^ground set has 25 elements, more than 24$"):
             GroundSet(tuple(str(i) for i in range(25)))
 
     def test_subset_unknown_label(self, ground4):

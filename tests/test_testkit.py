@@ -47,6 +47,14 @@ class TestTrueMeasure:
         assert tm.mass(ground4.empty()) == 0
         assert tm.mass(ground4.full()) == 1
 
+    def test_mass_of_a_set_over_another_ground_set_is_refused(self):
+        tm = TrueMeasure.uniform(GroundSet(("a", "b")))
+        with pytest.raises(ValueError, match="different ground set"):
+            tm.mass(GroundSet(("a", "b", "c")).full())
+        with pytest.raises(ValueError, match="different ground set"):
+            tm.mass(GroundSet(("b", "a")).subset(["a"]))
+        assert tm.mass(GroundSet(("a", "b")).subset(["a"])) == Fraction(1, 2)
+
     def test_mass_sums_the_weights_at_byte_edges(self):
         # Bits 0, 7, 8, 15, 16 and 23 open and close each byte of a 24-element mask.
         ground = GroundSet(tuple(str(i + 1) for i in range(24)))
