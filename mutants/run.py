@@ -44,6 +44,7 @@ EXTENSION = "src/quasimeasure/extension.py"
 INTERVALS = "src/quasimeasure/intervals.py"
 CLI = "src/quasimeasure/cli.py"
 TESTKIT = "src/quasimeasure/testkit.py"
+INSTANCE_IO = "src/quasimeasure/instance_io.py"
 MUTANTS = (
     Mutant("solver-weight-skip-ties", QUASI,
            "if best is not None and weight > best[0]:",
@@ -181,6 +182,18 @@ MUTANTS = (
            "if sum(ints) != scale:",
            "if not sum(ints) <= scale:",
            ("tests/test_testkit.py",)),
+    Mutant("spec-skips-repeated-label-check", INSTANCE_IO,
+           "if len(set(labels)) != len(labels):",
+           "if False:",
+           ("tests/test_cli.py",)),
+    Mutant("spec-reserves-only-omega", INSTANCE_IO,
+           "if name in RESERVED_NAMES:",
+           'if name == "omega":',
+           ("tests/test_cli.py",)),
+    Mutant("spec-admits-values-above-one", INSTANCE_IO,
+           "if not 0 <= value.numerator <= value.denominator:",
+           "if not 0 <= value.numerator:",
+           ("tests/test_cli.py",)),
 )
 
 

@@ -13,7 +13,8 @@ UTF-8, one directive per line, ``#`` starts a comment.  Directives:
 single tokens over set names with ``&`` for intersection and ``!name`` for
 complement; every refinement member must receive exactly one value, and two
 expressions resolving to the same mask must agree.  Rationals are written
-``p/q`` and parsed exactly.
+``p/q`` and parsed exactly.  Names and labels resolve after the whole
+document is read, so directives may come in any order.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import repeat
+from typing import Iterable, Mapping
 
 from .quasi import QuasiMeasure
 from .sets import Coat, GroundSet, SubsetMask, refine
 
 RESERVED_NAMES = ("empty", "omega")
 _RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
-_NAME = re.compile(r"^[^\s&!:#]+$")
+_NAME = re.compile(r"[^\s&!:#]+")
 _LABEL = re.compile(r"[^\s#]+")
 MAX_LINE_LENGTH = 1 << 16  # characters; fits a rational of two 4,300-digit ints and more
 
@@ -59,8 +61,6 @@ def parse_rational(text: str, line: int | None = None) -> Fraction:
         raise ParseError(f"rational too long: {exc}", line) from None
     if den == 0:
         raise ParseError(f"zero denominator in {text!r}", line)
-    if not 0 <= num <= den:
-        raise ParseError(f"value outside [0,1]: {text}", line)
     return Fraction(num, den)
 
 
@@ -89,17 +89,17 @@ def _expression_bits(text: str, names: Mapping[str, int], full: int, line: int |
     return result
 
 
-def resolve_target(text: str, names: Mapping[str, SubsetMask], ground: GroundSet) -> SubsetMask:
+def resolve_target(text: str, names: Mapping[str, int], ground: GroundSet) -> SubsetMask:
     """A target set for the CLI: a value expression, or bare element labels.
 
+    ``names`` maps set names to their bits, as ``InstanceSpec.names`` does.
     ``A&!B`` goes through the expression grammar; a whitespace- or
     comma-separated list whose tokens are all element labels (``"2"``,
     ``"1 3"``) builds the set of those elements directly.
     """
     stripped = text.strip()
-    bits = {name: mask.bits for name, mask in names.items()}
     try:
-        return ground.mask(_expression_bits(stripped, bits, ground.full_bits, None))
+        return ground.mask(_expression_bits(stripped, names, ground.full_bits, None))
     except ParseError:
         labels = stripped.replace(",", " ").split()
         if labels and all(label in ground.elements for label in labels):
@@ -109,12 +109,13 @@ def resolve_target(text: str, names: Mapping[str, SubsetMask], ground: GroundSet
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """A parsed, validated instance document.
+    """An instance document; ``build`` applies every rule of the format to it.
 
     Values are always explicit expression/rational pairs; instances induced
     from a ground-truth measure are normalized to this form at construction,
     which keeps render/parse a lossless round trip.  Identical specs build
-    identical instances.
+    identical instances.  A spec that breaks a rule is refused with the
+    ``ParseError`` text its rendered document gets, without a line number.
     """
 
     ground_labels: tuple[str, ...]
@@ -124,36 +125,56 @@ class InstanceSpec:
     seed: int | None = None
 
     def ground(self) -> GroundSet:
-        return GroundSet(self.ground_labels)
+        return self.build()[0]
 
-    def names(self) -> dict[str, SubsetMask]:
-        ground = self.ground()
-        names: dict[str, SubsetMask] = {"empty": ground.empty(), "omega": ground.full()}
-        for name, labels in self.set_defs:
-            names[name] = ground.subset(labels)
-        return names
+    def names(self) -> dict[str, int]:
+        """Each set name, ``empty`` and ``omega`` included, mapped to its bits."""
+        self.build()
+        return dict(self._names)
 
     def build(self) -> tuple[GroundSet, Coat, QuasiMeasure]:
         """The instance this spec denotes, built on the first call and shared after it."""
-        return self.__dict__.get("_built") or self._build(None, [None] * len(self.values))
+        return self.__dict__.get("_built") or self._build(None, repeat(None), None, repeat(None))
 
-    def _build(self, coat_line: int | None,
-               value_lines: Sequence[int | None]) -> tuple[GroundSet, Coat, QuasiMeasure]:
-        """``build``, with refusals naming the coat's line and each value's line."""
-        ground = self.ground()
-        names = self.names()
+    def _build(self, ground_line: int | None, set_lines: Iterable[int | None], coat_line: int | None,
+               value_lines: Iterable[int | None]) -> tuple[GroundSet, Coat, QuasiMeasure]:
+        """``build``, with each refusal naming its directive's line.
+
+        Rules run in this order: the ground, each set, the coat, each value,
+        then coverage and the endpoints, whose refusals name no line."""
         try:
-            coat = Coat(ground, tuple(names[n] for n in self.coat_names))
+            ground = GroundSet(self.ground_labels)
+        except ValueError as exc:
+            raise ParseError(str(exc), ground_line) from None
+        full = ground.full_bits
+        element_bits = {label: 1 << i for i, label in enumerate(ground.elements)}
+        names = {"empty": 0, "omega": full}
+        for line, (name, labels) in zip(set_lines, self.set_defs):
+            if name in RESERVED_NAMES:
+                raise ParseError(f"set name {name!r} is reserved", line)
+            if not _NAME.fullmatch(name):
+                raise ParseError(f"invalid set name {name!r}", line)
+            if name in names:
+                raise ParseError(f"duplicate set definition: {name!r}", line)
+            for label in labels:
+                if label not in element_bits:
+                    raise ParseError(f"unknown element label: {label!r}", line)
+            if len(set(labels)) != len(labels):
+                raise ParseError("duplicate element label in set", line)
+            names[name] = sum(element_bits[label] for label in labels)
+        try:
+            coat = Coat.from_bits(ground, [names[n] for n in self.coat_names])
         except KeyError as exc:
             raise ParseError(f"unknown set name {exc.args[0]!r} in coat", coat_line) from None
         except ValueError as exc:
             raise ParseError(str(exc), coat_line) from None
         refinement = refine(coat)
         members = set(refinement.bits)
-        name_bits = {name: mask.bits for name, mask in names.items()}
         by_bits: dict[int, Fraction] = {}
         for line, (expr, value) in zip(value_lines, self.values):
-            bits = _expression_bits(expr, name_bits, ground.full_bits, line)
+            if not 0 <= value.numerator <= value.denominator:  # a Fraction's denominator is positive
+                raise ParseError(f"value outside [0,1]: {format_rational(value)}", line)
+            bits = _expression_bits(expr, names, full, line)
             if bits not in members:
                 raise ParseError(f"value assigned to a set outside the refinement: {expr!r}", line)
             if bits in by_bits and by_bits[bits] != value:
@@ -168,19 +189,27 @@ class InstanceSpec:
             raise ParseError(f"missing values for refinement members: {rendered}")
         scale = math.lcm(*(value.denominator for value in by_bits.values()))
         numerators = {bits: v.numerator * (scale // v.denominator) for bits, v in by_bits.items()}
-        built = ground, coat, QuasiMeasure.from_numerators(refinement, scale, numerators)
-        # Not a field: equality, hashing and rendering see only the document.
-        object.__setattr__(self, "_built", built)
-        return built
+        try:
+            qm = QuasiMeasure.from_numerators(refinement, scale, numerators)
+        except ValueError as exc:  # the endpoints: the empty set's value and omega's
+            raise ParseError(str(exc)) from None
+        # Not fields: equality, hashing and rendering see only the document.
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_built", (ground, coat, qm))
+        return ground, coat, qm
 
 
 def parse_instance(document: str) -> InstanceSpec:
-    """Parse and fully validate one instance document."""
-    ground_labels: tuple[str, ...] | None = None
+    """Lex one instance document into a spec that has built its instance.
+
+    The lexer checks what one line's text decides: the directive's shape,
+    ``ground``, ``coat`` and ``seed`` at most once each, the line length and
+    the rationals' and seed's syntax.  Every other rule is the spec's, and
+    its refusals name the line of the directive that broke it.
+    """
+    once: dict[str, tuple[int, tuple[str, ...]]] = {}  # ground and coat: line and tokens
+    set_lines: list[int] = []
     set_defs: list[tuple[str, tuple[str, ...]]] = []
-    set_names: set[str] = set()
-    coat_names: tuple[str, ...] | None = None
-    coat_line: int | None = None
     value_lines: list[tuple[int, str, str]] = []
     seed: int | None = None
 
@@ -202,41 +231,17 @@ def parse_instance(document: str) -> InstanceSpec:
             raise ParseError("missing directive keyword", lineno, 1)
         keyword = keyword_tokens[0]
 
-        if keyword == "ground":
+        if keyword in ("ground", "coat"):
             if len(keyword_tokens) != 1:
-                raise ParseError("malformed ground directive", lineno, len(keyword) + 1)
-            if ground_labels is not None:
-                raise ParseError("duplicate ground definition", lineno)
-            try:
-                ground_labels = GroundSet(tuple(rest.split())).elements
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
+                raise ParseError(f"malformed {keyword} directive", lineno, len(keyword) + 1)
+            if keyword in once:
+                raise ParseError(f"duplicate {keyword} definition", lineno)
+            once[keyword] = lineno, tuple(rest.split())
         elif keyword == "set":
             if len(keyword_tokens) != 2:
                 raise ParseError("set directive needs exactly one name", lineno, len(keyword) + 1)
-            name = keyword_tokens[1]
-            if ground_labels is None:
-                raise ParseError("set defined before ground", lineno)
-            if name in RESERVED_NAMES:
-                raise ParseError(f"set name {name!r} is reserved", lineno)
-            if not _NAME.match(name):
-                raise ParseError(f"invalid set name {name!r}", lineno)
-            if name in set_names:
-                raise ParseError(f"duplicate set definition: {name!r}", lineno)
-            labels = tuple(rest.split())
-            for label in labels:
-                if label not in ground_labels:
-                    raise ParseError(f"unknown element label: {label!r}", lineno)
-            if len(set(labels)) != len(labels):
-                raise ParseError("duplicate element label in set", lineno)
-            set_names.add(name)
-            set_defs.append((name, labels))
-        elif keyword == "coat":
-            if len(keyword_tokens) != 1:
-                raise ParseError("malformed coat directive", lineno, len(keyword) + 1)
-            if coat_names is not None:
-                raise ParseError("duplicate coat definition", lineno)
-            coat_names, coat_line = tuple(rest.split()), lineno
+            set_lines.append(lineno)
+            set_defs.append((keyword_tokens[1], tuple(rest.split())))
         elif keyword == "value":
             if len(keyword_tokens) != 2:
                 raise ParseError("value directive needs exactly one expression", lineno,
@@ -254,23 +259,13 @@ def parse_instance(document: str) -> InstanceSpec:
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno, 1)
 
-    if ground_labels is None:
-        raise ParseError("missing ground definition")
-    if coat_names is None:
-        raise ParseError("missing coat definition")
-
-    values = tuple(
-        (expr, parse_rational(text, lineno)) for lineno, expr, text in value_lines
-    )
+    for keyword in ("ground", "coat"):
+        if keyword not in once:
+            raise ParseError(f"missing {keyword} definition")
+    (ground_line, ground_labels), (coat_line, coat_names) = once["ground"], once["coat"]
+    values = tuple((expr, parse_rational(text, lineno)) for lineno, expr, text in value_lines)
     spec = InstanceSpec(ground_labels, tuple(set_defs), coat_names, values, seed)
-    # Deep validation happens as the spec builds its instance, which it keeps; the
-    # checks of the whole value map (missing values, the endpoints) name no line.
-    try:
-        spec._build(coat_line, [lineno for lineno, _, _ in value_lines])
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    spec._build(ground_line, set_lines, coat_line, [lineno for lineno, _, _ in value_lines])
     return spec
 
 

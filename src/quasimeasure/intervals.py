@@ -46,9 +46,11 @@ class Interval:
     right_closed: bool
 
     def __post_init__(self) -> None:
+        if math.isnan(self.left) or math.isnan(self.right):
+            raise ValueError("interval endpoints must not be NaN")
         if not 0 <= self.left:
             raise ValueError("interval endpoints must be nonnegative")
-        if math.isinf(self.left) or math.isnan(self.left) or math.isnan(self.right):
+        if math.isinf(self.left):
             raise ValueError("left endpoint must be finite")
         if self.left > self.right:
             raise ValueError("interval left endpoint exceeds right endpoint")

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from quasimeasure import (
     perturb,
     random_algebra_instance,
     random_instance,
+    testkit,
 )
 from quasimeasure.cli import main
 from quasimeasure.instance_io import (
@@ -93,6 +95,60 @@ def power_set_path(tmp_path):
     return str(path)
 
 
+# Tokens a document can hold; the edits below make valid and invalid specs of them.
+NAME_TOKENS = ("S1", "S2", "T", "empty", "omega", "A&B", "!T")
+LABEL_TOKENS = ("1", "2", "3", "9", "é")
+EXPRESSION_TOKENS = ("S1", "S1&S2", "S1&!S2", "omega&!S1", "T", "&S1", "S1&", "!", "empty", "omega")
+VALUE_TOKENS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(-1, 4))
+
+
+def edited(draw, items, tokens):
+    """``items`` with one token inserted, replaced or deleted."""
+    items = list(items)
+    i = draw(st.integers(0, len(items)))
+    kind = draw(st.sampled_from(("insert", "replace", "delete")))
+    if kind == "insert" or i == len(items):
+        items.insert(i, draw(tokens))
+    elif kind == "replace":
+        items[i] = draw(tokens)
+    else:
+        del items[i]
+    return tuple(items)
+
+
+@st.composite
+def edited_specs(draw):
+    """The canonical spec of a small random instance, after up to three edits."""
+    seed = draw(st.integers(0, 10**4))
+    spec = instance_spec_from(random_instance(seed, n=draw(st.integers(1, 3)), coat_size=2 + seed % 4)[2])
+    set_def = st.tuples(st.sampled_from(NAME_TOKENS), st.lists(st.sampled_from(LABEL_TOKENS), max_size=3)
+                        .map(tuple))
+    edits = {
+        "ground_labels": st.sampled_from(LABEL_TOKENS),
+        "set_defs": set_def,
+        "coat_names": st.sampled_from(NAME_TOKENS),
+        "values": st.tuples(st.sampled_from(EXPRESSION_TOKENS), st.sampled_from(VALUE_TOKENS)),
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        field = draw(st.sampled_from(sorted(edits)))
+        spec = dataclasses.replace(spec, **{field: edited(draw, getattr(spec, field), edits[field])})
+    return spec
+
+
+def rebuilt(spec):
+    """The instance of the spec's rendered document."""
+    return parse_instance(render_instance(spec)).build()
+
+
+def build_outcome(build, *args):
+    """The built coat bits, scale and numerators, or the refusal's column and text after its line."""
+    try:
+        _, coat, qm = build(*args)
+    except ParseError as exc:
+        return "refused", exc.column, re.sub(r"^line \d+(, |: )", "", str(exc))
+    return "built", coat.member_bits(), qm.scale, qm.numerators
+
+
 class TestParsing:
     def test_document_matches_programmatic_instance(self):
         spec = parse_instance(UNIFORM_DOC)
@@ -103,8 +159,9 @@ class TestParsing:
         assert spec.seed is None
 
     def test_value_outside_unit_interval(self):
-        doc = UNIFORM_DOC.replace("value A: 1/2", "value A: 5/4")
-        with pytest.raises(ParseError, match="value outside \\[0,1\\]"):
+        # The refusal prints the value in lowest terms.
+        doc = UNIFORM_DOC.replace("value A: 1/2", "value A: 6/4")
+        with pytest.raises(ParseError, match=re.escape("line 8: value outside [0,1]: 3/2")):
             parse_instance(doc)
 
     def test_negative_value_reports_line(self):
@@ -143,11 +200,26 @@ class TestParsing:
             # Coat names resolve after every line is read, so a bad rational further down comes first.
             (UNIFORM_DOC.replace("coat: empty omega A B", "coat: empty omega A X")
              .replace("value A: 1/2", "value A: 1"), "line 8: malformed rational '1', expected p/q"),
+            # So do the ground's, each set's and each value range's refusals.
+            *((UNIFORM_DOC.replace(old, new) + "value B: 0.5\n",
+               "line 15: malformed rational '0.5', expected p/q")
+              for old, new in (("ground: 1 2 3 4", "ground: 1 2 3 1"), ("set A: 1 2", "set A: 1 2 1"),
+                               ("set A: 1 2", "set A&B: 1 2"), ("value A: 1/2", "value A: 6/4"))),
             # GroundSet's refusals, with the ground line's number.
             ("\nground:\ncoat: empty omega\n", "line 2: ground set must list at least one element"),
             ("\nground: 1 2 1\ncoat: empty omega\n", "line 2: duplicate element label in ground set"),
             ("\nground: " + " ".join(map(str, range(30))) + "\ncoat: empty omega\n",
              "line 2: ground set has 30 elements, more than 24"),
+            (UNIFORM_DOC.replace("ground: 1 2 3 4", "ground x: 1 2 3 4"),
+             "line 2, column 7: malformed ground directive"),
+            (UNIFORM_DOC.replace("coat: empty omega A B", "coat x: empty omega A B"),
+             "line 5, column 5: malformed coat directive"),
+            ("# no ground\ncoat: empty omega\nvalue empty: 0/1\nvalue omega: 1/1\n",
+             "missing ground definition"),
+            (UNIFORM_DOC.replace("set A: 1 2", "set A: 1 2 1"), "line 3: duplicate element label in set"),
+            (UNIFORM_DOC.replace("set B: 2 3", "set B: 2 3\nset empty: 4"),
+             "line 5: set name 'empty' is reserved"),
+            (UNIFORM_DOC.replace("set B: 2 3", "set B: 2 3\nset A&B: 4"), "line 5: invalid set name 'A&B'"),
         )
         for doc, message in cases:
             with pytest.raises(ParseError) as info:
@@ -160,6 +232,63 @@ class TestParsing:
         with pytest.raises(ParseError) as info:
             spec.build()
         assert str(info.value) == "unknown set name 'X' in coat"
+
+    @pytest.mark.parametrize("set_defs, values, message", [
+        ((("A", ("3",)),), (), "unknown element label: '3'"),
+        ((("empty", ("1",)),), (), "set name 'empty' is reserved"),
+        ((("A", ("1",)), ("A", ("2",))), (), "duplicate set definition: 'A'"),
+        ((("A", ("1", "1")),), (), "duplicate element label in set"),
+        ((("A&B", ("1",)),), (), "invalid set name 'A&B'"),
+        ((("A", ("1",)),), (("A", Fraction(3, 2)),), "value outside [0,1]: 3/2"),
+        ((("A", ("1",)),), (("omega", Fraction(1, 2)),), "value of omega must be 1"),
+    ])
+    def test_hand_built_specs_are_refused_with_the_parser_text(self, set_defs, values, message):
+        # Each spec renders to a document refused with the same text.
+        defaults = (("empty", Fraction(0)), ("omega", Fraction(1)), ("A", Fraction(1, 2)),
+                    ("omega&!A", Fraction(1, 2)))
+        expressions = {expr for expr, _ in values}
+        values = tuple(v for v in defaults if v[0] not in expressions) + values
+        spec = InstanceSpec(("1", "2"), set_defs, ("empty", "omega", "A"), values)
+        with pytest.raises(ParseError) as info:
+            spec.build()
+        assert (str(info.value), info.value.line) == (message, None)
+        assert build_outcome(rebuilt, spec) == ("refused", None, message)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_hand_built_and_parsed_specs_agree(self, data):
+        # Edited canonical specs, valid or not, from tokens a document can hold:
+        # building the spec and parsing its document give one outcome.
+        spec = data.draw(edited_specs())
+        built = build_outcome(spec.build)
+        assert build_outcome(rebuilt, spec) == built
+        if built[0] == "refused":
+            with pytest.raises(ParseError) as info:
+                spec.build()
+            assert info.value.line is None
+        else:
+            assert parse_instance(render_instance(spec)) == spec
+
+    def test_a_parse_builds_one_ground_set(self, monkeypatch):
+        built, post_init = [], GroundSet.__post_init__
+
+        def counting_post_init(ground):
+            built.append(ground)
+            post_init(ground)
+
+        monkeypatch.setattr(GroundSet, "__post_init__", counting_post_init)
+        spec = parse_instance(UNIFORM_DOC)
+        assert len(built) == 1
+        assert spec.ground() is spec.build()[0] is built[0]
+
+    def test_names_map_to_bits(self):
+        spec = parse_instance(UNIFORM_DOC)
+        assert spec.names() == {"empty": 0, "omega": 0b1111, "A": 0b11, "B": 0b110}
+
+    def test_set_line_may_precede_ground(self):
+        moved = UNIFORM_DOC.replace("ground: 1 2 3 4\n", "").replace("coat:", "ground: 1 2 3 4\ncoat:")
+        assert moved.index("set A:") < moved.index("ground:")
+        assert build_outcome(parse_instance(moved).build) == build_outcome(parse_instance(UNIFORM_DOC).build)
 
     def test_coat_line_may_precede_the_sets_it_names(self):
         moved = UNIFORM_DOC.replace("coat: empty omega A B\n", "").replace(
@@ -434,6 +563,32 @@ class TestRun:
         assert "search seeds 0..40" in out
         assert "counterexamples []" in out
 
+    def test_search_exits_one_on_a_counterexample(self, capsys, monkeypatch):
+        # Seed 0 draws a partition-algebra coat, which passes the axioms; its
+        # verification is made to fail, so the seed is a counterexample.
+        verify, calls = testkit.verify_premeasure, []
+
+        def fail_first(table):
+            calls.append(table)
+            return SimpleNamespace(passed=False) if len(calls) == 1 else verify(table)
+
+        monkeypatch.setattr(testkit, "verify_premeasure", fail_first)
+        assert testkit.search_instances(range(3)).counterexample_seeds == [0]
+        calls.clear()
+        assert main(["search", "--seeds", "0..3", "--format", "machine"]) == 1
+        search, summary = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert (search["axiom_pass"], search["premeasure_verified"], search["counterexamples"]) == (2, 1, "0")
+        assert summary["status"] == "fail"
+
+    def test_example_with_a_subnormal_tolerance_fails_with_float_values(self, capsys):
+        assert main(["example", "--tol", "5e-324", "--format", "machine"]) == 1
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        splitting = next(r for r in records if r.get("check") == "splitting")
+        assert (splitting["status"], splitting["witnesses"]) == ("fail", 264)
+        assert all(repr(float(splitting[key])) == splitting[key] for key in ("lhs", "rhs"))
+        assert splitting["lhs"] != splitting["rhs"]
+        assert records[-1] == {"record": "summary", "suite": "exponential", "status": "fail"}
+
     def test_input_errors_exit_two(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.qm")
         assert main(["check", missing]) == 2
@@ -544,6 +699,14 @@ class TestRun:
         capsys.readouterr()
         assert main(["outer", uniform_path, "--set", "A&Z"]) == 2
         assert capsys.readouterr().err == "error: column 3: unknown set name 'Z'\n"
+        assert main(["outer", uniform_path, "--set", ""]) == 2
+        assert capsys.readouterr().err == "error: empty expression\n"
+
+    def test_seed_range_without_dots_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--seeds", "5"])
+        assert exc.value.code == 2
+        assert "argument --seeds: expected A..B, got '5'" in capsys.readouterr().err
 
     def test_oversized_cover_enumeration_exits_two(self, tmp_path, capsys):
         # A coat that fails the cover bound would list witnesses from 2**24

@@ -341,6 +341,28 @@ class TestVerifyPremeasure:
             verified += 1
         assert verified >= 30
 
+    @settings(max_examples=200)
+    @given(st.integers(0, 599), st.sampled_from(("seed", "algebra", "perturbed")))
+    def test_passing_instances_extend_the_quasi_measure(self, seed, source):
+        # Restricted axioms passing in either cover mode must give a table that
+        # extends qm: equal on every refinement member, additive, every algebra
+        # member measurable.
+        if source == "seed":
+            qm = instance_for_seed(seed)
+        else:
+            qm = random_algebra_instance(seed, n=2 + seed % 4)[2]
+            if source == "perturbed":
+                qm = perturb(qm, seed)
+        if not any(check_axioms(qm, variant="restricted", cover_mode=mode).passed
+                   for mode in ("all", "disjoint-only")):
+            return
+        table = extend(qm)
+        index = {bits: i for i, bits in enumerate(table.algebra.bits)}
+        for bits, numerator in qm.numerators.items():
+            assert table.numerators[index[bits]] * qm.scale == numerator * table.scale, bits
+        assert verify_premeasure(table).passed
+        assert measurable_family(qm).all_algebra_measurable
+
     def test_table_agrees_with_coat_when_cover_bound_holds(self):
         for seed in range(40):
             qm = instance_for_seed(seed, n_max=4, coat_max=6)

@@ -143,6 +143,11 @@ class TestIntervalSets:
         with pytest.raises(ValueError):
             Interval(1.0, 1.0, True, False)
 
+    @pytest.mark.parametrize("left, right", [(1.0, math.nan), (math.nan, 2.0), (math.nan, math.nan)])
+    def test_nan_endpoint_is_refused_as_nan(self, left, right):
+        with pytest.raises(ValueError, match="^interval endpoints must not be NaN$"):
+            Interval(left, right, True, True)
+
     def test_canonical_form_rejects_mergeable(self):
         with pytest.raises(ValueError, match="merged"):
             IntervalSet((Interval.closed_open(0.0, 1.0), Interval.closed(1.0, 2.0)))
