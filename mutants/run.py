@@ -174,6 +174,10 @@ MUTANTS = (
            "t >> shift & low, t & low)",
            "t & low, t >> shift & low)",
            ("tests/test_extension.py",)),
+    Mutant("search-skips-agreement", TESTKIT,
+           "if verification.passed and _agrees(table, qm):",
+           "if verification.passed:",
+           ("tests/test_cli.py",)),
     Mutant("perturb-skips-rescale", TESTKIT,
            "numerators = {b: v * (lcm // scale) for b, v in numerators.items()}",
            "numerators = dict(numerators)",

@@ -10,91 +10,34 @@ hold.  Every definition and claim in that chain is backed by a mechanical
 check with exact arithmetic and auditable failure witnesses.
 """
 
-from .cover import CoverSolution, check_outer_properties, outer, outer_exhaustive
-from .extension import (
-    MeasurabilityReport,
-    MeasureTable,
-    extend,
-    is_caratheodory_measurable,
-    measurable_family,
-    verify_premeasure,
-)
-from .instance_io import InstanceSpec, ParseError, instance_spec_from, parse_instance, render_instance
-from .intervals import (
-    Interval,
-    IntervalCover,
-    IntervalSet,
-    exp_eval,
-    outer_interval,
-    survival_weight,
-    verify_example_axioms,
-)
-from .quasi import QuasiMeasure, check_alt_conditions, check_axioms
-from .report import AxiomReport, CheckResult, Witness
-from .sets import (
-    AlgebraFamily,
-    Coat,
-    GroundSet,
-    Refinement,
-    SubsetMask,
-    generate_algebra,
-    refine,
-)
-from .testkit import (
-    SearchSummary,
-    TrueMeasure,
-    canonical_negative_instance,
-    induce,
-    perturb,
-    random_algebra_instance,
-    random_instance,
-    search_instances,
-)
+import importlib
 
-__all__ = [
-    "AlgebraFamily",
-    "AxiomReport",
-    "CheckResult",
-    "Coat",
-    "CoverSolution",
-    "GroundSet",
-    "InstanceSpec",
-    "Interval",
-    "IntervalCover",
-    "IntervalSet",
-    "MeasurabilityReport",
-    "MeasureTable",
-    "ParseError",
-    "QuasiMeasure",
-    "Refinement",
-    "SearchSummary",
-    "SubsetMask",
-    "TrueMeasure",
-    "Witness",
-    "canonical_negative_instance",
-    "check_alt_conditions",
-    "check_axioms",
-    "check_outer_properties",
-    "exp_eval",
-    "extend",
-    "generate_algebra",
-    "induce",
-    "instance_spec_from",
-    "is_caratheodory_measurable",
-    "measurable_family",
-    "outer",
-    "outer_exhaustive",
-    "outer_interval",
-    "parse_instance",
-    "perturb",
-    "random_algebra_instance",
-    "random_instance",
-    "refine",
-    "render_instance",
-    "search_instances",
-    "survival_weight",
-    "verify_example_axioms",
-    "verify_premeasure",
-]
+# Each public name once, under the module that defines it.  A module is
+# imported when one of its names is first read (PEP 562), so importing the
+# package alone loads no submodule.
+_NAMES = {
+    "cover": "CoverSolution check_outer_properties outer outer_exhaustive",
+    "extension": "MeasurabilityReport MeasureTable extend is_caratheodory_measurable measurable_family"
+                 " verify_premeasure",
+    "instance_io": "InstanceSpec ParseError instance_spec_from parse_instance render_instance",
+    "intervals": "Interval IntervalCover IntervalSet exp_eval outer_interval survival_weight verify_example_axioms",
+    "quasi": "QuasiMeasure check_alt_conditions check_axioms",
+    "report": "AxiomReport CheckResult Witness",
+    "sets": "AlgebraFamily Coat GroundSet Refinement SubsetMask generate_algebra refine",
+    "testkit": "SearchSummary TrueMeasure canonical_negative_instance induce perturb random_algebra_instance"
+               " random_instance search_instances",
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}
 
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -35,11 +35,9 @@ from .instance_io import (
     parse_instance,
     resolve_target,
 )
-from .intervals import verify_example_axioms
 from .quasi import QuasiMeasure, check_axioms
 from .report import AxiomReport
 from .sets import BudgetExceeded
-from .testkit import search_instances
 
 # Flag values refused with exit 2 before any work starts: (dest, test, message).
 _FLAG_RULES = (
@@ -184,11 +182,14 @@ def _run_extend(args: argparse.Namespace) -> _Outcome:
 
 
 def _run_example(args: argparse.Namespace) -> _Outcome:
+    # Only `example` loads `intervals`, and only `search` loads `testkit`.
+    from .intervals import verify_example_axioms
     report = verify_example_axioms(sample_count=args.samples, seed=args.seed, tol=args.tol)
     return [], _check_records(report), report.suite, report.passed
 
 
 def _run_search(args: argparse.Namespace) -> _Outcome:
+    from .testkit import search_instances
     first, last = args.seeds
     summary = search_instances(range(first, last), variant=args.variant,
                                cover_mode=args.cover_mode)

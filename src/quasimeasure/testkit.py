@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .extension import extend, verify_premeasure
+from .extension import MeasureTable, extend, verify_premeasure
 from .quasi import QuasiMeasure, check_axioms
 from .sets import AlgebraFamily, Coat, GroundSet, SubsetMask, refine, subset_table
 
@@ -204,10 +204,11 @@ def search_instances(
 ) -> SearchSummary:
     """Partition seed-indexed instances by axiom outcome and verify extensions.
 
-    Every axiom-passing instance must extend to an exactly additive table;
-    a failure there is a counterexample and lands in the summary (callers
-    treat any occurrence as fatal).  For axiom-failing instances the
-    harness records whether additivity also broke, without asserting it.
+    Every axiom-passing instance must extend to an exactly additive table
+    equal to the quasi-measure on every refinement member; a failure is a
+    counterexample and lands in the summary (callers treat any occurrence
+    as fatal).  For axiom-failing instances the harness records whether
+    additivity also broke, without asserting it.
     """
     summary = SearchSummary()
     for seed in seeds:
@@ -218,7 +219,7 @@ def search_instances(
         verification = verify_premeasure(table)
         if report.passed:
             summary.axiom_pass += 1
-            if verification.passed:
+            if verification.passed and _agrees(table, qm):
                 summary.premeasure_verified += 1
             else:
                 summary.counterexample_seeds.append(seed)
@@ -227,3 +228,9 @@ def search_instances(
             if not verification.passed:
                 summary.additivity_failed_on_failing += 1
     return summary
+
+
+def _agrees(table: MeasureTable, qm: QuasiMeasure) -> bool:
+    """Whether the table equals the quasi-measure on every refinement member (each is an algebra member)."""
+    index = {bits: i for i, bits in enumerate(table.algebra.bits)}
+    return all(table.numerators[index[b]] * qm.scale == v * table.scale for b, v in qm.numerators.items())

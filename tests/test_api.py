@@ -1,10 +1,17 @@
-"""The package's public names: ``__all__`` resolves, is sorted, and lists every re-export.
+"""The package's public names: ``__all__`` resolves, is sorted, and each name loads from its module.
 
 No module keeps an import it never uses or a private name nothing references.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
+
+import pytest
 
 import quasimeasure
 
@@ -17,12 +24,40 @@ def test_exported_names_are_sorted_without_duplicates():
     assert quasimeasure.__all__ == sorted(set(quasimeasure.__all__))
 
 
-def test_every_public_import_is_exported():
-    tree = ast.parse(Path(quasimeasure.__file__).read_text(encoding="utf-8"))
-    imported = {alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-                for alias in node.names}
-    assert sorted(name for name in imported - set(quasimeasure.__all__) if not name.startswith("_")) == []
+def test_every_table_entry_is_the_object_its_module_defines():
+    wrong = [f"{module}.{name}" for module, names in quasimeasure._NAMES.items() for name in names.split()
+             if getattr(quasimeasure, name) is not getattr(importlib.import_module(f"quasimeasure.{module}"), name)
+             or getattr(quasimeasure, name).__module__ != f"quasimeasure.{module}"]
+    assert wrong == []
+
+
+def test_public_names_are_those_of_the_eager_package():
+    # The 43 names the package exported when it imported every module up front.
+    names = """AlgebraFamily AxiomReport CheckResult Coat CoverSolution GroundSet InstanceSpec Interval
+        IntervalCover IntervalSet MeasurabilityReport MeasureTable ParseError QuasiMeasure Refinement
+        SearchSummary SubsetMask TrueMeasure Witness canonical_negative_instance check_alt_conditions
+        check_axioms check_outer_properties exp_eval extend generate_algebra induce instance_spec_from
+        is_caratheodory_measurable measurable_family outer outer_exhaustive outer_interval parse_instance
+        perturb random_algebra_instance random_instance refine render_instance search_instances
+        survival_weight verify_example_axioms verify_premeasure""".split()
+    assert quasimeasure.__all__ == names
+    star: dict = {}
+    exec("from quasimeasure import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == names
+    listed = [n for n in dir(quasimeasure) if not n.startswith("_")]
+    assert [n for n in listed if not isinstance(getattr(quasimeasure, n), types.ModuleType)] == names
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'frob'"):
+        quasimeasure.frob
+
+
+def test_importing_the_package_loads_no_submodule():
+    script = "import sys, quasimeasure; print(*sorted(m for m in sys.modules if m.startswith('quasimeasure.')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")
 
 
 def test_no_module_imports_a_private_name_from_another():

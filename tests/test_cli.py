@@ -580,6 +580,45 @@ class TestRun:
         assert (search["axiom_pass"], search["premeasure_verified"], search["counterexamples"]) == (2, 1, "0")
         assert summary["status"] == "fail"
 
+    def test_search_counts_an_additive_table_that_disagrees_as_a_counterexample(self, capsys, monkeypatch):
+        # Seed 0 passes the axioms.  Its table is swapped for one that gives
+        # each atom the same value: additive, but not equal to the quasi-measure.
+        extend = testkit.extend
+
+        def same_value_per_atom(qm):
+            table = extend(qm)
+            m = len(table.algebra.atoms)
+            return dataclasses.replace(table, scale=m, numerators=tuple(i.bit_count() for i in range(1 << m)))
+
+        qm = testkit.instance_for_seed(0)
+        swapped = same_value_per_atom(qm)
+        assert testkit.check_axioms(qm).passed
+        assert testkit.verify_premeasure(swapped).passed
+        assert any(swapped.value(member) != qm.value(member) for member in qm.refinement)
+        monkeypatch.setattr(testkit, "extend", same_value_per_atom)
+        assert testkit.search_instances(range(1)).counterexample_seeds == [0]
+        assert main(["search", "--seeds", "0..1", "--format", "machine"]) == 1
+        search, summary = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert (search["axiom_pass"], search["premeasure_verified"], search["counterexamples"]) == (1, 0, "0")
+        assert summary["status"] == "fail"
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["check", "{input}"], ()),
+        (["outer", "{input}", "--set", "A"], ()),
+        (["extend", "{input}"], ()),
+        (["example", "--samples", "10"], ("intervals",)),
+        (["search", "--seeds", "0..3"], ("testkit",)),
+    ], ids=["check", "outer", "extend", "example", "search"])
+    def test_each_subcommand_loads_only_the_modules_it_runs(self, uniform_path, tmp_path, argv, extra):
+        script = ("import sys; from quasimeasure.cli import main; main(sys.argv[1:]);"
+                  " print(*sorted(m for m in sys.modules if m.startswith('quasimeasure.')))")
+        argv = [uniform_path if a == "{input}" else a for a in argv]
+        proc = subprocess.run([sys.executable, "-c", script, *argv, "--out", str(tmp_path / "report")],
+                              capture_output=True, text=True, env=CLI_ENV)
+        assert proc.stderr == ""
+        shared = ("cli", "cover", "extension", "instance_io", "quasi", "report", "sets")
+        assert proc.stdout.split() == sorted(f"quasimeasure.{m}" for m in shared + extra)
+
     def test_example_with_a_subnormal_tolerance_fails_with_float_values(self, capsys):
         assert main(["example", "--tol", "5e-324", "--format", "machine"]) == 1
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]

@@ -361,6 +361,22 @@ class TestExampleSuite:
         b = verify_example_axioms(sample_count=50, seed=7)
         assert a == b
 
+    def test_cover_bound_witness_names_the_target_and_its_pieces(self, monkeypatch):
+        # With an increasing survival function every "weight" is negative, and
+        # [u, v] plus its pieces beyond v weigh less than the [a, b] they cover.
+        monkeypatch.setattr("quasimeasure.intervals.survival", lambda x: x)
+        witness = verify_example_axioms(sample_count=5, seed=0).result("cover-bound").witnesses[0]
+        roles = [role for role, _ in witness.sets]
+        assert len(roles) >= 2 and roles == ["X", *(f"S{i}" for i in range(1, len(roles)))]
+        (target,) = witness.set_named("X").components
+        pieces = [piece for _, shape in witness.sets[1:] for piece in shape.components]
+        assert len(pieces) == len(roles) - 1
+        assert issubset(witness.set_named("X"), witness.set_named("S1"))
+        assert all(earlier.right < later.left for earlier, later in zip(pieces, pieces[1:]))
+        assert witness.lhs == target.left - target.right
+        assert witness.rhs == sum(piece.left - piece.right for piece in pieces)
+        assert witness.relation == "le" and witness.lhs > witness.rhs
+
     def test_sub_rounding_tolerance_reports_witnesses(self):
         # The identities are analytically exact, so only rounding error
         # remains; a tolerance below one ulp must surface it as failures

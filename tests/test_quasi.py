@@ -121,6 +121,11 @@ class TestQuasiMeasureValidation:
         assert qm.coat is qm.refinement.coat is coat
         assert QuasiMeasure(qm.refinement, dict(qm.values)).coat is coat
 
+    def test_from_numerators_refuses_scale_zero(self, negative_instance):
+        _, _, qm = negative_instance
+        with pytest.raises(ValueError, match="^scale must be positive: 0$"):
+            QuasiMeasure.from_numerators(qm.refinement, 0, dict.fromkeys(qm.refinement.bits, 0))
+
     def test_empty_set_value_must_be_zero(self, negative_instance):
         _, _, qm = negative_instance
         values = dict(qm.values)
@@ -179,6 +184,13 @@ class TestCheckAxioms:
                 (w.sets, w.lhs, w.rhs) for w in cover_bound_violations(qm, "disjoint-only")
             }
             assert disjoint_mode <= all_mode
+
+    def test_unknown_variant_and_cover_mode_are_refused(self, power_set_instance):
+        _, _, qm = power_set_instance
+        with pytest.raises(ValueError, match="^unknown variant 'strict'$"):
+            check_axioms(qm, variant="strict")
+        with pytest.raises(ValueError, match="^unknown cover mode 'disjoint'$"):
+            check_axioms(qm, cover_mode="disjoint")
 
     def test_max_cover_size_limits_enumeration(self, negative_instance):
         _, coat, qm = negative_instance

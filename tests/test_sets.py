@@ -55,6 +55,12 @@ class TestGroundSet:
         with pytest.raises(KeyError):
             ground4.subset(["5"])
 
+    def test_all_subsets_refuses_more_than_the_budget(self):
+        assert (1 << 16) == DEFAULT_EXHAUSTIVE_LIMIT
+        assert next(GroundSet(tuple(str(i) for i in range(16))).all_subsets()).bits == 0
+        with pytest.raises(BudgetExceeded, match=r"^2\*\*17 subsets exceed budget 65536$"):
+            next(GroundSet(tuple(str(i) for i in range(17))).all_subsets())
+
 
 class TestSubsetMask:
     def test_equal_masks_over_distinct_equal_grounds_hash_equal(self):
@@ -65,6 +71,24 @@ class TestSubsetMask:
         assert {x: "x"}[y] == "x" and {y: "y"}[x] == "y" and y in {x}
         other = GroundSet(("a", "b", "c")).mask(x.bits)  # same bits and hash, other ground
         assert other != x and other not in {x: "x"}
+
+    @pytest.mark.parametrize("bits", [-1, 16])
+    def test_bits_out_of_range_are_refused(self, ground4, bits):
+        with pytest.raises(ValueError, match="^mask bits out of range for the ground set$"):
+            ground4.mask(bits)
+
+    def test_operations_refuse_a_mask_over_another_ground(self, ground4):
+        x, other = ground4.subset(["1", "2"]), GroundSet(("a", "b", "c", "d")).mask(0b0110)
+        operations = (lambda: x & other, lambda: x | other, lambda: x.difference(other),
+                      lambda: x.issubset(other))
+        for operation in operations:
+            with pytest.raises(ValueError, match="^masks belong to different ground sets$"):
+                operation()
+
+    def test_is_empty(self, ground4):
+        assert ground4.empty().is_empty()
+        assert not ground4.subset(["3"]).is_empty()
+        assert not ground4.full().is_empty()
 
 
 class TestCoat:
@@ -78,6 +102,11 @@ class TestCoat:
         a = ground4.subset(["1"])
         with pytest.raises(ValueError, match="duplicate"):
             Coat(ground4, (ground4.empty(), ground4.full(), a, a))
+
+    def test_member_over_another_ground_is_refused(self, ground4):
+        stranger = GroundSet(("a", "b", "c", "d")).mask(0b0011)
+        with pytest.raises(ValueError, match="^coat member over a different ground set$"):
+            Coat(ground4, (ground4.empty(), ground4.full(), stranger))
 
     def test_member_bits_are_built_once_and_are_no_field(self, ground4):
         coat = Coat.from_bits(ground4, [0, 0b1111, 0b0011, 0b0110])
