@@ -55,12 +55,16 @@ MUTANTS = (
            "if best is not None and cost >= best[0]:",
            ("tests/test_cover.py",)),
     Mutant("solver-tie-key-drops-indices", QUASI,
-           "(cost, len(chosen), chosen) < (best[0], len(best[1]), best[1])",
-           "(cost, len(chosen)) < (best[0], len(best[1]))",
+           "if size > 0 or size == 0 and not chosen & d & -d:",
+           "if size >= 0:",
+           ("tests/test_cover.py",)),
+    Mutant("solver-tie-from-the-wrong-set", QUASI,
+           "not chosen & d & -d:",
+           "not best[1] & d & -d:",
            ("tests/test_cover.py",)),
     Mutant("solver-skips-memo-read", QUASI,
-           "return self._memo.get(target_bits) or self._solve(target_bits)",
-           "return self._solve(target_bits)",
+           "cost, chosen = self._memo.get(target_bits) or self._solve(target_bits)",
+           "cost, chosen = self._solve(target_bits)",
            ("tests/test_cover.py",)),
     Mutant("solver-exact-weights-try-every-meeting-entry", QUASI,
            "if self._lowest_only:",

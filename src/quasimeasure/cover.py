@@ -12,8 +12,10 @@ engine `quasi.CoverSolver` (below this module, so the cover bound shares it),
 and a full enumeration of all subcollections (`outer_exhaustive`).  Tests hold
 them to exact cost equality.  Both work on int masks and int costs (numerators
 over ``qm.scale``).  Each call builds its own solver through `coat_solver`, so
-the only cover memo lives as long as that call; ``Fraction``, `SubsetMask` and
-`CoverSolution` are built only for results and witnesses.
+the only cover memo lives as long as that call; it keeps each chosen cover as
+an int mask of coat indices, and the solver builds the ascending index tuple
+once per answer.  ``Fraction``, `SubsetMask` and `CoverSolution` are built
+only for results and witnesses.
 `check_outer_properties` solves only omega and the coat members: a minimum
 cover is monotone and subadditive by construction.  No 2**n loop lives
 here: `extension` reads the exterior value of every subset from the table

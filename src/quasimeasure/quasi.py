@@ -128,11 +128,15 @@ class QuasiMeasure:
 class CoverSolver(Generic[W]):
     """Minimum-weight cover search on int masks, memoized on the uncovered mask.
 
-    ``entries`` are ``(index, bits, weight)``; weights are any nonnegative,
-    ordered, additive type with zero ``zero``: int numerators over ``scale``
-    for coats, ``float`` for interval pools.  ``solve`` returns the cost and the
-    ascending chosen indices, least in (cost, size, indices).  The memo is read
-    before each call.
+    ``entries`` are ``(index, bits, weight)`` with distinct nonnegative int
+    indices; weights are any nonnegative, ordered, additive type with zero
+    ``zero``: int numerators over ``scale`` for coats, ``float`` for interval
+    pools.  ``solve`` returns the cost and the ascending chosen indices, least
+    in (cost, size, indices).  The memo maps each solved residual to its cost
+    and the int mask of its chosen indices, bit i for index i, and is read
+    before each call; ``solve`` turns the mask into the index tuple once.
+    Between two covers of equal cost and size the one holding the lowest
+    index where they differ wins, which is the order of their index tuples.
     With non-float weights a node tries only the entries that hold the lowest
     uncovered element, as Knuth's Algorithm X does ("Dancing Links", 2000):
     every cover of the residual contains one, so the answer stays exact.
@@ -141,7 +145,7 @@ class CoverSolver(Generic[W]):
     every entry that meets the residual.
     Candidates are tried cheapest first (entries are sorted stably by weight
     once), and a node stops at the first entry dearer than its best cost; a
-    cover dearer than the best is dropped before its tuple is built.  No
+    cover dearer than the best is dropped before its mask is built.  No
     answer moves: a node's answer, and so its memo entry, is the least
     (cost, size, indices) over its candidates in any order, and weights are
     nonnegative, so an entry dearer than the best can neither win nor tie.
@@ -155,7 +159,7 @@ class CoverSolver(Generic[W]):
         self._by_weight = sorted(entries, key=operator.itemgetter(2))
         self._lowest_only = not isinstance(zero, float)
         self._holding: dict[int, list[tuple[int, int, W]]] = {}  # lowest bit -> entries holding it
-        self._memo: dict[int, tuple[W, tuple[int, ...]]] = {0: (zero, ())}
+        self._memo: dict[int, tuple[W, int]] = {0: (zero, 0)}  # residual -> (cost, chosen index mask)
 
     def feasible(self, target_bits: int) -> bool:
         return target_bits & ~self.reach == 0
@@ -163,9 +167,14 @@ class CoverSolver(Generic[W]):
     def solve(self, target_bits: int) -> tuple[W, tuple[int, ...]]:
         if not self.feasible(target_bits):
             raise ValueError("target not coverable by the available members")
-        return self._memo.get(target_bits) or self._solve(target_bits)
+        cost, chosen = self._memo.get(target_bits) or self._solve(target_bits)
+        indices = []
+        while chosen:
+            indices.append((chosen & -chosen).bit_length() - 1)
+            chosen &= chosen - 1
+        return cost, tuple(indices)
 
-    def _solve(self, residual: int) -> tuple[W, tuple[int, ...]]:
+    def _solve(self, residual: int) -> tuple[W, int]:
         memo = self._memo
         candidates = self._by_weight
         if self._lowest_only:
@@ -173,7 +182,7 @@ class CoverSolver(Generic[W]):
             candidates = self._holding.get(low)
             if candidates is None:
                 candidates = self._holding[low] = [e for e in self._by_weight if e[1] & low]
-        best: tuple[W, tuple[int, ...]] | None = None
+        best: tuple[W, int] | None = None
         for idx, bits, weight in candidates:
             if best is not None and weight > best[0]:
                 break
@@ -184,9 +193,13 @@ class CoverSolver(Generic[W]):
             cost = weight + sub_cost
             if best is not None and cost > best[0]:
                 continue
-            chosen = tuple(sorted(sub_chosen + (idx,)))
-            if best is None or (cost, len(chosen), chosen) < (best[0], len(best[1]), best[1]):
-                best = (cost, chosen)
+            chosen = sub_chosen | 1 << idx
+            if best is not None and cost == best[0]:
+                d = chosen ^ best[1]
+                size = chosen.bit_count() - best[1].bit_count()
+                if size > 0 or size == 0 and not chosen & d & -d:
+                    continue
+            best = (cost, chosen)
         assert best is not None  # residual != 0 and reach covers it
         memo[residual] = best
         return best

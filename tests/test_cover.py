@@ -260,6 +260,41 @@ def test_cheapest_first_search_answers_like_the_entry_order_reference(case):
         assert float(got[0]).hex() == float(want[0]).hex(), target
 
 
+@st.composite
+def wide_index_cases(draw):
+    """Entries with distinct indices up to 100 in any order, a full member, and targets to solve in turn.
+
+    The solver keeps each chosen set as an int mask of indices, so indices
+    past 30 and 60 make masks of two and three CPython int digits.  Int
+    weights come from {0, 1, 2} and float weights mostly from a few dyadic
+    values, so many covers tie on cost and size and the index order decides.
+    """
+    n = draw(st.integers(1, 6))
+    full = (1 << n) - 1
+    floats = draw(st.booleans())
+    if floats:
+        weight = st.one_of(st.sampled_from((0.0, 0.125, 0.25, 0.5, 1.0)), st.floats(0.0, 1.0))
+    else:
+        weight = st.integers(0, 2)
+    indices = draw(st.lists(st.integers(0, 100), min_size=1, max_size=10, unique=True))
+    members = [(draw(st.integers(0, full)), draw(weight)) for _ in indices[1:]]
+    members.insert(draw(st.integers(0, len(members))), (full, draw(weight)))
+    entries = [(i, bits, w) for i, (bits, w) in zip(indices, members)]
+    targets = draw(st.lists(st.integers(0, full), min_size=1, max_size=2 * n + 2))
+    return entries, 0.0 if floats else 0, targets
+
+
+@settings(max_examples=400)
+@given(wide_index_cases())
+def test_solver_answers_like_the_reference_on_indices_past_one_int_digit(case):
+    entries, zero, targets = case
+    solver, reference = CoverSolver(entries, zero), ReferenceCoverSolver(entries, zero)
+    for target in targets:
+        got, want = solver.solve(target), reference.solve(target)
+        assert got == want, target
+        assert float(got[0]).hex() == float(want[0]).hex(), target
+
+
 class TestOptimizerMonotonicity:
     def test_adding_a_member_never_raises_costs(self):
         for seed in range(12):
