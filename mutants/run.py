@@ -45,6 +45,7 @@ INTERVALS = "src/quasimeasure/intervals.py"
 CLI = "src/quasimeasure/cli.py"
 TESTKIT = "src/quasimeasure/testkit.py"
 INSTANCE_IO = "src/quasimeasure/instance_io.py"
+SETS = "src/quasimeasure/sets.py"
 MUTANTS = (
     Mutant("solver-weight-skip-ties", QUASI,
            "if best is not None and weight > best[0]:",
@@ -63,8 +64,8 @@ MUTANTS = (
            "not best[1] & d & -d:",
            ("tests/test_cover.py",)),
     Mutant("solver-skips-memo-read", QUASI,
-           "cost, chosen = self._memo.get(target_bits) or self._solve(target_bits)",
-           "cost, chosen = self._solve(target_bits)",
+           "return self._memo.get(target_bits) or self._solve(target_bits)",
+           "return self._solve(target_bits)",
            ("tests/test_cover.py",)),
     Mutant("solver-exact-weights-try-every-meeting-entry", QUASI,
            "if self._lowest_only:",
@@ -154,6 +155,26 @@ MUTANTS = (
            "labels, names = [json.dumps(s)[1:-1] for s in labels], [json.dumps(s)[1:-1] for s in names]",
            "names = [json.dumps(s)[1:-1] for s in names]",
            ("tests/test_cli.py",)),
+    Mutant("row-text-first-byte-drops-bit-7", CLI,
+           "table[m & 255]",
+           "table[m & 127]",
+           ("tests/test_cli.py",)),
+    Mutant("row-text-later-byte-drops-bit-7", CLI,
+           "table[m >> start & 255]",
+           "table[m >> start & 127]",
+           ("tests/test_cli.py",)),
+    Mutant("outer-row-mask-drops-first-index", CLI,
+           "sum(1 << i for i in solution.chosen)",
+           "sum(1 << i for i in solution.chosen[1:])",
+           ("tests/test_cli.py",)),
+    Mutant("bit-indices-off-by-one", SETS,
+           "indices.append((mask & -mask).bit_length() - 1)",
+           "indices.append((mask & -mask).bit_length())",
+           ("tests/test_cli.py",)),
+    Mutant("table-range-check-drops-the-upper-bound", EXTENSION,
+           "if min(self.numerators) < 0 or max(self.numerators) > self.scale:",
+           "if min(self.numerators) < 0:",
+           ("tests/test_extension.py",)),
     Mutant("induce-mid-table-shift-off-by-one", TESTKIT,
            "mid[b >> 8 & 255]",
            "mid[b >> 7 & 255]",

@@ -75,8 +75,9 @@ def _check_records(report: AxiomReport) -> list[dict]:
 
 
 def _cover_lines(kind: str, qm: QuasiMeasure, scale: int, bits: Sequence[int], numerators: Sequence[int],
-                 covers: Sequence[tuple[int, ...]], machine: bool) -> list[str]:
-    """``outer`` or ``table`` lines: set i is ``bits[i]``, its value ``numerators[i] / scale``.
+                 chosen: Sequence[int], machine: bool) -> list[str]:
+    """``outer`` or ``table`` lines: set i is ``bits[i]``, its value ``numerators[i] / scale``
+    and its cover the coat indices in the bits of ``chosen[i]``.
 
     Each element label, coat member name and distinct value is formatted
     once per call and each line is one ``%`` format: JSON escapes a string
@@ -90,19 +91,24 @@ def _cover_lines(kind: str, qm: QuasiMeasure, scale: int, bits: Sequence[int], n
     else:
         template = kind + " {%s} = %s cover %s (indices %s)"
     values = {v: f"{v // g}/{scale // g}" for v in set(numerators) for g in [math.gcd(v, scale)]}
-    # A set's text joins its labels in the low half of the ground with those in the high half.
-    half = len(labels) // 2
-    low, lows, highs = (1 << half) - 1, _joined_labels(labels[:half]), _joined_labels(labels[half:])
-    return [template % ((lows[b & low] + highs[b >> half])[1:], values[v],
-                        " ".join([names[i] for i in chosen]), " ".join(map(str, chosen)))
-            for b, v, chosen in zip(bits, numerators, covers)]
+    sets, covers = _joined(labels, ",", bits), _joined(names, " ", chosen)
+    indices = _joined([str(i) for i in range(len(names))], " ", chosen)
+    return [template % (s[1:], values[v], c[1:], i[1:]) for s, v, c, i in zip(sets, numerators, covers, indices)]
 
 
-def _joined_labels(labels: Sequence[str]) -> list[str]:
-    """Entry s is the labels in the bits of s, in order, each after a ","."""
-    texts = [""]
-    for label in labels:
-        texts += [text + "," + label for text in texts]
+def _joined(items: Sequence[str], sep: str, masks: Sequence[int]) -> list[str]:
+    """For each mask, the items in its bits, in order, each after a ``sep``.
+
+    Each byte of the masks gets a 256-entry table of the texts of its eight
+    items, so a mask's text is one lookup per byte: the first byte's text
+    starts it and each later byte's is appended."""
+    texts: list[str] = []
+    for start in range(0, len(items), 8):
+        table = [""]
+        for item in items[start:start + 8]:
+            table += [text + sep + item for text in table]
+        texts = ([table[m & 255] for m in masks] if not start
+                 else [text + table[m >> start & 255] for text, m in zip(texts, masks)])
     return texts
 
 
@@ -168,14 +174,14 @@ def _run_outer(args: argparse.Namespace) -> _Outcome:
     target = resolve_target(args.target, spec.names(), qm.ground)
     value, solution = outer(qm, target)
     lines = _cover_lines("outer", qm, value.denominator, [target.bits], [value.numerator],
-                         [solution.chosen], args.output_format == "machine")
+                         [sum(1 << i for i in solution.chosen)], args.output_format == "machine")
     return lines, [], "outer", True
 
 
 def _run_extend(args: argparse.Namespace) -> _Outcome:
     _, qm = _load_instance(args)
     table = extend(qm)
-    lines = _cover_lines("table", qm, table.scale, table.algebra.bits, table.numerators, table.covers,
+    lines = _cover_lines("table", qm, table.scale, table.algebra.bits, table.numerators, table.chosen,
                          args.output_format == "machine")
     report = verify_premeasure(table)
     return lines, _check_records(report), report.suite, report.passed

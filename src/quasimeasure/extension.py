@@ -29,8 +29,8 @@ from typing import Iterable, Iterator, Sequence
 from .cover import CoverSolution
 from .quasi import ONE, QuasiMeasure, coat_solver
 from .report import AxiomReport, ReportBuilder, Witness
-from .sets import (DEFAULT_EXHAUSTIVE_LIMIT, AlgebraFamily, BudgetExceeded, SubsetMask, generate_algebra,
-                   subset_table)
+from .sets import (DEFAULT_EXHAUSTIVE_LIMIT, AlgebraFamily, BudgetExceeded, SubsetMask, bit_indices,
+                   generate_algebra, subset_table)
 
 AUDIT_LIMIT = 5  # ground sets up to this size get the all-subsets audit
 SPLIT_BUDGET = 1 << 24  # lookups in measurable_family, 2**n per splitting test that runs
@@ -127,30 +127,37 @@ class MeasureTable:
     """Exterior values tabulated on the generated algebra, with witnesses.
 
     Entry i is member i of the algebra, the union of the atoms in the bits
-    of i: its value is ``numerators[i] / scale`` and ``covers[i]`` holds the
-    ascending coat indices of an optimal cover.  ``extend`` stores the least
-    ``scale``, the lcm of the value denominators.  The table carries no
-    verification claim: on axiom-failing inputs the full set can admit a
-    cover cheaper than 1, so ``verify_premeasure`` checks that endpoint.
+    of i: its value is ``numerators[i] / scale`` and ``chosen[i]`` is the int
+    mask of the coat indices of an optimal cover, bit j for index j.
+    ``covers[i]`` holds those indices ascending; the tuples are built on
+    first read.  ``extend`` stores the least ``scale``, the lcm of the value
+    denominators.  The table carries no verification claim: on axiom-failing
+    inputs the full set can admit a cover cheaper than 1, so
+    ``verify_premeasure`` checks that endpoint.
     """
 
     algebra: AlgebraFamily
     scale: int
     numerators: tuple[int, ...]
-    covers: tuple[tuple[int, ...], ...]
+    chosen: tuple[int, ...]
 
     def __post_init__(self) -> None:
         size = len(self.algebra)
-        if len(self.numerators) != size or len(self.covers) != size:
+        if len(self.numerators) != size or len(self.chosen) != size:
             raise ValueError("table must assign exactly the algebra members")
         if self.scale < 1:
             raise ValueError("table scale must be positive")
         if self.numerators[0] != 0:
             raise ValueError("table value of the empty set must be 0")
-        for i, numerator in enumerate(self.numerators):
-            if not 0 <= numerator <= self.scale:
-                mask = self.algebra.ground.mask(self.algebra.bits[i])
-                raise ValueError(f"table value outside [0,1] at {mask}")
+        if min(self.numerators) < 0 or max(self.numerators) > self.scale:
+            i = next(i for i, numerator in enumerate(self.numerators) if not 0 <= numerator <= self.scale)
+            mask = self.algebra.ground.mask(self.algebra.bits[i])
+            raise ValueError(f"table value outside [0,1] at {mask}")
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, ...], ...]:
+        """The ascending coat indices of each member's optimal cover, built once on first use."""
+        return tuple(map(bit_indices, self.chosen))
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
@@ -175,7 +182,7 @@ def extend(qm: QuasiMeasure) -> MeasureTable:
     Never refuses axiom-failing inputs; negative instances are first-class
     material and verification is a separate step.
     """
-    solve = coat_solver(qm).solve
+    solve = coat_solver(qm).solve_bits
     algebra = generate_algebra(qm.coat)
     solved = [solve(b) for b in algebra.bits]
     divisor = math.gcd(qm.scale, *(cost for cost, _ in solved))

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .report import AxiomReport, ReportBuilder, Witness
-from .sets import BudgetExceeded, Coat, Refinement, SubsetMask
+from .sets import BudgetExceeded, Coat, Refinement, SubsetMask, bit_indices
 
 W = TypeVar("W")
 ONE = Fraction(1)
@@ -131,10 +131,11 @@ class CoverSolver(Generic[W]):
     ``entries`` are ``(index, bits, weight)`` with distinct nonnegative int
     indices; weights are any nonnegative, ordered, additive type with zero
     ``zero``: int numerators over ``scale`` for coats, ``float`` for interval
-    pools.  ``solve`` returns the cost and the ascending chosen indices, least
-    in (cost, size, indices).  The memo maps each solved residual to its cost
-    and the int mask of its chosen indices, bit i for index i, and is read
-    before each call; ``solve`` turns the mask into the index tuple once.
+    pools.  ``solve_bits`` returns the cost and the int mask of the chosen
+    indices, bit i for index i, least in (cost, size, indices); ``solve``
+    returns the same answer with the mask turned into the ascending index
+    tuple by ``bit_indices``.  The memo maps each solved residual to its cost
+    and chosen mask, and is read before each call.
     Between two covers of equal cost and size the one holding the lowest
     index where they differ wins, which is the order of their index tuples.
     With non-float weights a node tries only the entries that hold the lowest
@@ -165,14 +166,13 @@ class CoverSolver(Generic[W]):
         return target_bits & ~self.reach == 0
 
     def solve(self, target_bits: int) -> tuple[W, tuple[int, ...]]:
+        cost, chosen = self.solve_bits(target_bits)
+        return cost, bit_indices(chosen)
+
+    def solve_bits(self, target_bits: int) -> tuple[W, int]:
         if not self.feasible(target_bits):
             raise ValueError("target not coverable by the available members")
-        cost, chosen = self._memo.get(target_bits) or self._solve(target_bits)
-        indices = []
-        while chosen:
-            indices.append((chosen & -chosen).bit_length() - 1)
-            chosen &= chosen - 1
-        return cost, tuple(indices)
+        return self._memo.get(target_bits) or self._solve(target_bits)
 
     def _solve(self, residual: int) -> tuple[W, int]:
         memo = self._memo

@@ -205,6 +205,15 @@ def refine(c: Coat) -> Refinement:
     return Refinement(c)
 
 
+def bit_indices(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``mask``, ascending: each step peels the lowest."""
+    indices = []
+    while mask:
+        indices.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(indices)
+
+
 def subset_table(items: Iterable[int], combine: Callable[[int, int], int] = operator.or_) -> list[int]:
     """Entry s combines (unions, or sums with ``operator.add``) the items in the bits of s.
 

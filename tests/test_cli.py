@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from quasimeasure import (
     Coat,
+    CoverSolution,
     GroundSet,
     TrueMeasure,
     canonical_negative_instance,
@@ -39,7 +40,7 @@ from quasimeasure.instance_io import (
     render_instance,
     resolve_target,
 )
-from quasimeasure.sets import MAX_GROUND_SIZE
+from quasimeasure.sets import MAX_GROUND_SIZE, bit_indices
 
 # CLI subprocesses import the package from where this process found it.
 CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -910,6 +911,34 @@ PARSER_LABELS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_ch
                         .filter(lambda c: not c.isspace()), min_size=1, max_size=3)
 
 
+def assert_rows_match_the_record_builder(qm, target, machine):
+    """``_cover_lines`` renders the ``extend`` table of ``qm`` and the ``outer`` row of ``target``
+    as the record builder does."""
+    table = extend(qm)
+    assert cli._cover_lines("table", qm, table.scale, table.algebra.bits, table.numerators, table.chosen,
+                            machine) == reference_table_lines(qm, machine)
+    value, solution = outer(qm, target)
+    chosen = sum(1 << i for i in solution.chosen)
+    assert cli._cover_lines("outer", qm, value.denominator, [target.bits], [value.numerator], [chosen],
+                            machine) == [reference_outer_line(qm, target, machine)]
+
+
+def wide_instance(labels, coat_size, seed):
+    """A seeded instance on ``labels`` whose coat has ``coat_size`` members, all unions
+    of at most eight atoms scattered over the ground, under small int weights that tie often."""
+    rng = random.Random(seed)
+    n, atoms = len(labels), rng.randint(6, 8)
+    owner = [*range(atoms), *(rng.randrange(atoms) for _ in range(n - atoms))]
+    rng.shuffle(owner)
+    atom_bits = [sum(1 << e for e in range(n) if owner[e] == a) for a in range(atoms)]
+    unions = [sum(b for a, b in enumerate(atom_bits) if s >> a & 1) for s in range(1, (1 << atoms) - 1)]
+    ground = GroundSet(tuple(labels))
+    coat = Coat.from_bits(ground, [0, ground.full_bits, *rng.sample(unions, coat_size - 2)])
+    weights = [rng.randint(0, 3) for _ in range(n)]
+    weights[0] += 1
+    return induce(TrueMeasure(ground, tuple(Fraction(w, sum(weights)) for w in weights)), coat)
+
+
 class TestRowBuilder:
     @pytest.fixture
     def hostile(self, tmp_path):
@@ -944,13 +973,32 @@ class TestRowBuilder:
     def test_rows_match_the_record_builder_on_parser_labels(self, labels, seed, machine):
         tm, _, qm = random_instance(seed, n=len(labels), coat_size=1 + seed % 8)
         qm = relabeled(qm, tm, labels)
+        assert_rows_match_the_record_builder(qm, qm.ground.mask(seed % (1 << len(labels))), machine)
+
+    @settings(max_examples=60)
+    @given(st.lists(PARSER_LABELS, min_size=9, max_size=MAX_GROUND_SIZE, unique=True), st.integers(9, 40),
+           st.integers(0, 10**6), st.booleans())
+    def test_rows_match_the_record_builder_across_mask_bytes(self, labels, coat_size, seed, machine):
+        # Up to 24 labels and 40 coat members: both masks of a row span several bytes.
+        qm = wide_instance(labels, coat_size, seed)
+        assert_rows_match_the_record_builder(qm, qm.ground.mask(random.Random(seed).getrandbits(len(labels))),
+                                             machine)
         table = extend(qm)
-        assert cli._cover_lines("table", qm, table.scale, table.algebra.bits, table.numerators, table.covers,
-                                machine) == reference_table_lines(qm, machine)
-        target = qm.ground.mask(seed % (1 << len(labels)))
-        value, solution = outer(qm, target)
-        assert cli._cover_lines("outer", qm, value.denominator, [target.bits], [value.numerator],
-                                [solution.chosen], machine) == [reference_outer_line(qm, target, machine)]
+        for i, value in enumerate(table.values):
+            assert CoverSolution(table.covers[i], value).verify(qm, table.algebra.members[i])
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 1 << 100))
+    def test_bit_indices_are_the_set_bits_ascending(self, mask):
+        assert bit_indices(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+    def test_extend_builds_the_cover_tuples_on_first_read(self):
+        _, _, qm = random_instance(5, n=10, coat_size=12)
+        table = extend(qm)
+        assert "covers" not in table.__dict__
+        covers = table.covers
+        assert table.__dict__["covers"] is covers
+        assert covers == tuple(map(bit_indices, table.chosen))
 
     def test_calls_in_one_process_match_fresh_processes(self, uniform_path, tmp_path, capsys):
         # One parser serves every call in a process; no flag value may carry over.

@@ -266,19 +266,19 @@ class TestMeasureTable:
     def test_constructor_refuses_malformed_tables(self, negative_instance):
         _, _, qm = negative_instance
         table = extend(qm)
-        algebra, scale, nums, covers = table.algebra, table.scale, table.numerators, table.covers
+        algebra, scale, nums, chosen = table.algebra, table.scale, table.numerators, table.chosen
         with pytest.raises(ValueError, match="exactly the algebra members"):
-            MeasureTable(algebra, scale, nums[:-1], covers)
+            MeasureTable(algebra, scale, nums[:-1], chosen)
         with pytest.raises(ValueError, match="exactly the algebra members"):
-            MeasureTable(algebra, scale, nums, covers[1:])
+            MeasureTable(algebra, scale, nums, chosen[1:])
         with pytest.raises(ValueError, match="scale must be positive"):
-            MeasureTable(algebra, 0, (0,) * len(nums), covers)
+            MeasureTable(algebra, 0, (0,) * len(nums), chosen)
         with pytest.raises(ValueError, match="empty set must be 0"):
-            MeasureTable(algebra, scale, (1, *nums[1:]), covers)
+            MeasureTable(algebra, scale, (1, *nums[1:]), chosen)
         with pytest.raises(ValueError, match=re.escape(f"outside [0,1] at {algebra.members[1]}")):
-            MeasureTable(algebra, scale, (0, -1, *nums[2:]), covers)
+            MeasureTable(algebra, scale, (0, -1, *nums[2:]), chosen)
         with pytest.raises(ValueError, match=re.escape(f"outside [0,1] at {algebra.members[-1]}")):
-            MeasureTable(algebra, scale, (*nums[:-1], scale + 1), covers)
+            MeasureTable(algebra, scale, (*nums[:-1], scale + 1), chosen)
 
     def test_value_refuses_non_members(self, trivial_instance):
         _, _, qm = trivial_instance
@@ -467,7 +467,7 @@ def pairwise_verify_premeasure(table):
 def quarter_table(coat, quarters):
     """Values ``q/4`` on the coat's generated algebra, with the empty set at 0."""
     algebra = generate_algebra(coat)
-    return MeasureTable(algebra, 4, (0, *quarters), ((),) * len(algebra))
+    return MeasureTable(algebra, 4, (0, *quarters), (0,) * len(algebra))
 
 
 def assert_same_report(table):
@@ -511,7 +511,7 @@ def atom_sum_tables(draw):
     if draw(st.booleans()):
         i = draw(st.integers(1, size - 1))
         nums[i] = (nums[i] + draw(st.integers(1, scale))) % (scale + 1)
-    return MeasureTable(algebra, scale, tuple(nums), ((),) * size)
+    return MeasureTable(algebra, scale, tuple(nums), (0,) * size)
 
 
 @settings(max_examples=80)
@@ -540,7 +540,7 @@ def test_additive_table_reads_each_numerator_a_few_times():
     n = 10
     algebra = generate_algebra(singleton_coat_instance(n).coat)
     nums = CountingTuple(m.size for m in algebra)
-    table = MeasureTable(algebra, n, nums, ((),) * len(algebra))
+    table = MeasureTable(algebra, n, nums, (0,) * len(algebra))
     nums.reads = 0
     report = verify_premeasure(table)
     assert report.passed and len(algebra) == 2 ** n
@@ -571,7 +571,7 @@ def test_passing_table_walks_no_triples(monkeypatch):
     ground = GroundSet(tuple(str(i + 1) for i in range(n)))
     coat = Coat.from_bits(ground, [0, ground.full_bits, *(1 << i for i in range(n - 1))])
     algebra = generate_algebra(coat)
-    table = MeasureTable(algebra, n, tuple(m.size for m in algebra), ((),) * len(algebra))
+    table = MeasureTable(algebra, n, tuple(m.size for m in algebra), (0,) * len(algebra))
     assert len(algebra) >= 128
     monkeypatch.setattr(extension, "SAMPLED_TRIPLES", Unreadable())
     report = verify_premeasure(table)
@@ -616,7 +616,7 @@ def test_sampled_triple_witnesses_are_the_failing_draws(m):
     ground = GroundSet(tuple(str(i + 1) for i in range(m)))
     algebra = AlgebraFamily(ground, tuple(1 << a for a in range(m)))
     nums = (0, *(bin(i).count("1") + rng.randrange(2) for i in range(1, 1 << m)))
-    report = verify_premeasure(MeasureTable(algebra, m + 1, nums, ((),) * len(algebra)))
+    report = verify_premeasure(MeasureTable(algebra, m + 1, nums, (0,) * len(algebra)))
     draws = disjoint_draws(m)
     want = [(i, j, k) for i, j, k in draws if nums[i | j | k] != nums[i] + nums[j] + nums[k]]
     got = [tuple(mask.bits for _, mask in w.sets) for w in report.result("triple-additivity").witnesses]
