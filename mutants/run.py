@@ -11,7 +11,9 @@ fails.
 Usage: python mutants/run.py
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when the
-baseline fails, a replacement does not match, or pytest errors out.
+baseline fails, a replacement does not match, or pytest errors out.  The
+copies live under one temporary directory that is removed on every exit,
+including one forced by SIGTERM (exit status 143) or Ctrl-C.
 Only the standard library is needed to run it; the tests need pytest and
 hypothesis.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -68,8 +71,20 @@ MUTANTS = (
            "return self._solve(target_bits)",
            ("tests/test_cover.py",)),
     Mutant("solver-exact-weights-try-every-meeting-entry", QUASI,
-           "if self._lowest_only:",
-           "if False:",
+           "if self._lowest_only else self._by_weight",
+           "if False else self._by_weight",
+           ("tests/test_cover.py",)),
+    Mutant("solver-bound-skips-ties", QUASI,
+           "holders(rest & -rest)[0][2] > best[0]:",
+           "holders(rest & -rest)[0][2] >= best[0]:",
+           ("tests/test_cover.py",)),
+    Mutant("solver-bound-from-the-dearest-holder", QUASI,
+           "holders(rest & -rest)[0][2]",
+           "holders(rest & -rest)[-1][2]",
+           ("tests/test_cover.py",)),
+    Mutant("solver-bound-from-the-residual-lowest-element", QUASI,
+           "holders(rest & -rest)",
+           "holders(residual & -residual)",
            ("tests/test_cover.py",)),
     Mutant("solver-candidates-in-entry-order", QUASI,
            "self._by_weight = sorted(entries, key=operator.itemgetter(2))",
@@ -226,9 +241,10 @@ MUTANTS = (
 )
 
 
-def pytest_in_copy(tests: tuple[str, ...], mutant: Mutant | None = None) -> int:
-    """Run ``pytest -x`` on ``tests`` in a fresh copy, with ``mutant`` applied; -1 if it does not match."""
-    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+def pytest_in_copy(workdir: Path, tests: tuple[str, ...], mutant: Mutant | None = None) -> int:
+    """Run ``pytest -x`` on ``tests`` in a fresh copy under ``workdir``, with ``mutant`` applied;
+    -1 if it does not match."""
+    with tempfile.TemporaryDirectory(prefix="mutant-", dir=workdir) as tmp:
         copy = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
         shutil.copytree(ROOT / "src", copy / "src", ignore=skip)
@@ -246,15 +262,29 @@ def pytest_in_copy(tests: tuple[str, ...], mutant: Mutant | None = None) -> int:
         return subprocess.run(command, cwd=copy, env=env, capture_output=True).returncode
 
 
+def stop(signum, frame):
+    """Turn SIGTERM into ``SystemExit``, so that ``finally`` blocks and ``with`` exits still run."""
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    signal.signal(signal.SIGTERM, stop)
+    workdir = Path(tempfile.mkdtemp(prefix="mutants-"))
+    try:
+        return run_all(workdir)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def run_all(workdir: Path) -> int:
     started = time.perf_counter()
     tests = tuple(sorted({t for m in MUTANTS for t in m.tests}))
-    if pytest_in_copy(tests) != 0:
+    if pytest_in_copy(workdir, tests) != 0:
         print(f"baseline: the unmutated tests fail: {' '.join(tests)}", file=sys.stderr)
         return 2
     outcomes = []
     for mutant in MUTANTS:
-        code = pytest_in_copy(mutant.tests, mutant)
+        code = pytest_in_copy(workdir, mutant.tests, mutant)
         outcome = {-1: "unmatched", 0: "SURVIVED", 1: "killed"}.get(code, f"error (pytest exit {code})")
         outcomes.append(outcome)
         print(f"{outcome:<10} {mutant.name}", flush=True)

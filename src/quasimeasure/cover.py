@@ -11,9 +11,13 @@ Two independent routes compute the same quantity: `outer`, on the one cover
 engine `quasi.CoverSolver` (below this module, so the cover bound shares it),
 and a full enumeration of all subcollections (`outer_exhaustive`).  Tests hold
 them to exact cost equality.  Both work on int masks and int costs (numerators
-over ``qm.scale``).  Each call builds its own solver through `coat_solver`, so
-the only cover memo lives as long as that call; it keeps each chosen cover as
-an int mask of coat indices.  `outer` turns the mask into the ascending index
+over ``qm.scale``).  The engine searches branch and bound: it skips a member
+whose weight plus the cheapest member holding the rest's lowest element
+already exceeds the best cover, which never moves an answer, since every
+cover of the rest holds such a member and weights are nonnegative (float
+sums too, as rounding is monotone).  Each call builds its own solver through
+`coat_solver`, so the only cover memo lives as long as that call; it keeps
+each chosen cover as an int mask of coat indices.  `outer` turns the mask into the ascending index
 tuple once per answer, and `extension.extend` keeps the masks, whose tuples
 are built only when read.  ``Fraction``, `SubsetMask` and `CoverSolution`
 are built only for results and witnesses.

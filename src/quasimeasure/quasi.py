@@ -150,6 +150,16 @@ class CoverSolver(Generic[W]):
     answer moves: a node's answer, and so its memo entry, is the least
     (cost, size, indices) over its candidates in any order, and weights are
     nonnegative, so an entry dearer than the best can neither win nor tie.
+    A candidate whose rest is not yet solved is skipped unsolved when its
+    weight plus the cheapest entry holding the rest's lowest element exceeds
+    the best cost (a lower bound, as in Land and Doig's branch and bound,
+    1960).  Every cover of the rest holds such an entry, and a sum of
+    nonnegative weights is at least each term, in floats too: rounding is
+    monotone, so fl(a + b) >= a for b >= 0, and the recursion's cost would be
+    at least the bound.  The bound is strict, so ties are kept and no answer,
+    float bit or memo value moves.  ``_holders`` keeps the entries holding
+    each element, cheapest first; the float path builds them for the bound
+    alone.
     """
 
     def __init__(self, entries: Sequence[tuple[int, int, W]], zero: W):
@@ -174,14 +184,17 @@ class CoverSolver(Generic[W]):
             raise ValueError("target not coverable by the available members")
         return self._memo.get(target_bits) or self._solve(target_bits)
 
+    def _holders(self, low: int) -> list[tuple[int, int, W]]:
+        """The entries holding the one-bit mask ``low``, cheapest first; built once per bit."""
+        holders = self._holding.get(low)
+        if holders is None:
+            holders = self._holding[low] = [e for e in self._by_weight if e[1] & low]
+        return holders
+
     def _solve(self, residual: int) -> tuple[W, int]:
         memo = self._memo
-        candidates = self._by_weight
-        if self._lowest_only:
-            low = residual & -residual
-            candidates = self._holding.get(low)
-            if candidates is None:
-                candidates = self._holding[low] = [e for e in self._by_weight if e[1] & low]
+        holders = self._holders
+        candidates = holders(residual & -residual) if self._lowest_only else self._by_weight
         best: tuple[W, int] | None = None
         for idx, bits, weight in candidates:
             if best is not None and weight > best[0]:
@@ -189,7 +202,12 @@ class CoverSolver(Generic[W]):
             if not bits & residual:
                 continue
             rest = residual & ~bits
-            sub_cost, sub_chosen = memo.get(rest) or self._solve(rest)
+            found = memo.get(rest)
+            if found is None:
+                if best is not None and weight + holders(rest & -rest)[0][2] > best[0]:
+                    continue
+                found = self._solve(rest)
+            sub_cost, sub_chosen = found
             cost = weight + sub_cost
             if best is not None and cost > best[0]:
                 continue

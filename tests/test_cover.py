@@ -295,6 +295,61 @@ def test_solver_answers_like_the_reference_on_indices_past_one_int_digit(case):
         assert float(got[0]).hex() == float(want[0]).hex(), target
 
 
+# Weights whose sums round differently by order: 0.1 + 0.2 is 0.30000000000000004,
+# not 0.3, and (0.1 + 0.2) + 0.7 is 1.0 while 0.1 + (0.2 + 0.7) is 0.9999999999999999.
+ORDER_SENSITIVE_WEIGHTS = (0.1, 0.2, 0.3, 0.30000000000000004, 0.7, 1.0, 0.0)
+
+
+@st.composite
+def order_sensitive_cases(draw):
+    """Entries on n <= 7 elements with order-sensitive float weights, a full member, and targets.
+
+    Covers of equal weight multisets often cost a last ulp apart, so a bound
+    that dropped a candidate the unbounded search keeps would move a cost.
+    """
+    n = draw(st.integers(1, 7))
+    full = (1 << n) - 1
+    weight = st.one_of(st.sampled_from(ORDER_SENSITIVE_WEIGHTS), st.floats(0.0, 1.0))
+    members = draw(st.lists(st.tuples(st.integers(1, full), weight), min_size=0, max_size=10))
+    members.insert(draw(st.integers(0, len(members))), (full, draw(weight)))
+    entries = [(i, bits, w) for i, (bits, w) in enumerate(members)]
+    targets = draw(st.lists(st.integers(0, full), min_size=1, max_size=2 * n + 2))
+    return entries, targets
+
+
+@settings(max_examples=500)
+@given(order_sensitive_cases())
+def test_bounded_float_search_answers_like_the_unbounded_reference(case):
+    # The solver skips a candidate whose weight plus the cheapest holder of the
+    # rest's lowest element exceeds the best cost; the reference never does.
+    # fl(a + b) >= a for b >= 0, so every answer and cost must agree bit for bit.
+    entries, targets = case
+    solver, reference = CoverSolver(entries, 0.0), ReferenceCoverSolver(entries, 0.0)
+    for target in targets:
+        got, want = solver.solve(target), reference.solve(target)
+        assert got == want and got[0].hex() == want[0].hex(), target
+
+
+def benchmark_coat_queries(seed=0):
+    """The (instance, target mask) of the 256 coat queries of perfbench's cover-queries workload."""
+    rng = random.Random(seed)
+    for j in range(256):
+        n, k = 16 + j % 3, 20 + j % 3
+        qm = random_instance(seed * 256 + j, n=n, coat_size=k)[2]
+        yield qm, sum(1 << i for i in rng.sample(range(n), n // 2))
+
+
+def test_search_work_on_the_benchmark_coat_queries_is_pinned():
+    # A count of memo entries, not a time: a change that adds search work fails
+    # here.  Without the bound on the rest's cheapest holder the count is 7,150.
+    memo_entries = 0
+    for qm, target_bits in benchmark_coat_queries():
+        solver = coat_solver(qm)
+        solver.solve(target_bits)
+        memo_entries += len(solver._memo)
+    assert memo_entries == 4759
+
+
 class TestOptimizerMonotonicity:
     def test_adding_a_member_never_raises_costs(self):
         for seed in range(12):

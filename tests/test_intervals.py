@@ -795,6 +795,18 @@ def test_outer_interval_hands_the_solver_the_pointwise_atom_masks(monkeypatch):
     assert len(searches) == 96
 
 
+def test_search_work_on_the_benchmark_interval_queries_is_pinned():
+    # A count of memo entries, not a time: a change that adds search work fails
+    # here.  Without the bound on the rest's cheapest holder the count is 9,765.
+    memo_entries = 0
+    for target, pool in benchmark_interval_queries():
+        points = shape_points(target.components, pool)
+        solver = CoverSolver([(i, oracle_mask((p,), points), p.weight()) for i, p in enumerate(pool)], 0.0)
+        solver.solve(oracle_mask(target.components, points))
+        memo_entries += len(solver._memo)
+    assert memo_entries == 5926
+
+
 def test_benchmark_interval_queries_answer_like_the_entry_order_reference():
     # The cheapest-first search must leave every float cost bit-identical.
     for target, pool in benchmark_interval_queries():
