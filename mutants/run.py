@@ -59,12 +59,24 @@ MUTANTS = (
            "if best is not None and cost >= best[0]:",
            ("tests/test_cover.py",)),
     Mutant("solver-tie-key-drops-indices", QUASI,
-           "if size > 0 or size == 0 and not chosen & d & -d:",
-           "if size >= 0:",
+           "return size > 0 or size == 0 and not chosen & d & -d",
+           "return size >= 0",
            ("tests/test_cover.py",)),
     Mutant("solver-tie-from-the-wrong-set", QUASI,
-           "not chosen & d & -d:",
-           "not best[1] & d & -d:",
+           "not chosen & d & -d",
+           "not best & d & -d",
+           ("tests/test_cover.py",)),
+    Mutant("fill-weight-break-on-ties", QUASI,
+           "if best is not None and weight > best:",
+           "if best is not None and weight >= best:",
+           ("tests/test_cover.py",)),
+    Mutant("fill-reads-the-member-not-the-rest", QUASI,
+           "cost = weight + costs[rest]",
+           "cost = weight + costs[s]",
+           ("tests/test_cover.py",)),
+    Mutant("fill-drops-the-holder-index", QUASI,
+           "mask = chosen[rest] | 1 << idx",
+           "mask = chosen[rest]",
            ("tests/test_cover.py",)),
     Mutant("solver-skips-memo-read", QUASI,
            "return self._memo.get(target_bits) or self._solve(target_bits)",

@@ -17,8 +17,7 @@ import importlib
 # package alone loads no submodule.
 _NAMES = {
     "cover": "CoverSolution check_outer_properties outer outer_exhaustive",
-    "extension": "MeasurabilityReport MeasureTable extend is_caratheodory_measurable measurable_family"
-                 " verify_premeasure",
+    "extension": "MeasurabilityReport MeasureTable extend measurable_family verify_premeasure",
     "instance_io": "InstanceSpec ParseError instance_spec_from parse_instance render_instance",
     "intervals": "Interval IntervalCover IntervalSet exp_eval outer_interval survival_weight verify_example_axioms",
     "quasi": "QuasiMeasure check_alt_conditions check_axioms",

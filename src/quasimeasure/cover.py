@@ -3,28 +3,22 @@
 The exterior value of an arbitrary subset is the cheapest way to cover it
 with coat members, where each member costs its quasi-measure value.  On a
 finite ground set the infimum is attained, so the optimizer returns both the
-exact cost and an optimal witness.  Ties between optimal covers are broken
-deterministically: lowest cost, then fewest members, then lexicographically
-smallest index list.
+exact cost and an optimal witness, least in (cost, size, indices) as the one
+cover engine, `quasi.CoverSolver`, orders covers.
 
-Two independent routes compute the same quantity: `outer`, on the one cover
-engine `quasi.CoverSolver` (below this module, so the cover bound shares it),
-and a full enumeration of all subcollections (`outer_exhaustive`).  Tests hold
-them to exact cost equality.  Both work on int masks and int costs (numerators
-over ``qm.scale``).  The engine searches branch and bound: it skips a member
-whose weight plus the cheapest member holding the rest's lowest element
-already exceeds the best cover, which never moves an answer, since every
-cover of the rest holds such a member and weights are nonnegative (float
-sums too, as rounding is monotone).  Each call builds its own solver through
-`coat_solver`, so the only cover memo lives as long as that call; it keeps
-each chosen cover as an int mask of coat indices.  `outer` turns the mask into the ascending index
-tuple once per answer, and `extension.extend` keeps the masks, whose tuples
-are built only when read.  ``Fraction``, `SubsetMask` and `CoverSolution`
-are built only for results and witnesses.
+Two independent routes compute the same quantity: `outer`, on that engine
+(below this module, so the cover bound shares it), and a full enumeration of
+all subcollections (`outer_exhaustive`).  Tests hold them to exact equality.
+Both work on int masks and int costs (numerators over ``qm.scale``).  Each
+call builds its own solver through `coat_solver`, so the only cover memo
+lives as long as that call.  `outer` turns the chosen mask of coat indices
+into the ascending index tuple once per answer.  No 2**n loop lives here:
+`extension.extend` fills its table on the generated algebra bottom-up with
+`CoverSolver.fill`, keeping the masks, and `extension` reads the exterior
+value of every subset from it.  ``Fraction``, `SubsetMask` and
+`CoverSolution` are built only for results and witnesses.
 `check_outer_properties` solves only omega and the coat members: a minimum
-cover is monotone and subadditive by construction.  No 2**n loop lives
-here: `extension` reads the exterior value of every subset from the table
-`extension.extend` builds on the generated algebra.
+cover is monotone and subadditive by construction.
 """
 
 from __future__ import annotations

@@ -37,26 +37,14 @@ SPLIT_BUDGET = 1 << 24  # lookups in measurable_family, 2**n per splitting test 
 TRIPLE_BUDGET = 1 << 18  # disjoint-triple candidates checked before sampling
 
 
-def is_caratheodory_measurable(qm: QuasiMeasure, w: SubsetMask) -> tuple[bool, SubsetMask | None]:
-    """Exhaustive splitting test over all 2**n subsets; returns the first violating A in mask order."""
-    if w.ground != qm.ground:
-        raise ValueError("candidate set belongs to a different ground set")
-    _require_subset_budget(qm.ground.n)  # before extend solves anything
-    return _first_split_failure(qm, w, _subset_values(extend(qm)))
-
-
-def _require_subset_budget(n: int) -> None:
-    if (1 << n) > DEFAULT_EXHAUSTIVE_LIMIT:
-        raise BudgetExceeded(f"2**{n} subsets exceed budget {DEFAULT_EXHAUSTIVE_LIMIT}")
-
-
 def _subset_values(table: MeasureTable) -> list[int]:
     """Every subset's exterior value by mask, over the table's scale, up to 2**16 subsets.
 
     Coat members are unions of atoms, so a cover of A covers each atom A
     meets: A has the value of its hull, the member of its elements' atoms."""
     n = table.algebra.ground.n
-    _require_subset_budget(n)
+    if (1 << n) > DEFAULT_EXHAUSTIVE_LIMIT:
+        raise BudgetExceeded(f"2**{n} subsets exceed budget {DEFAULT_EXHAUSTIVE_LIMIT}")
     atoms = table.algebra.atoms
     owners = (sum(1 << j for j, atom in enumerate(atoms) if atom >> i & 1) for i in range(n))
     return [table.numerators[hull] for hull in subset_table(owners)]
@@ -182,12 +170,10 @@ def extend(qm: QuasiMeasure) -> MeasureTable:
     Never refuses axiom-failing inputs; negative instances are first-class
     material and verification is a separate step.
     """
-    solve = coat_solver(qm).solve_bits
     algebra = generate_algebra(qm.coat)
-    solved = [solve(b) for b in algebra.bits]
-    divisor = math.gcd(qm.scale, *(cost for cost, _ in solved))
-    return MeasureTable(algebra, qm.scale // divisor, tuple(cost // divisor for cost, _ in solved),
-                        tuple(chosen for _, chosen in solved))
+    costs, chosen = coat_solver(qm).fill(algebra.atoms)
+    divisor = math.gcd(qm.scale, *costs)
+    return MeasureTable(algebra, qm.scale // divisor, tuple(cost // divisor for cost in costs), tuple(chosen))
 
 
 def verify_premeasure(table: MeasureTable) -> AxiomReport:

@@ -132,34 +132,25 @@ class CoverSolver(Generic[W]):
     indices; weights are any nonnegative, ordered, additive type with zero
     ``zero``: int numerators over ``scale`` for coats, ``float`` for interval
     pools.  ``solve_bits`` returns the cost and the int mask of the chosen
-    indices, bit i for index i, least in (cost, size, indices); ``solve``
-    returns the same answer with the mask turned into the ascending index
-    tuple by ``bit_indices``.  The memo maps each solved residual to its cost
-    and chosen mask, and is read before each call.
-    Between two covers of equal cost and size the one holding the lowest
-    index where they differ wins, which is the order of their index tuples.
+    indices, bit i for index i, least in (cost, size, indices), the order
+    ``_loses_tie`` breaks ties by; ``solve`` turns the mask into the ascending
+    index tuple, and ``fill`` tabulates a whole algebra.  The memo maps each
+    solved residual to its cost and chosen mask, and is read before each call.
     With non-float weights a node tries only the entries that hold the lowest
     uncovered element, as Knuth's Algorithm X does ("Dancing Links", 2000):
-    every cover of the residual contains one, so the answer stays exact.
-    Float costs are summed along the recursion path, and a cover summed in
-    another order can move in the last ulp, so float weights keep trying
-    every entry that meets the residual.
-    Candidates are tried cheapest first (entries are sorted stably by weight
-    once), and a node stops at the first entry dearer than its best cost; a
-    cover dearer than the best is dropped before its mask is built.  No
-    answer moves: a node's answer, and so its memo entry, is the least
-    (cost, size, indices) over its candidates in any order, and weights are
-    nonnegative, so an entry dearer than the best can neither win nor tie.
-    A candidate whose rest is not yet solved is skipped unsolved when its
-    weight plus the cheapest entry holding the rest's lowest element exceeds
-    the best cost (a lower bound, as in Land and Doig's branch and bound,
-    1960).  Every cover of the rest holds such an entry, and a sum of
-    nonnegative weights is at least each term, in floats too: rounding is
-    monotone, so fl(a + b) >= a for b >= 0, and the recursion's cost would be
-    at least the bound.  The bound is strict, so ties are kept and no answer,
-    float bit or memo value moves.  ``_holders`` keeps the entries holding
-    each element, cheapest first; the float path builds them for the bound
-    alone.
+    every cover of the residual contains one.  Float costs are summed along
+    the recursion path, and a cover summed in another order can move in the
+    last ulp, so float weights keep trying every entry that meets the residual.
+    Candidates are tried cheapest first (sorted stably by weight once), and a
+    node stops at the first entry dearer than its best cost, dropping a dearer
+    cover before its mask is built: a node's answer is the least over its
+    candidates in any order, and an entry dearer than the best can neither win
+    nor tie.  A candidate whose rest is not yet solved is skipped unsolved when
+    its weight plus the cheapest entry holding the rest's lowest element
+    exceeds the best cost (Land and Doig's branch and bound, 1960).  Every
+    cover of the rest holds such an entry, and rounding is monotone, so
+    fl(a + b) >= a for b >= 0 and the recursion's cost would be at least the
+    bound; it is strict, so no answer, float bit or memo value moves.
     """
 
     def __init__(self, entries: Sequence[tuple[int, int, W]], zero: W):
@@ -212,15 +203,56 @@ class CoverSolver(Generic[W]):
             if best is not None and cost > best[0]:
                 continue
             chosen = sub_chosen | 1 << idx
-            if best is not None and cost == best[0]:
-                d = chosen ^ best[1]
-                size = chosen.bit_count() - best[1].bit_count()
-                if size > 0 or size == 0 and not chosen & d & -d:
-                    continue
+            if best is not None and cost == best[0] and _loses_tie(chosen, best[1]):
+                continue
             best = (cost, chosen)
         assert best is not None  # residual != 0 and reach covers it
         memo[residual] = best
         return best
+
+    def fill(self, atoms: Sequence[int]) -> tuple[list[W], list[int]]:
+        """``solve_bits``' answer on every union of ``atoms``, in two lists indexed by atom mask.
+
+        Entry S is the union of the atoms in the bits of S, as in
+        ``AlgebraFamily.bits``; weights must be exact, each entry a union of
+        atoms and each atom held by some entry.  S is filled in ascending
+        order, a dynamic program over subsets (Bellman, *Dynamic Programming*,
+        1957; Held and Karp, 1962): each holder C of S's lowest atom, cheapest
+        first, joins the least cover of S & ~C, filled already as S & ~C < S.
+        That is exact in (cost, size, indices): every cover of S holds such a
+        C, and without C covers S & ~C; a least cover of S & ~C never holds C,
+        which is disjoint from it; and adding one index to two covers keeps
+        their ``_loses_tie`` order.  An entry holds an atom iff it holds the
+        atom's lowest element, so ``_holders`` lists them.
+        """
+        held = {idx: sum(1 << j for j, atom in enumerate(atoms) if bits & atom)
+                for idx, bits, _ in self.entries}
+        holding = [[(idx, held[idx], weight) for idx, _, weight in self._holders(atom & -atom)]
+                   for atom in atoms]
+        costs, chosen = [self._memo[0][0]] * (1 << len(atoms)), [0] * (1 << len(atoms))
+        for s in range(1, len(costs)):
+            best = pick = None
+            for idx, c, weight in holding[(s & -s).bit_length() - 1]:
+                if best is not None and weight > best:
+                    break
+                rest = s & ~c
+                cost = weight + costs[rest]
+                if best is not None and cost > best:
+                    continue
+                mask = chosen[rest] | 1 << idx
+                if cost == best and _loses_tie(mask, pick):
+                    continue
+                best, pick = cost, mask
+            costs[s], chosen[s] = best, pick
+        return costs, chosen
+
+
+def _loses_tie(chosen: int, best: int) -> bool:
+    """Whether the cover ``chosen`` loses to ``best``, of equal cost: it has more members, or as many
+    and ``best`` holds the lowest index where they differ, which is the order of their index tuples."""
+    d = chosen ^ best
+    size = chosen.bit_count() - best.bit_count()
+    return size > 0 or size == 0 and not chosen & d & -d
 
 
 def coat_solver(qm: QuasiMeasure) -> CoverSolver[int]:

@@ -8,8 +8,11 @@ from quasimeasure import (
     GroundSet,
     TrueMeasure,
     canonical_negative_instance,
+    extend,
+    extension,
     induce,
 )
+from quasimeasure.sets import DEFAULT_EXHAUSTIVE_LIMIT, BudgetExceeded
 
 # Property tests are derandomized and keep no example database, so every
 # run draws the same examples; each test sets only ``max_examples``.
@@ -24,6 +27,19 @@ settings.register_profile("mutants", settings.get_profile("tier1"),
 def power_set_coat(ground: GroundSet) -> Coat:
     """Every subset of ``ground`` as a coat: empty, omega, then the rest in mask order."""
     return Coat.from_bits(ground, [0, ground.full_bits, *range(1, ground.full_bits)])
+
+
+def is_caratheodory_measurable(qm, w):
+    """Exhaustive splitting test of ``w`` over all 2**n subsets on ``extend``'s table.
+
+    Returns the first violating A in mask order; past 2**16 subsets it
+    refuses before ``extend`` solves anything.
+    """
+    if w.ground != qm.ground:
+        raise ValueError("candidate set belongs to a different ground set")
+    if (1 << qm.ground.n) > DEFAULT_EXHAUSTIVE_LIMIT:
+        raise BudgetExceeded(f"2**{qm.ground.n} subsets exceed budget {DEFAULT_EXHAUSTIVE_LIMIT}")
+    return extension._first_split_failure(qm, w, extension._subset_values(extend(qm)))
 
 
 class ReferenceCoverSolver:

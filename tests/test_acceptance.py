@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import power_set_coat
+from conftest import is_caratheodory_measurable, power_set_coat
 from quasimeasure import (
     GroundSet,
     Interval,
@@ -23,7 +23,6 @@ from quasimeasure import (
     extend,
     induce,
     instance_spec_from,
-    is_caratheodory_measurable,
     outer,
     outer_exhaustive,
     random_algebra_instance,

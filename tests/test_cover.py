@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -295,6 +296,62 @@ def test_solver_answers_like_the_reference_on_indices_past_one_int_digit(case):
         assert float(got[0]).hex() == float(want[0]).hex(), target
 
 
+def atoms_of(n, entries):
+    """The classes of the n elements that lie in the same entries, in mask order."""
+    blocks = {}
+    for e in range(n):
+        signature = tuple(bits >> e & 1 for _, bits, _ in entries)
+        blocks[signature] = blocks.get(signature, 0) | 1 << e
+    return sorted(blocks.values())
+
+
+def assert_fill_answers_like_the_searches(entries, atoms):
+    """``fill``'s entry S, the union of the atoms in the bits of S, is ``solve_bits``' answer and the reference's."""
+    costs, chosen = CoverSolver(entries, 0).fill(atoms)
+    solve, reference = CoverSolver(entries, 0).solve_bits, ReferenceCoverSolver(entries, 0).solve
+    assert len(costs) == len(chosen) == 1 << len(atoms)
+    for s in range(1 << len(atoms)):
+        bits = sum(atom for j, atom in enumerate(atoms) if s >> j & 1)
+        cost, indices = reference(bits)
+        assert (costs[s], chosen[s]) == solve(bits) == (cost, sum(1 << i for i in indices)), s
+
+
+@st.composite
+def fill_cases(draw):
+    """Entries on n <= 6 elements with distinct indices up to 40, a full member, and their atoms in any order.
+
+    Weights are mostly 0 and repeat, so covers of equal cost are common and
+    the (cost, size, indices) order decides many members.  The atoms are
+    shuffled, so a member's lowest atom index is often not the atom of its
+    lowest element.
+    """
+    n = draw(st.integers(1, 6))
+    full = (1 << n) - 1
+    weight = st.sampled_from((0, 0, 0, 1, 1, 2))
+    indices = draw(st.lists(st.integers(0, 40), min_size=1, max_size=9, unique=True))
+    members = [(draw(st.integers(1, full)), draw(weight)) for _ in indices[1:]]
+    members.insert(draw(st.integers(0, len(members))), (full, draw(st.integers(0, 3))))
+    entries = [(i, bits, w) for i, (bits, w) in zip(indices, members)]
+    return entries, draw(st.permutations(atoms_of(n, entries)))
+
+
+@settings(max_examples=200)
+@given(fill_cases())
+def test_fill_answers_like_solve_bits_and_the_reference(case):
+    assert_fill_answers_like_the_searches(*case)
+
+
+def test_fill_branches_on_the_lowest_atom_index():
+    # Atoms 0b0001, 0b0100, 0b1010: member {1, 2, 3} is entry 0b110, whose
+    # lowest atom index, 1, is not atom 2, which holds its lowest element 1.
+    entries = [(0, 0b1111, 3), (1, 0b1010, 1), (2, 0b0100, 0), (3, 0b1110, 1), (4, 0b0101, 1)]
+    atoms = atoms_of(4, entries)
+    assert atoms == [0b0001, 0b0100, 0b1010]
+    assert_fill_answers_like_the_searches(entries, atoms)
+    # {3} ties {1, 2} on cost 1 and wins on size.
+    assert [table[0b110] for table in CoverSolver(entries, 0).fill(atoms)] == [1, 1 << 3]
+
+
 # Weights whose sums round differently by order: 0.1 + 0.2 is 0.30000000000000004,
 # not 0.3, and (0.1 + 0.2) + 0.7 is 1.0 while 0.1 + (0.2 + 0.7) is 0.9999999999999999.
 ORDER_SENSITIVE_WEIGHTS = (0.1, 0.2, 0.3, 0.30000000000000004, 0.7, 1.0, 0.0)
@@ -481,13 +538,16 @@ def reference_notes(qm, subset_budget, seed):
 
 
 def reference_check_outer_properties(qm, subset_budget=SUBSET_BUDGET, seed=SAMPLE_SEED):
-    """``check_outer_properties`` with one solver call per value lookup, kept as its oracle."""
+    """``check_outer_properties`` with one value lookup per subset it quantifies over, kept as its oracle.
+
+    Each subset's value is one public solver call, memoized by bits."""
     rb = ReportBuilder("outer-properties")
     rb.declare("endpoints", "nonnegative", "monotone", "coat-agreement", "subadditive")
     ground = qm.ground
     total = 1 << ground.n
     solver = coat_solver(qm)
 
+    @functools.cache
     def value_of(bits):
         return solver.solve(bits)[0]
 

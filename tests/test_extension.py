@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import pickle
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_caratheodory_measurable
 from quasimeasure import (
     Coat,
     GroundSet,
@@ -21,7 +23,6 @@ from quasimeasure import (
     extension,
     generate_algebra,
     induce,
-    is_caratheodory_measurable,
     measurable_family,
     outer,
     outer_exhaustive,
@@ -585,11 +586,14 @@ def test_verify_premeasure_agrees_with_reference_on_extend_tables():
         assert_same_report(extend(qm))
 
 
+@functools.cache
 def disjoint_draws(m):
-    """The pairwise-disjoint triples among the sampled audit's draws on 2**m members, in draw order."""
+    """The pairwise-disjoint triples among the sampled audit's draws on 2**m members, in draw order.
+
+    Cached: two tests draw each of m = 9 to 12."""
     rng = random.Random(0)
     draws = (rng.sample(range(1 << m), 3) for _ in range(TRIPLE_BUDGET // 8))
-    return [(i, j, k) for i, j, k in draws if not (i & j or i & k or j & k)]
+    return tuple((i, j, k) for i, j, k in draws if not (i & j or i & k or j & k))
 
 
 def test_sampled_triple_table_covers_the_sampled_sizes():
