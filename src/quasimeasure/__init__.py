@@ -1,13 +1,10 @@
-"""Probability pre-measures from quasi-measures on set coats, with checks.
+"""Probability pre-measures from quasi-measures on set coats, with exact checks.
 
-A coat is any family of subsets of a finite ground set that contains the
-empty and full sets.  Its refinement collects all pairwise meets and
-differences of coat members; a quasi-measure assigns exact rational values
-to the refinement.  The exterior value of an arbitrary subset is the
-cheapest coat cover, and restricting it to the algebra generated by the
-coat yields a finitely additive table whenever the quasi-measure axioms
-hold.  Every definition and claim in that chain is backed by a mechanical
-check with exact arithmetic and auditable failure witnesses.
+A quasi-measure gives exact values to the meets and differences of a coat's
+members (``sets``, ``quasi``).  Its exterior value, the cheapest coat cover
+(``cover``), is tabulated on the algebra the coat generates and checked for
+finite additivity (``extension``).  Every check returns auditable failure
+witnesses (``report``).
 """
 
 import importlib

@@ -267,7 +267,7 @@ _PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; exit 0 pass, 1 a check failed, 2 input error, 3 internal error."""
+    """Run one subcommand and return its exit code, as the module docstring lists them."""
     args = _PARSER.parse_args(argv)
     for dest, valid, message in _FLAG_RULES:
         if dest in args and not valid(getattr(args, dest)):

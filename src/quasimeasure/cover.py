@@ -1,24 +1,11 @@
-"""Exterior values as exact minimum-weight set covers over the coat.
+"""Exterior values: exact minimum-weight covers by coat members.
 
-The exterior value of an arbitrary subset is the cheapest way to cover it
-with coat members, where each member costs its quasi-measure value.  On a
-finite ground set the infimum is attained, so the optimizer returns both the
-exact cost and an optimal witness, least in (cost, size, indices) as the one
-cover engine, `quasi.CoverSolver`, orders covers.
-
-Two independent routes compute the same quantity: `outer`, on that engine
-(below this module, so the cover bound shares it), and a full enumeration of
-all subcollections (`outer_exhaustive`).  Tests hold them to exact equality.
-Both work on int masks and int costs (numerators over ``qm.scale``).  Each
-call builds its own solver through `coat_solver`, so the only cover memo
-lives as long as that call.  `outer` turns the chosen mask of coat indices
-into the ascending index tuple once per answer.  No 2**n loop lives here:
-`extension.extend` fills its table on the generated algebra bottom-up with
-`CoverSolver.fill`, keeping the masks, and `extension` reads the exterior
-value of every subset from it.  ``Fraction``, `SubsetMask` and
-`CoverSolution` are built only for results and witnesses.
-`check_outer_properties` solves only omega and the coat members: a minimum
-cover is monotone and subadditive by construction.
+The exterior value of a subset is the cheapest cover of it by coat members,
+each costing its value.  `outer` computes it with an optimal cover on
+`quasi.CoverSolver`, and `outer_exhaustive` by enumerating every
+subcollection, the oracle the tests hold `outer` to.
+`check_outer_properties` checks the exterior value's outer-measure
+properties.
 """
 
 from __future__ import annotations
@@ -111,15 +98,12 @@ def check_outer_properties(qm: QuasiMeasure) -> AxiomReport:
 
     A minimum over covers with nonnegative weights is an outer measure for
     every input (Folland, *Real Analysis*, 2nd ed., 1999, Prop. 1.10):
-    "monotone" passes because a cover of B covers every A ⊆ B, and
-    "subadditive" because the covers of a and b together cover a ∪ b.
-    Costs are sums of numerators, none negative, from v(∅) = 0, so
-    "nonnegative" passes too.  What the input can change is computed on one
-    solver: the omega endpoint, and agreement with the assigned coat values,
-    which holds iff the cover bound does and is recorded as that
-    precondition.  The notes keep naming the subsets (all 2**n up to
-    ``SUBSET_BUDGET``, else a sample from ``SAMPLE_SEED``) and triples these
-    properties quantify over.
+    "monotone" passes because a cover of B covers every A ⊆ B, "subadditive"
+    because the covers of a and b together cover a ∪ b, and "nonnegative"
+    because costs are sums of nonnegative numerators.  Only what the input
+    can change is computed: the omega endpoint, and agreement with the coat
+    values, which fails on the cover bound's ``undercut_members``.  The notes
+    still name the subsets and triples these properties quantify over.
     """
     rb = ReportBuilder("outer-properties")
     rb.declare("endpoints", "nonnegative", "monotone", "coat-agreement", "subadditive")

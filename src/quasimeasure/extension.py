@@ -1,17 +1,10 @@
-"""Splitting-measurability tests and extension to the generated algebra.
+"""Extension of a quasi-measure to the generated algebra, and splitting-measurability tests.
 
-A candidate set W is measurable when the exterior value splits exactly
-through it: for every subset A, the exterior value of A equals the sum of
-the exterior values of A-inside-W and A-outside-W.  Extending a
-quasi-measure means tabulating the exterior value on every member of the
-algebra generated by the coat; verifying the table means checking exact
-finite additivity, certified by the sums of each member's atom values: the
-disjoint pairs are walked only when some member disagrees with its sum.
-
-Each subset's exterior value is read from that table at its hull.  The
-atom sums decide the algebra's measurability; splitting tests over all
-subsets run only on the audit and on tables the sums do not certify, and
-past the budgets they refuse instead of sampling.
+`extend` tabulates the exterior value on the algebra the coat generates,
+`verify_premeasure` checks that table's finite additivity, and
+`measurable_family` tests which sets the exterior value splits exactly:
+W is measurable when, for every subset A, the value of A is the sum of the
+values of A-inside-W and A-outside-W.
 """
 
 from __future__ import annotations
@@ -71,27 +64,22 @@ class MeasurabilityRecord:
 class MeasurabilityReport:
     """Splitting-test outcomes for the generated algebra, plus a full audit.
 
-    ``algebra`` covers every member of the algebra generated by the coat.
-    ``audit`` covers all 2**n candidate subsets on small ground sets and is
-    empty otherwise; it exists so the family of all measurable sets can be
-    inspected directly.
+    ``algebra`` covers every member of the algebra generated by the coat, and
+    ``audit`` all 2**n subsets on ground sets of up to ``AUDIT_LIMIT``
+    elements, so that the family of all measurable sets can be inspected.
     """
 
     algebra: tuple[MeasurabilityRecord, ...]
     audit: tuple[MeasurabilityRecord, ...]
-
-    @property
-    def all_algebra_measurable(self) -> bool:
-        return all(r.measurable for r in self.algebra)
 
 
 def measurable_family(qm: QuasiMeasure) -> MeasurabilityReport:
     """Splitting tests of every algebra member and audit candidate on ``extend``'s table.
 
     Every member is measurable iff the table is additive (Folland, *Real
-    Analysis*, 2nd ed., 1999, Prop. 1.13), so its atom sums certify them
-    untested.  Past ``SPLIT_BUDGET`` lookups, 2**n per test that would run,
-    the call refuses with ``BudgetExceeded`` before any test runs.
+    Analysis*, 2nd ed., 1999, Prop. 1.13), so ``_atom_sums_agree`` certifies
+    them untested.  Past ``SPLIT_BUDGET`` lookups, 2**n per test that would
+    run, the call refuses with ``BudgetExceeded`` before any test runs.
     """
     n = qm.ground.n
     table = extend(qm)
@@ -114,14 +102,10 @@ def measurable_family(qm: QuasiMeasure) -> MeasurabilityReport:
 class MeasureTable:
     """Exterior values tabulated on the generated algebra, with witnesses.
 
-    Entry i is member i of the algebra, the union of the atoms in the bits
-    of i: its value is ``numerators[i] / scale`` and ``chosen[i]`` is the int
-    mask of the coat indices of an optimal cover, bit j for index j.
-    ``covers[i]`` holds those indices ascending; the tuples are built on
-    first read.  ``extend`` stores the least ``scale``, the lcm of the value
-    denominators.  The table carries no verification claim: on axiom-failing
-    inputs the full set can admit a cover cheaper than 1, so
-    ``verify_premeasure`` checks that endpoint.
+    Entry i is member i of ``algebra``: its value is ``numerators[i] / scale``
+    and ``chosen[i]`` is the int mask of the coat indices of an optimal cover,
+    bit j for index j.  The table carries no verification claim: on
+    axiom-failing inputs the full set can admit a cover cheaper than 1.
     """
 
     algebra: AlgebraFamily
@@ -144,12 +128,12 @@ class MeasureTable:
 
     @cached_property
     def covers(self) -> tuple[tuple[int, ...], ...]:
-        """The ascending coat indices of each member's optimal cover, built once on first use."""
+        """The ascending coat indices of each member's optimal cover, built on first read."""
         return tuple(map(bit_indices, self.chosen))
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
-        """The exterior values as exact rationals, built once on first use."""
+        """The exterior values as exact rationals, built on first read."""
         return tuple(Fraction(v, self.scale) for v in self.numerators)
 
     def value(self, mask: SubsetMask) -> Fraction:
@@ -165,10 +149,9 @@ class MeasureTable:
 
 
 def extend(qm: QuasiMeasure) -> MeasureTable:
-    """Tabulate the exterior value on every generated-algebra member.
+    """Tabulate the exterior value on every generated-algebra member, in lowest terms.
 
-    Never refuses axiom-failing inputs; negative instances are first-class
-    material and verification is a separate step.
+    Never refuses axiom-failing inputs: verification is ``verify_premeasure``'s.
     """
     algebra = generate_algebra(qm.coat)
     costs, chosen = coat_solver(qm).fill(algebra.atoms)
@@ -179,16 +162,11 @@ def extend(qm: QuasiMeasure) -> MeasureTable:
 def verify_premeasure(table: MeasureTable) -> AxiomReport:
     """Exact additivity checks on the tabulated algebra values.
 
-    The atom sums certify an additive table; the disjoint pairs, whose
-    failures the report lists, are walked only when they do not.  When some
-    pair fails, disjoint triples are checked too, all of them while they fit
-    the budget and otherwise those of a seeded sample, read from
-    ``SAMPLED_TRIPLES``.
-    Member i of the algebra is the union of the atoms in the bits of i, so
-    members i, j are disjoint iff ``i & j == 0``, with union member ``i | j``.
-    Values are compared as the table's int numerators over its ``scale``.
-    Each failure is kept as its member indices packed into one int, and its
-    witness is built only when the report's witness sequence is read.
+    The disjoint pairs are walked only when ``_atom_sums_agree`` does not
+    certify the table; members i and j are disjoint iff ``i & j == 0``, with
+    union ``i | j``.  When some pair fails, disjoint triples are checked too:
+    all of them within ``TRIPLE_BUDGET``, else those of a seeded sample, read
+    from ``SAMPLED_TRIPLES``.  Each failure is packed into one int record.
     """
     rb = ReportBuilder("premeasure")
     rb.declare("endpoints", "nonnegative", "pair-additivity", "triple-additivity")

@@ -1,22 +1,13 @@
 """Exponential quasi-measure on the interval coat of the nonnegative half line.
 
-The coat is the family of closed intervals [a,b] together with the empty set
-and the whole half line; its refinement adds the half-open kinds [a,b) and
-(a,b], left-open tails (b,inf), and two-piece sets [u,a) with (b,v].  The
-fixed survival function is s(x) = exp(-x) with s(inf) = 0, and every shape
-in the family evaluates to the sum of s(left) - s(right) over components,
-independent of which endpoints are closed.
-
-Endpoints use explicit closed/open flags, never epsilon perturbation, so
-shapes like [u,a) with (b,v] are represented exactly.  Set algebra and cover
-search split the line at the sorted distinct endpoints p_0 < ... < p_{m-1}
-of the shapes involved into atoms: atom 2i is the point p_i and atom 2i+1
-the open gap after it, up to p_{i+1} or infinity.  Every component endpoint
-is one of the points, so a component is one run of consecutive atoms and a
-shape is an int mask of atoms.  Evaluation is binary floating point;
-identity checks take a tolerance (default 1e-12) because the survival
-function is transcendental even though the identities themselves are
-analytically exact.
+The coat is the closed intervals [a,b] with the empty set and the whole half
+line; its refinement adds [a,b), (a,b], tails (b,inf) and two-piece sets
+[u,a) with (b,v].  Every shape is worth the sum of s(left) - s(right) over
+its components, for s(x) = exp(-x) and s(inf) = 0, whichever endpoints are
+closed.  Endpoints carry closed/open flags, never an epsilon, and set algebra
+and cover search run on the atom masks of ``_atom_masks``.  Evaluation is
+binary floating point, so identity checks take a tolerance (default 1e-12)
+although the identities are analytically exact.
 """
 
 from __future__ import annotations
@@ -134,9 +125,11 @@ HALF_LINE = IntervalSet.half_line()
 def _atom_masks(*shapes: Sequence[Interval]) -> tuple[list[float], list[int]]:
     """The sorted endpoints of ``shapes`` (0 and INF always among them) and each shape's atom mask.
 
-    The component from l to r is the run of atoms from 2·pos[l], or the gap
-    after l when it is open, to 2·pos[r], or the gap before r when it is
-    open; INF sits at position m, one past the last point.
+    The endpoints p_0 < ... < p_{m-1} < INF split the half line into atoms:
+    atom 2i is the point p_i and atom 2i+1 the open gap after it.  Every
+    component endpoint is a point, so the component from l to r is the run of
+    atoms from 2·pos[l], or the gap after l when it is open, to 2·pos[r], or
+    the gap before r when it is open; INF sits at position m.
     """
     points = {0.0, INF}
     for shape in shapes:
@@ -208,11 +201,8 @@ _FAMILY_KINDS = {
 def exp_eval(shape: IntervalSet) -> float:
     """Value of a refinement-family shape under the exponential measure: its ``survival_weight``.
 
-    Accepted shapes: the empty set (0), the whole half line (1), a single
-    bounded interval with at least one closed endpoint (closed singletons
-    included, with value 0), a left-open tail (b, inf), or a two-piece set
-    [u,a) with (b,v] where v may be infinite.  Anything else is outside the
-    family and must be decomposed or rejected by the caller.
+    The family is the whole half line and the component kinds of
+    ``_FAMILY_KINDS``; any other shape raises ``ValueError``.
     """
     kinds = tuple((c.left_closed, c.right_closed, c.right == INF) for c in shape.components)
     if kinds not in _FAMILY_KINDS and shape != HALF_LINE:
@@ -302,12 +292,8 @@ class IntervalCover:
 
 
 def outer_interval(target: IntervalSet, pool: Sequence[Interval]) -> IntervalCover:
-    """Exact minimum-cost cover of ``target`` by pool members.
+    """Exact minimum-cost cover of ``target`` by pool members, on their ``_atom_masks``.
 
-    The pool and target are split at their shared endpoints into atoms,
-    atom 2i the i-th point and atom 2i+1 the open gap after it; a component
-    is the run of atoms between its endpoints, so each shape is an int mask
-    and coverage reduces to the same mask search the finite optimizer uses.
     The analytic value is the component sum of survival weights, which
     matches the search whenever the pool contains the component closures.
     """

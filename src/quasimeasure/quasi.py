@@ -1,16 +1,11 @@
-"""Quasi-measures on coat refinements and mechanical checks of their axioms.
+"""Quasi-measures on coat refinements, the one cover engine, and exact checks of the axioms.
 
 A quasi-measure assigns an exact rational in [0,1] to every member of a
-coat's refinement, sending the empty set to 0 and the full set to 1.  The
-checkers below quantify exactly over coat pairs and coat subcollections, the
-latter through the one cover engine, `CoverSolver`, which `cover` and
-`intervals` share; there is no tolerance anywhere in this module.  Checks
-compute on int masks and integer numerators over one ``scale``, which keeps
-equality and order; a failing pair is kept as one int, and ``Fraction`` and
-``SubsetMask`` are built only when a witness is read.
-
-Values are keyed by member bits, so two expressions denoting the same set
-cannot receive different values; well-definedness is structural, not checked.
+coat's refinement, 0 to the empty set and 1 to the full set.  Values are
+keyed by member bits, so two expressions denoting one set cannot disagree.
+The checkers quantify exactly over coat pairs and coat subcollections, on
+int masks and int numerators over one ``scale``.  `CoverSolver` is the cover
+engine that `cover`, `extension` and `intervals` share.
 """
 
 from __future__ import annotations
@@ -42,12 +37,9 @@ class QuasiMeasure:
     """A total map from refinement members to exact rationals in [0,1].
 
     It is stored only as ``numerators``, which maps member bits to int
-    numerators over ``scale``, the lcm of the value denominators; the checks
-    read only those.  ``QuasiMeasure(refinement, values)`` takes values keyed
-    by the refinement's members, keeping no reference to that dict, and
-    ``from_numerators`` takes the ints; ``coat`` is the refinement's coat.
-    ``values`` is built on first read, keyed by the members in the order of
-    ``numerators``.
+    numerators over ``scale``, in lowest terms.  ``QuasiMeasure(refinement,
+    values)`` takes values keyed by the refinement's members, keeping no
+    reference to that dict, and ``from_numerators`` takes the ints.
     """
 
     refinement: Refinement
@@ -72,16 +64,13 @@ class QuasiMeasure:
         """The quasi-measure with value ``numerators[bits] / scale`` on each refinement member.
 
         The keys must be exactly the refinement's bits; the checks and their
-        messages are those of the constructor, which hands its values here
-        as ints.  Numerators and scale are divided by their gcd, so ``scale``
-        is the lcm of the value denominators.
-        """
+        messages are the constructor's."""
         qm = cls.__new__(cls)
         qm._validate(refinement, scale, numerators)
         return qm
 
     def _validate(self, refinement: Refinement, scale: int, numerators: Mapping[int, int]) -> None:
-        """Check the int form of a quasi-measure and store it in lowest terms."""
+        """Check the int form of a quasi-measure and store it."""
         if not scale >= 1:
             raise ValueError(f"scale must be positive: {scale}")
         bits, mask = refinement.bits, refinement.ground.mask
@@ -130,27 +119,12 @@ class CoverSolver(Generic[W]):
 
     ``entries`` are ``(index, bits, weight)`` with distinct nonnegative int
     indices; weights are any nonnegative, ordered, additive type with zero
-    ``zero``: int numerators over ``scale`` for coats, ``float`` for interval
-    pools.  ``solve_bits`` returns the cost and the int mask of the chosen
-    indices, bit i for index i, least in (cost, size, indices), the order
-    ``_loses_tie`` breaks ties by; ``solve`` turns the mask into the ascending
-    index tuple, and ``fill`` tabulates a whole algebra.  The memo maps each
-    solved residual to its cost and chosen mask, and is read before each call.
-    With non-float weights a node tries only the entries that hold the lowest
-    uncovered element, as Knuth's Algorithm X does ("Dancing Links", 2000):
-    every cover of the residual contains one.  Float costs are summed along
-    the recursion path, and a cover summed in another order can move in the
-    last ulp, so float weights keep trying every entry that meets the residual.
-    Candidates are tried cheapest first (sorted stably by weight once), and a
-    node stops at the first entry dearer than its best cost, dropping a dearer
-    cover before its mask is built: a node's answer is the least over its
-    candidates in any order, and an entry dearer than the best can neither win
-    nor tie.  A candidate whose rest is not yet solved is skipped unsolved when
-    its weight plus the cheapest entry holding the rest's lowest element
-    exceeds the best cost (Land and Doig's branch and bound, 1960).  Every
-    cover of the rest holds such an entry, and rounding is monotone, so
-    fl(a + b) >= a for b >= 0 and the recursion's cost would be at least the
-    bound; it is strict, so no answer, float bit or memo value moves.
+    ``zero``: int numerators for coats, ``float`` for interval pools.
+    ``solve_bits`` returns the cost and the int mask of the chosen indices
+    (bit i for index i) of the least cover in (cost, size, indices), the order
+    of ``_loses_tie``; ``solve`` gives the ascending index tuple instead, and
+    ``fill`` tabulates every union of an algebra's atoms.  The memo maps each
+    solved residual to its cost and chosen mask.
     """
 
     def __init__(self, entries: Sequence[tuple[int, int, W]], zero: W):
@@ -183,6 +157,22 @@ class CoverSolver(Generic[W]):
         return holders
 
     def _solve(self, residual: int) -> tuple[W, int]:
+        """The least cover of ``residual``, recorded in the memo.
+
+        With exact weights a node tries only the entries that hold the lowest
+        uncovered element, as Knuth's Algorithm X does ("Dancing Links", 2000):
+        every cover of the residual holds one.  Float costs are summed along the
+        recursion path and can move in the last ulp in another order, so float
+        weights try every entry that meets the residual.  Candidates come
+        cheapest first, and the node stops at the first entry dearer than its
+        best cost: the answer is the least over the candidates in any order,
+        and a dearer entry can neither win nor tie.  A candidate whose rest is
+        unsolved is skipped when its weight plus the cheapest entry holding the
+        rest's lowest element exceeds the best cost (Land and Doig's branch and
+        bound, 1960): every cover of the rest holds such an entry, and rounding
+        is monotone, so fl(a + b) >= a for b >= 0.  The bound is strict, so no
+        answer, float bit or memo value moves.
+        """
         memo = self._memo
         holders = self._holders
         candidates = holders(residual & -residual) if self._lowest_only else self._by_weight
@@ -211,19 +201,18 @@ class CoverSolver(Generic[W]):
         return best
 
     def fill(self, atoms: Sequence[int]) -> tuple[list[W], list[int]]:
-        """``solve_bits``' answer on every union of ``atoms``, in two lists indexed by atom mask.
+        """``solve_bits``' answer on every union of ``atoms``, as lists indexed like ``AlgebraFamily.bits``.
 
-        Entry S is the union of the atoms in the bits of S, as in
-        ``AlgebraFamily.bits``; weights must be exact, each entry a union of
-        atoms and each atom held by some entry.  S is filled in ascending
-        order, a dynamic program over subsets (Bellman, *Dynamic Programming*,
-        1957; Held and Karp, 1962): each holder C of S's lowest atom, cheapest
-        first, joins the least cover of S & ~C, filled already as S & ~C < S.
-        That is exact in (cost, size, indices): every cover of S holds such a
-        C, and without C covers S & ~C; a least cover of S & ~C never holds C,
-        which is disjoint from it; and adding one index to two covers keeps
-        their ``_loses_tie`` order.  An entry holds an atom iff it holds the
-        atom's lowest element, so ``_holders`` lists them.
+        Weights must be exact, each entry a union of atoms and each atom held
+        by some entry.  S is filled in ascending order, a dynamic program over
+        subsets (Bellman, *Dynamic Programming*, 1957; Held and Karp, 1962):
+        each holder C of S's lowest atom, tried as in ``_solve``, joins the
+        least cover of S & ~C, filled already as S & ~C < S.  That is exact in
+        (cost, size, indices): every cover of S holds such a C, and without C
+        covers S & ~C; a least cover of S & ~C never holds C, which is disjoint
+        from it; and adding one index to two covers keeps their ``_loses_tie``
+        order.  An entry holds an atom iff it holds the atom's lowest element,
+        so ``_holders`` lists them.
         """
         held = {idx: sum(1 << j for j, atom in enumerate(atoms) if bits & atom)
                 for idx, bits, _ in self.entries}
@@ -281,11 +270,10 @@ def cover_bound_violations(
 
     For every coat member X and every subcollection of the coat (of the
     requested size and disjointness) whose union contains X, the value of X
-    must not exceed the subcollection's value sum.  One solve per member finds
-    the undercut members; only if there are any is the coat walked, adding
-    members in ascending mask order, to list the witnesses in the order of the
-    subcollections' masks.  A walk that could reach more than about a million
-    subcollections is refused rather than attempted.
+    must not exceed the subcollection's value sum.  Only if there are
+    ``undercut_members`` is the coat walked, to list the witnesses in the
+    order of the subcollections' masks; a walk that could reach more than
+    ``COVER_ENUMERATION_LIMIT`` subcollections is refused.
     """
     if cover_mode not in ("all", "disjoint-only"):
         raise ValueError(f"unknown cover mode {cover_mode!r}")
@@ -311,7 +299,7 @@ def cover_bound_violations(
         violated = [x for x, _ in undercut if x & ~union == 0 and num[x] > cost]
         if not violated:
             return
-        indices = [i for i in range(k) if chosen >> i & 1]
+        indices = bit_indices(chosen)
         if (cover_mode == "disjoint-only"
                 and sum(bits[i].bit_count() for i in indices) != union.bit_count()):
             return
@@ -439,7 +427,6 @@ def check_alt_conditions(qm: QuasiMeasure) -> AxiomReport:
     value, and coat members must be monotone under inclusion.  A map passing
     all five is expected to pass ``check_axioms`` in the restricted variant;
     that implication is exercised by the test suite rather than assumed.
-    One pass over the coat pairs checks all of them.
     """
     rb = ReportBuilder("alt-conditions")
     rb.declare(*ALT_CHECKS)

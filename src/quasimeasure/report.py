@@ -1,14 +1,10 @@
 """Check results with re-evaluatable failure witnesses.
 
 Every verification operation in this package returns an ``AxiomReport``:
-an ordered list of named checks, each pass/fail, and for each failure a
-witness carrying the sets involved and both sides of the violated relation.
-Failures are reported, never raised.
-
-A check's ``witnesses`` is a sequence whose ``len`` is its violation count.
-Checks that can fail many times keep each failure as a compact int record
-and build its ``Witness`` only when that item is read; the sequence still
-compares, hashes and prints as the tuple of its witnesses.
+an ordered list of named checks, each passing iff it has no witnesses, and
+for each failure a witness carrying the sets involved and both sides of the
+violated relation.  Failures are reported, never raised; checks that can
+fail many times keep them as ``WitnessRecords``.
 """
 
 from __future__ import annotations
@@ -34,12 +30,6 @@ class Witness:
     rhs: Fraction | float | None
     relation: str  # "eq", "le", or "exists"
     note: str = ""
-
-    def set_named(self, role: str) -> Any:
-        for name, value in self.sets:
-            if name == role:
-                return value
-        raise KeyError(role)
 
     def render(self) -> str:
         parts = [f"{name}={value}" for name, value in self.sets]

@@ -159,9 +159,6 @@ class Coat:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self) -> Iterator[SubsetMask]:
-        return iter(self.members)
-
     def member_bits(self) -> tuple[int, ...]:
         """The members' bits in coat order, built once at construction."""
         return self._member_bits
@@ -169,10 +166,8 @@ class Coat:
 
 @dataclass(frozen=True, eq=False)
 class Refinement:
-    """All pairwise meets and differences of coat members, deduplicated by value.
+    """All pairwise meets and differences of coat members, deduplicated by mask value.
 
-    Deduplication is by mask value, never by formal expression, so a value
-    attached to a member is automatically well-defined on the underlying set.
     The coat fixes the members: ``bits`` holds X & Y and X & ~Y for X, Y in it, in
     first-seen order, and ``members``, their masks in that order, is built on first read.
     """
@@ -201,7 +196,7 @@ class Refinement:
 
 
 def refine(c: Coat) -> Refinement:
-    """All sets X & Y and X & ~Y for X, Y in the coat, in first-seen order."""
+    """The coat's ``Refinement``."""
     return Refinement(c)
 
 
@@ -284,7 +279,6 @@ def generate_algebra(c: Coat) -> AlgebraFamily:
     """The algebra generated by the coat: every union of its atoms.
 
     On a finite ground set the generated algebra is exactly the 2**m unions
-    of its m atoms (Halmos, *Measure Theory*, 1950, sections 4-5).  More than
-    ``DEFAULT_EXHAUSTIVE_LIMIT`` members are refused with ``BudgetExceeded``.
+    of its m atoms (Halmos, *Measure Theory*, 1950, sections 4-5).
     """
     return AlgebraFamily(c.ground, tuple(_atom_bits(c.ground.n, c.member_bits())))

@@ -2,9 +2,9 @@
 
 Instances come in three flavours: quasi-measures induced from an exact
 atom-weight measure on an arbitrary coat, the same on partition-generated
-algebra coats (which satisfy every axiom by construction), and adversarial
-variants obtained by perturbing induced values away from the truth while
-keeping the endpoints fixed.  Everything is deterministic in the seed.
+algebra coats, and adversarial variants obtained by perturbing induced
+values away from the truth while keeping the endpoints fixed.  Everything
+is deterministic in the seed.
 """
 
 from __future__ import annotations
@@ -65,11 +65,7 @@ class TrueMeasure:
 
 
 def induce(tm: TrueMeasure, c: Coat) -> QuasiMeasure:
-    """Restrict the measure to the coat's refinement: exact atom-weight sums.
-
-    The sums are made on int weights over one scale and handed to
-    ``QuasiMeasure.from_numerators``; no mask or ``Fraction`` is built per member.
-    """
+    """Restrict the measure to the coat's refinement: exact atom-weight sums."""
     if tm.ground != c.ground:
         raise ValueError("measure and coat live on different ground sets")
     refinement = refine(c)

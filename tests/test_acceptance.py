@@ -98,8 +98,8 @@ def test_criterion_4_negative_instance_detection():
         report = check_axioms(qm, variant="restricted")
         assert not report.passed
         witness = report.result("meet-envelope").witnesses[0]
-        assert witness.set_named("X") == a_mask
-        assert witness.set_named("Y") == b_mask
+        assert dict(witness.sets)["X"] == a_mask
+        assert dict(witness.sets)["Y"] == b_mask
         assert witness.lhs == Fraction(1, 4)
 
         # (b) extension additivity failure: 1/2 + 1/2 = 1 != 1/2
@@ -111,7 +111,7 @@ def test_criterion_4_negative_instance_detection():
         assert one + two != both
         ver = verify_premeasure(extend(qm))
         pair = ver.result("pair-additivity").witnesses[0]
-        assert {pair.set_named("E1"), pair.set_named("E2")} == {
+        assert {dict(pair.sets)["E1"], dict(pair.sets)["E2"]} == {
             ground.subset(["1"]), ground.subset(["2"])
         }
 

@@ -31,7 +31,7 @@ from quasimeasure import (
     random_instance,
     testkit,
 )
-from quasimeasure.cli import main
+from quasimeasure.cli import _text_line, main
 from quasimeasure.instance_io import (
     InstanceSpec,
     ParseError,
@@ -1019,3 +1019,8 @@ class TestRowBuilder:
         assert [code for code, _, _ in fresh] == [1, 1, 1]
         assert fresh[0][1] == b"" and fresh[0][2].startswith(b'{"record":"table"')
         assert fresh[1][1].startswith(b"table {} = 0/1 cover  (indices )\n")
+
+
+def test_text_report_refuses_an_unknown_record_kind():
+    with pytest.raises(ValueError, match="^unknown record kind 'stats'$"):
+        _text_line({"record": "stats"})

@@ -69,14 +69,16 @@ class TestMeasurability:
     def test_budget_guard_refuses_before_solving(self, monkeypatch):
         # 2**17 subsets are past the exhaustive limit: refused before any solve.
         big = singleton_coat_instance(17)
-        monkeypatch.setattr(CoverSolver, "solve", refuse_to_solve)
+        monkeypatch.setattr(CoverSolver, "fill", refuse_to_solve)
+        monkeypatch.setattr(CoverSolver, "_solve", refuse_to_solve)
         with pytest.raises(BudgetExceeded, match=r"2\*\*17 subsets exceed budget"):
             is_caratheodory_measurable(big, big.ground.full())
 
     def test_foreign_candidate_refused_before_solving(self, negative_instance, monkeypatch):
         _, _, qm = negative_instance
         other = GroundSet(("1", "2", "3", "5"))
-        monkeypatch.setattr(CoverSolver, "solve", refuse_to_solve)
+        monkeypatch.setattr(CoverSolver, "fill", refuse_to_solve)
+        monkeypatch.setattr(CoverSolver, "_solve", refuse_to_solve)
         with pytest.raises(ValueError, match="different ground set"):
             is_caratheodory_measurable(qm, other.subset(["1", "2"]))
 
@@ -84,13 +86,13 @@ class TestMeasurability:
         _, _, qm = power_set_instance
         report = measurable_family(qm)
         assert len(report.algebra) == 8
-        assert report.all_algebra_measurable
+        assert all(r.measurable for r in report.algebra)
         assert len(report.audit) == 8
 
     def test_trivial_coat_family(self, trivial_instance):
         _, _, qm = trivial_instance
         report = measurable_family(qm)
-        assert report.all_algebra_measurable
+        assert all(r.measurable for r in report.algebra)
         assert {r.candidate for r in report.algebra} == {qm.ground.empty(), qm.ground.full()}
 
     def test_negative_instance_flags_overlap(self, negative_instance):
@@ -98,7 +100,7 @@ class TestMeasurability:
         report = measurable_family(qm)
         overlap = qm.ground.subset(["1", "2"])
         assert not next(r for r in report.algebra if r.candidate == overlap).measurable
-        assert not report.all_algebra_measurable
+        assert not all(r.measurable for r in report.algebra)
 
     def test_measurable_sets_form_an_algebra(self):
         # The family of splitting-measurable sets is closed under
@@ -131,7 +133,7 @@ class TestMeasurability:
             if not check_axioms(qm, variant="restricted").passed:
                 continue
             report = measurable_family(qm)
-            assert report.all_algebra_measurable, seed
+            assert all(r.measurable for r in report.algebra), seed
             checked += 1
         assert checked >= 20
 
@@ -183,7 +185,7 @@ class TestMeasurabilityOracle:
 
     def test_split_budget_admits_an_n10_singleton_coat(self):
         report = measurable_family(singleton_coat_instance(10))
-        assert len(report.algebra) == 1 << 10 and report.all_algebra_measurable
+        assert len(report.algebra) == 1 << 10 and all(r.measurable for r in report.algebra)
         assert report.audit == ()
 
     def test_passing_n10_singleton_coat_runs_no_splitting_test(self, monkeypatch):
@@ -193,7 +195,7 @@ class TestMeasurabilityOracle:
 
         monkeypatch.setattr(extension, "_first_split_failure", no_split_test)
         report = measurable_family(singleton_coat_instance(10))
-        assert len(report.algebra) == 1 << 10 and report.all_algebra_measurable
+        assert len(report.algebra) == 1 << 10 and all(r.measurable for r in report.algebra)
 
     def test_split_budget_refuses_only_uncertified_tables(self):
         # Only the splitting tests that run count against the budget: a table
@@ -203,7 +205,7 @@ class TestMeasurabilityOracle:
         with pytest.raises(BudgetExceeded, match=f"SPLIT_BUDGET={SPLIT_BUDGET}"):
             measurable_family(qm)
         report = measurable_family(singleton_coat_instance(16))
-        assert len(report.algebra) == 1 << 16 and report.all_algebra_measurable
+        assert len(report.algebra) == 1 << 16 and all(r.measurable for r in report.algebra)
         assert report.audit == ()
 
     def test_certified_coat_past_the_subset_limit_gets_a_report(self):
@@ -213,7 +215,7 @@ class TestMeasurabilityOracle:
         coat = Coat.from_bits(ground, [0, ground.full_bits, 0x1F, 0x3E0, 0xFC00, 0xF0000])
         qm = induce(TrueMeasure.uniform(ground), coat)
         report = measurable_family(qm)
-        assert len(report.algebra) == 16 and report.all_algebra_measurable
+        assert len(report.algebra) == 16 and all(r.measurable for r in report.algebra)
         with pytest.raises(BudgetExceeded, match=r"2\*\*20 subsets exceed budget"):
             measurable_family(perturb(qm, 0, max_changes=2))
 
@@ -322,8 +324,8 @@ class TestVerifyPremeasure:
         pair = report.result("pair-additivity")
         witness = pair.witnesses[0]
         ground = qm.ground
-        assert witness.set_named("E1") == ground.subset(["1"])
-        assert witness.set_named("E2") == ground.subset(["2"])
+        assert dict(witness.sets)["E1"] == ground.subset(["1"])
+        assert dict(witness.sets)["E2"] == ground.subset(["2"])
         assert witness.lhs == Fraction(1, 2)
         assert witness.rhs == Fraction(1)
         assert pickle.loads(pickle.dumps(report)) == report
@@ -362,7 +364,7 @@ class TestVerifyPremeasure:
         for bits, numerator in qm.numerators.items():
             assert table.numerators[index[bits]] * qm.scale == numerator * table.scale, bits
         assert verify_premeasure(table).passed
-        assert measurable_family(qm).all_algebra_measurable
+        assert all(r.measurable for r in measurable_family(qm).algebra)
 
     def test_table_agrees_with_coat_when_cover_bound_holds(self):
         for seed in range(40):

@@ -142,6 +142,8 @@ class TestIntervalSets:
             Interval(0.0, math.inf, True, True)
         with pytest.raises(ValueError):
             Interval(1.0, 1.0, True, False)
+        with pytest.raises(ValueError, match="^left endpoint must be finite$"):
+            Interval(math.inf, math.inf, False, False)
 
     @pytest.mark.parametrize("left, right", [(1.0, math.nan), (math.nan, 2.0), (math.nan, math.nan)])
     def test_nan_endpoint_is_refused_as_nan(self, left, right):
@@ -153,6 +155,9 @@ class TestIntervalSets:
             IntervalSet((Interval.closed_open(0.0, 1.0), Interval.closed(1.0, 2.0)))
         with pytest.raises(ValueError, match="overlap"):
             IntervalSet((Interval.closed(0.0, 2.0), Interval.closed(1.0, 3.0)))
+
+    def test_empty_set_prints_as_empty(self):
+        assert str(IntervalSet()) == "empty"
 
     def test_of_merges_adjacent(self):
         merged = IntervalSet.of(Interval.closed_open(0.0, 1.0), Interval.closed(1.0, 2.0))
@@ -368,10 +373,10 @@ class TestExampleSuite:
         witness = verify_example_axioms(sample_count=5, seed=0).result("cover-bound").witnesses[0]
         roles = [role for role, _ in witness.sets]
         assert len(roles) >= 2 and roles == ["X", *(f"S{i}" for i in range(1, len(roles)))]
-        (target,) = witness.set_named("X").components
+        (target,) = dict(witness.sets)["X"].components
         pieces = [piece for _, shape in witness.sets[1:] for piece in shape.components]
         assert len(pieces) == len(roles) - 1
-        assert issubset(witness.set_named("X"), witness.set_named("S1"))
+        assert issubset(dict(witness.sets)["X"], dict(witness.sets)["S1"])
         assert all(earlier.right < later.left for earlier, later in zip(pieces, pieces[1:]))
         assert witness.lhs == target.left - target.right
         assert witness.rhs == sum(piece.left - piece.right for piece in pieces)

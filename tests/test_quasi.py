@@ -146,16 +146,16 @@ class TestCheckAxioms:
         assert not meet.passed
         first = meet.witnesses[0]
         ground = qm.ground
-        assert first.set_named("X") == ground.subset(["1", "2"])
-        assert first.set_named("Y") == ground.subset(["2", "3"])
-        assert first.set_named("meet") == ground.subset(["2"])
+        assert dict(first.sets)["X"] == ground.subset(["1", "2"])
+        assert dict(first.sets)["Y"] == ground.subset(["2", "3"])
+        assert dict(first.sets)["meet"] == ground.subset(["2"])
         assert first.lhs == Fraction(1, 4)
 
     def test_failure_witnesses_reevaluate(self, negative_instance):
         _, coat, qm = negative_instance
         report = check_axioms(qm, variant="restricted")
         for witness in report.result("meet-envelope").witnesses:
-            target = witness.set_named("meet")
+            target = dict(witness.sets)["meet"]
             assert all(
                 not target.issubset(w) or qm.value(w) != witness.lhs for w in coat.members
             )
@@ -263,7 +263,7 @@ class TestCheckAxioms:
         report = check_axioms(broken, variant="restricted")
         assert not report.result("splitting").passed
         witness = report.result("splitting").witnesses[0]
-        x = witness.set_named("X")
+        x = dict(witness.sets)["X"]
         assert witness.lhs == broken.value(x)
 
     def test_restriction_of_true_measure_passes_literal(self):
@@ -285,7 +285,7 @@ class TestAltConditions:
         assert not report.passed
         squeeze = report.result("meet-squeeze")
         assert not squeeze.passed
-        meets = {w.set_named("meet") for w in squeeze.witnesses}
+        meets = {dict(w.sets)["meet"] for w in squeeze.witnesses}
         assert qm.ground.subset(["2"]) in meets
 
     def test_trivial_coat_passes(self, trivial_instance):
@@ -336,8 +336,8 @@ class TestCoatMonotonicity:
         monotone = check_alt_conditions(qm).result("monotone")
         assert not monotone.passed
         witness = monotone.witnesses[0]
-        assert witness.set_named("X") == ground.subset(["1"])
-        assert witness.set_named("Y") == ground.subset(["1", "2"])
+        assert dict(witness.sets)["X"] == ground.subset(["1"])
+        assert dict(witness.sets)["Y"] == ground.subset(["1", "2"])
         assert (witness.lhs, witness.rhs) == (Fraction(3, 4), Fraction(1, 2))
 
 

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from quasimeasure.report import AxiomReport, CheckResult, ReportBuilder, Witness
+from quasimeasure.report import AxiomReport, CheckResult, ReportBuilder, Witness, WitnessRecords
+
+WITNESS = Witness((("X", "{1}"),), Fraction(1), Fraction(0), "eq")
 
 
 def test_builder_preserves_declaration_order():
@@ -36,9 +38,19 @@ def test_witness_render_shapes():
     assert le.render() == "A={1} 3/4 > 1/2 cap"
     exists = Witness((("meet", "{2}"),), Fraction(1, 4), None, "exists", note="no envelope")
     assert exists.render() == "meet={2} value 1/4: no envelope"
-    assert exists.set_named("meet") == "{2}"
-    with pytest.raises(KeyError):
-        exists.set_named("X")
+
+
+def test_witness_records_are_unequal_to_a_list_of_their_witnesses():
+    records = WitnessRecords([0, 1], lambda record: WITNESS)
+    assert records == (WITNESS, WITNESS)
+    assert records != [WITNESS, WITNESS] and [WITNESS, WITNESS] != records
+
+
+def test_fail_each_refuses_a_check_that_already_holds_witnesses():
+    rb = ReportBuilder("demo")
+    rb.fail("only", WITNESS)
+    with pytest.raises(ValueError, match="^check 'only' already holds witnesses$"):
+        rb.fail_each("only", [0], lambda record: WITNESS)
 
 
 def test_notes_survive_build():

@@ -27,6 +27,10 @@ class TestTrueMeasure:
         with pytest.raises(ValueError, match="sum"):
             TrueMeasure(ground3, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)))
 
+    def test_one_weight_per_element(self, ground3):
+        with pytest.raises(ValueError, match="^one weight per ground element required$"):
+            TrueMeasure(ground3, (Fraction(1, 2), Fraction(1, 2)))
+
     def test_weights_must_be_nonnegative(self, ground3):
         with pytest.raises(ValueError, match="nonnegative"):
             TrueMeasure(ground3, (Fraction(3, 2), Fraction(-1, 4), Fraction(-1, 4)))
