@@ -78,6 +78,10 @@ MUTANTS = (
            "mask = chosen[rest] | 1 << idx",
            "mask = chosen[rest]",
            ("tests/test_cover.py",)),
+    Mutant("solver-reach-test-compares-masks", QUASI,
+           "if target_bits & ~self.reach:",
+           "if target_bits > self.reach:",
+           ("tests/test_cover.py",)),
     Mutant("solver-skips-memo-read", QUASI,
            "return self._memo.get(target_bits) or self._solve(target_bits)",
            "return self._solve(target_bits)",
@@ -147,9 +151,17 @@ MUTANTS = (
            "certified = True",
            ("tests/test_extension.py",)),
     Mutant("hull-maps-an-element-to-its-neighbours-atom", EXTENSION,
-           "if atom >> i & 1)",
-           "if atom >> (i ^ 1) & 1)",
+           "table.algebra.index(1 << e)",
+           "table.algebra.index(1 << (e ^ 1))",
            ("tests/test_extension.py",)),
+    Mutant("index-takes-the-atoms-inside-not-those-met", SETS,
+           "if atom & bits)",
+           "if atom & bits == atom)",
+           ("tests/test_sets.py",)),
+    Mutant("index-reads-only-the-lowest-element", SETS,
+           "if atom & bits)",
+           "if atom & bits & -bits)",
+           ("tests/test_sets.py",)),
     Mutant("coat-agreement-one-sided", QUASI,
            "if v != qm.numerators[x]]",
            "if v > qm.numerators[x]]",

@@ -9,7 +9,6 @@ values of A-inside-W and A-outside-W.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -20,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .cover import CoverSolution
-from .quasi import ONE, QuasiMeasure, coat_solver
+from .quasi import ONE, CoverSolver, QuasiMeasure
 from .report import AxiomReport, ReportBuilder, Witness
 from .sets import (DEFAULT_EXHAUSTIVE_LIMIT, AlgebraFamily, BudgetExceeded, SubsetMask, bit_indices,
                    generate_algebra, subset_table)
@@ -38,9 +37,7 @@ def _subset_values(table: MeasureTable) -> list[int]:
     n = table.algebra.ground.n
     if (1 << n) > DEFAULT_EXHAUSTIVE_LIMIT:
         raise BudgetExceeded(f"2**{n} subsets exceed budget {DEFAULT_EXHAUSTIVE_LIMIT}")
-    atoms = table.algebra.atoms
-    owners = (sum(1 << j for j, atom in enumerate(atoms) if atom >> i & 1) for i in range(n))
-    return [table.numerators[hull] for hull in subset_table(owners)]
+    return [table.numerators[hull] for hull in subset_table(table.algebra.index(1 << e) for e in range(n))]
 
 
 def _first_split_failure(qm: QuasiMeasure, w: SubsetMask,
@@ -137,9 +134,8 @@ class MeasureTable:
         return tuple(Fraction(v, self.scale) for v in self.numerators)
 
     def value(self, mask: SubsetMask) -> Fraction:
-        bits = self.algebra.bits
-        i = bisect.bisect_left(bits, mask.bits)
-        if i == len(bits) or bits[i] != mask.bits or mask.ground != self.algebra.ground:
+        i = self.algebra.index(mask.bits)
+        if mask.ground != self.algebra.ground or self.algebra.bits[i] != mask.bits:
             raise KeyError(f"{mask} is not a member of the table's algebra")
         return Fraction(self.numerators[i], self.scale)
 
@@ -151,10 +147,11 @@ class MeasureTable:
 def extend(qm: QuasiMeasure) -> MeasureTable:
     """Tabulate the exterior value on every generated-algebra member, in lowest terms.
 
-    Never refuses axiom-failing inputs: verification is ``verify_premeasure``'s.
-    """
+    Coat members are unions of atoms, so they cover a member iff their atom masks cover its index.
+    Never refuses axiom-failing inputs: verification is ``verify_premeasure``'s."""
     algebra = generate_algebra(qm.coat)
-    costs, chosen = coat_solver(qm).fill(algebra.atoms)
+    entries = [(i, algebra.index(b), qm.numerators[b]) for i, b in enumerate(qm.coat.member_bits())]
+    costs, chosen = CoverSolver(entries, 0).fill()
     divisor = math.gcd(qm.scale, *costs)
     return MeasureTable(algebra, qm.scale // divisor, tuple(cost // divisor for cost in costs), tuple(chosen))
 

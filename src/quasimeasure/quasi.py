@@ -123,12 +123,11 @@ class CoverSolver(Generic[W]):
     ``solve_bits`` returns the cost and the int mask of the chosen indices
     (bit i for index i) of the least cover in (cost, size, indices), the order
     of ``_loses_tie``; ``solve`` gives the ascending index tuple instead, and
-    ``fill`` tabulates every union of an algebra's atoms.  The memo maps each
-    solved residual to its cost and chosen mask.
+    ``fill`` tabulates every mask up to ``reach``.  The memo maps each solved
+    residual to its cost and chosen mask.
     """
 
     def __init__(self, entries: Sequence[tuple[int, int, W]], zero: W):
-        self.entries = entries
         self.reach = 0
         for _, bits, _ in entries:
             self.reach |= bits
@@ -137,15 +136,12 @@ class CoverSolver(Generic[W]):
         self._holding: dict[int, list[tuple[int, int, W]]] = {}  # lowest bit -> entries holding it
         self._memo: dict[int, tuple[W, int]] = {0: (zero, 0)}  # residual -> (cost, chosen index mask)
 
-    def feasible(self, target_bits: int) -> bool:
-        return target_bits & ~self.reach == 0
-
     def solve(self, target_bits: int) -> tuple[W, tuple[int, ...]]:
         cost, chosen = self.solve_bits(target_bits)
         return cost, bit_indices(chosen)
 
     def solve_bits(self, target_bits: int) -> tuple[W, int]:
-        if not self.feasible(target_bits):
+        if target_bits & ~self.reach:
             raise ValueError("target not coverable by the available members")
         return self._memo.get(target_bits) or self._solve(target_bits)
 
@@ -200,25 +196,20 @@ class CoverSolver(Generic[W]):
         memo[residual] = best
         return best
 
-    def fill(self, atoms: Sequence[int]) -> tuple[list[W], list[int]]:
-        """``solve_bits``' answer on every union of ``atoms``, as lists indexed like ``AlgebraFamily.bits``.
+    def fill(self) -> tuple[list[W], list[int]]:
+        """``solve_bits``' answer on every mask S up to ``reach``, as lists indexed by S.
 
-        Weights must be exact, each entry a union of atoms and each atom held
-        by some entry.  S is filled in ascending order, a dynamic program over
-        subsets (Bellman, *Dynamic Programming*, 1957; Held and Karp, 1962):
-        each holder C of S's lowest atom, tried as in ``_solve``, joins the
-        least cover of S & ~C, filled already as S & ~C < S.  That is exact in
-        (cost, size, indices): every cover of S holds such a C, and without C
-        covers S & ~C; a least cover of S & ~C never holds C, which is disjoint
-        from it; and adding one index to two covers keeps their ``_loses_tie``
-        order.  An entry holds an atom iff it holds the atom's lowest element,
-        so ``_holders`` lists them.
+        Weights must be exact and ``reach`` a run of low bits, 2**m - 1.  S is
+        filled in ascending order, a dynamic program over subsets (Bellman,
+        *Dynamic Programming*, 1957; Held and Karp, 1962): each holder C of
+        S's lowest bit, tried as in ``_solve``, joins the least cover of
+        S & ~C, filled already as S & ~C < S.  That is exact in (cost, size,
+        indices): every cover of S holds such a C, and without C covers
+        S & ~C; a least cover of S & ~C never holds C, which is disjoint from
+        it; and adding one index to two covers keeps their ``_loses_tie`` order.
         """
-        held = {idx: sum(1 << j for j, atom in enumerate(atoms) if bits & atom)
-                for idx, bits, _ in self.entries}
-        holding = [[(idx, held[idx], weight) for idx, _, weight in self._holders(atom & -atom)]
-                   for atom in atoms]
-        costs, chosen = [self._memo[0][0]] * (1 << len(atoms)), [0] * (1 << len(atoms))
+        holding = [self._holders(1 << j) for j in range(self.reach.bit_length())]
+        costs, chosen = [self._memo[0][0]] * (self.reach + 1), [0] * (self.reach + 1)
         for s in range(1, len(costs)):
             best = pick = None
             for idx, c, weight in holding[(s & -s).bit_length() - 1]:
@@ -252,8 +243,8 @@ def coat_solver(qm: QuasiMeasure) -> CoverSolver[int]:
 def undercut_members(qm: QuasiMeasure, solve: Callable[[int], tuple]) -> list[tuple[int, int]]:
     """The coat members whose exterior value on ``solve`` differs from their own, with that value.
 
-    A member covers itself, so these are the members a cheaper cover undercuts:
-    the cover bound holds iff there are none, in every cover mode and size."""
+    A member covers itself, so these are the members a cheaper cover undercuts: with
+    none the cover bound holds, and with some it fails over all subcollections of any size."""
     values = [(x, solve(x)[0]) for x in qm.coat.member_bits()]
     return [(x, v) for x, v in values if v != qm.numerators[x]]
 

@@ -237,11 +237,12 @@ def _atom_bits(n: int, masks: Sequence[int]) -> list[int]:
 class AlgebraFamily:
     """The algebra of all unions of ``atoms``, disjoint blocks covering the ground set.
 
-    Member i is the union of the atoms in the bits of i.  Atoms are disjoint
-    and ascend in mask order, so each atom's top bit lies above every bit of
-    the atoms before it, and the members come out in mask order.  ``bits``
-    and ``members`` are built on first read; more than
-    ``DEFAULT_EXHAUSTIVE_LIMIT`` members are refused with ``BudgetExceeded``.
+    Member i is the union of the atoms in the bits of i, and ``index`` is the
+    inverse of that order.  Atoms are disjoint and ascend in mask order, so
+    each atom's top bit lies above every bit of the atoms before it, and the
+    members come out in mask order.  ``bits`` and ``members`` are built on
+    first read; more than ``DEFAULT_EXHAUSTIVE_LIMIT`` members are refused
+    with ``BudgetExceeded``.
     """
 
     ground: GroundSet
@@ -267,6 +268,11 @@ class AlgebraFamily:
     @cached_property
     def members(self) -> tuple[SubsetMask, ...]:
         return tuple(SubsetMask(self.ground, b) for b in self.bits)
+
+    def index(self, bits: int) -> int:
+        """The index of the least member holding ``bits``: bit j for each atom j they meet.
+        On a member's bits it is that member's own index."""
+        return sum(1 << j for j, atom in enumerate(self.atoms) if atom & bits)
 
     def __len__(self) -> int:
         return 1 << len(self.atoms)

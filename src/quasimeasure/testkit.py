@@ -228,5 +228,5 @@ def search_instances(
 
 def _agrees(table: MeasureTable, qm: QuasiMeasure) -> bool:
     """Whether the table equals the quasi-measure on every refinement member (each is an algebra member)."""
-    index = {bits: i for i, bits in enumerate(table.algebra.bits)}
-    return all(table.numerators[index[b]] * qm.scale == v * table.scale for b, v in qm.numerators.items())
+    index = table.algebra.index
+    return all(table.numerators[index(b)] * qm.scale == v * table.scale for b, v in qm.numerators.items())

@@ -140,9 +140,17 @@ class TestCoverSolver:
         assert solver.solve(0) == (0.0, ())
         assert solver.solve(0b111) == (0.75, (0, 1))
         assert solver.solve(0b100) == (0.25, (1,))
-        assert not solver.feasible(0b1000)
+        with pytest.raises(ValueError, match="not coverable"):
+            solver.solve_bits(0b1000)
         with pytest.raises(ValueError, match="not coverable"):
             solver.solve(0b1000)
+
+    def test_refuses_a_target_in_a_gap_of_the_reach(self):
+        # The reach 0b101 lies above the target 0b010, which no entry holds.
+        solver = CoverSolver([(0, 0b001, 1), (1, 0b100, 1)], 0)
+        assert solver.solve_bits(0b101) == (2, 0b11)
+        with pytest.raises(ValueError, match="not coverable"):
+            solver.solve_bits(0b010)
 
     def test_branches_on_the_lowest_uncovered_element(self):
         # Omega's residuals under the singleton coat are the suffixes left after
@@ -305,9 +313,15 @@ def atoms_of(n, entries):
     return sorted(blocks.values())
 
 
+def atom_entries(entries, atoms):
+    """The entries with each mask rewritten as the mask of the atoms it meets, bit j for ``atoms[j]``."""
+    return [(i, sum(1 << j for j, atom in enumerate(atoms) if bits & atom), w) for i, bits, w in entries]
+
+
 def assert_fill_answers_like_the_searches(entries, atoms):
-    """``fill``'s entry S, the union of the atoms in the bits of S, is ``solve_bits``' answer and the reference's."""
-    costs, chosen = CoverSolver(entries, 0).fill(atoms)
+    """``fill`` over the atom-mask entries: its entry S answers for the union of the atoms in the bits of S
+    as ``solve_bits`` and the reference do over the element masks."""
+    costs, chosen = CoverSolver(atom_entries(entries, atoms), 0).fill()
     solve, reference = CoverSolver(entries, 0).solve_bits, ReferenceCoverSolver(entries, 0).solve
     assert len(costs) == len(chosen) == 1 << len(atoms)
     for s in range(1 << len(atoms)):
@@ -349,7 +363,7 @@ def test_fill_branches_on_the_lowest_atom_index():
     assert atoms == [0b0001, 0b0100, 0b1010]
     assert_fill_answers_like_the_searches(entries, atoms)
     # {3} ties {1, 2} on cost 1 and wins on size.
-    assert [table[0b110] for table in CoverSolver(entries, 0).fill(atoms)] == [1, 1 << 3]
+    assert [table[0b110] for table in CoverSolver(atom_entries(entries, atoms), 0).fill()] == [1, 1 << 3]
 
 
 # Weights whose sums round differently by order: 0.1 + 0.2 is 0.30000000000000004,

@@ -291,6 +291,20 @@ class TestMeasureTable:
         for labels in (("a", "b", "c", "d"), ("1", "2", "3", "4", "5")):
             with pytest.raises(KeyError):  # the same bits on another ground
                 table.value(GroundSet(labels).full())
+        # Atoms {1}, {2, 3} and {4}: 8 members of the 16 subsets.
+        ground = qm.ground
+        table = extend(induce(TrueMeasure.uniform(ground), Coat.from_bits(ground, [0, 0b1111, 0b0111, 0b1110])))
+        position = {bits: i for i, bits in enumerate(table.algebra.bits)}
+        assert len(position) == 8
+        other = GroundSet(("a", "b", "c", "d"))
+        for bits in range(16):
+            if bits in position:
+                assert table.value(ground.mask(bits)) == table.values[position[bits]]
+                with pytest.raises(KeyError):
+                    table.value(other.mask(bits))
+            else:
+                with pytest.raises(KeyError):
+                    table.value(ground.mask(bits))
 
     def test_value_builds_only_the_fraction_it_returns(self):
         table = extend(singleton_coat_instance(16))

@@ -766,6 +766,10 @@ def test_interval_costs_are_those_of_the_all_candidates_search(monkeypatch):
     searches = []
 
     class RecordingSolver(CoverSolver):
+        def __init__(self, entries, zero):
+            super().__init__(entries, zero)
+            self.entries = entries
+
         def solve(self, target_bits):
             searches.append((self.entries, target_bits))
             return super().solve(target_bits)
@@ -787,6 +791,10 @@ def test_outer_interval_hands_the_solver_the_pointwise_atom_masks(monkeypatch):
     searches = []
 
     class RecordingSolver(CoverSolver):
+        def __init__(self, entries, zero):
+            super().__init__(entries, zero)
+            self.entries = entries
+
         def solve(self, target_bits):
             searches.append((self.entries, target_bits))
             return super().solve(target_bits)

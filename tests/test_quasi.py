@@ -25,7 +25,8 @@ from quasimeasure import (
     render_instance,
     verify_premeasure,
 )
-from quasimeasure.quasi import ALT_CHECKS, AXIOM_CHECKS, ONE, cover_bound_violations
+from quasimeasure.quasi import (ALT_CHECKS, AXIOM_CHECKS, ONE, coat_solver, cover_bound_violations,
+                                undercut_members)
 from quasimeasure.report import ReportBuilder, Witness
 from quasimeasure.testkit import instance_for_seed
 
@@ -509,6 +510,20 @@ def test_cover_bound_holds_iff_coat_members_have_their_own_exterior_value(qm):
         for cover_mode in ("all", "disjoint-only"):
             for size in range(1, len(qm.coat) + 1):
                 assert cover_bound_violations(qm, cover_mode, size) == []
+
+
+def test_an_undercut_member_breaks_the_cover_bound_only_over_all_subcollections():
+    # With no undercut member the bound holds in every mode and size (the
+    # property above); with one it can still hold over the disjoint
+    # subcollections, or over those up to a size.
+    qm = instance_for_seed(119)
+    assert len(undercut_members(qm, coat_solver(qm).solve)) == 1
+    assert len(cover_bound_violations(qm, "all")) == 2
+    assert cover_bound_violations(qm, "disjoint-only") == []
+    qm = instance_for_seed(14)
+    assert len(undercut_members(qm, coat_solver(qm).solve)) == 1
+    assert len(cover_bound_violations(qm, "all")) == 2
+    assert cover_bound_violations(qm, "all", max_cover_size=1) == []
 
 
 def test_cover_bound_filter_agrees_with_the_reference_at_the_benchmark_size():

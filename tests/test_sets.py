@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import itertools
 import random
@@ -19,7 +20,7 @@ from quasimeasure import (
     random_instance,
     refine,
 )
-from quasimeasure.sets import DEFAULT_EXHAUSTIVE_LIMIT, BudgetExceeded, _atom_bits
+from quasimeasure.sets import DEFAULT_EXHAUSTIVE_LIMIT, BudgetExceeded, _atom_bits, subset_table
 
 
 def masks_of(ground, *label_groups):
@@ -434,6 +435,27 @@ def test_atom_check_accepts_exactly_partitions_in_mask_order(case):
     bits = AlgebraFamily(ground, atoms).bits
     assert list(bits) == sorted(fixpoint_closure(ground, atoms) | {0})
     assert is_pairwise_closed(ground, bits) and _atom_bits(ground.n, bits) == list(atoms)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 10**6), st.integers(1, 8), st.integers(2, 12))
+def test_index_is_the_least_member_holding_the_bits(seed, n, coat_size):
+    # Oracles: a bisect of the member bits and a dict of them for each member,
+    # and for each subset the union of the owners of its elements, the atoms
+    # that hold each element.
+    algebra = generate_algebra(random_instance(seed, n=n, coat_size=coat_size)[1])
+    bits, atoms = algebra.bits, algebra.atoms
+    position = {b: i for i, b in enumerate(bits)}
+    for i, member in enumerate(bits):
+        assert algebra.index(member) == bisect.bisect_left(bits, member) == position[member] == i
+    owners = (sum(1 << j for j, atom in enumerate(atoms) if atom >> e & 1) for e in range(n))
+    hulls = subset_table(owners)
+    for subset in range(1 << n):
+        i = algebra.index(subset)
+        assert i == hulls[subset]
+        assert bits[i] & subset == subset
+        for j in range(len(atoms)):  # without any one of its atoms, the member no longer holds the subset
+            assert not i >> j & 1 or bits[i ^ 1 << j] & subset != subset
 
 
 def eager_refine(coat):
